@@ -16,7 +16,6 @@ from .core import (
     RadialProfile,
     Tabulated,
     energy,
-    integrate_radial,
     make_grid,
     make_rule,
 )

@@ -628,7 +628,6 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     lines = ["point,n,p,status,lambda_lo,lambda_hi"]
     for name, n_val, p_val, pdir in points:
         status, payload = rows[name]
-        body = payload if "n" in payload else payload.get("config", {})
         lo = payload.get("lambda_lo", "")
         hi = payload.get("lambda_hi", "")
         lo_s = _fmt(lo) if lo != "" else ""
@@ -657,7 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, metavar="DIR")
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--force", action="store_true")
-    parser.add_argument("--no-color", action="store_true", help="plain output (default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("exponents", help="closed-form exponents and regime")

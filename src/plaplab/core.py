@@ -149,6 +149,7 @@ class Tabulated:
     g: tuple
     gp: tuple
     scale: float = 1.0
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -161,11 +162,8 @@ class Tabulated:
         object.__setattr__(self, "t", tuple(float(x) for x in t))
         object.__setattr__(self, "g", tuple(float(x) for x in self.g))
         object.__setattr__(self, "gp", tuple(float(x) for x in self.gp))
-
-    def _arrays(self):
-        t = np.asarray(self.t)
         g = np.asarray(self.g)
-        gp = np.asarray(self.gp, dtype=float).copy()
+        gp = np.asarray(self.gp)
         secants = np.diff(g) / np.diff(t)
         if np.all(secants >= 0) and np.all(gp >= 0):
             cap = 3.0 * np.minimum(
@@ -173,15 +171,13 @@ class Tabulated:
                 np.concatenate([secants, secants[-1:]]),
             )
             gp = np.minimum(gp, cap)
-        return t, g, gp
+        object.__setattr__(self, "_table", (t, g, gp))
 
     def value(self, u):
-        t, g, gp = self._arrays()
-        return self.scale * _hermite_eval(u, t, g, gp)
+        return self.scale * _hermite_eval(u, *self._table)
 
     def derivative(self, u):
-        t, g, gp = self._arrays()
-        return self.scale * _hermite_eval(u, t, g, gp, want_derivative=True)
+        return self.scale * _hermite_eval(u, *self._table, want_derivative=True)
 
     def antiderivative(self, u):
         raise EvaluationError(
@@ -392,10 +388,6 @@ def make_rule(grid: RadialGrid, n: float) -> QuadratureRule:
                 _stencil=stencil,
             )
     raise ConsistencyError("quadrature produced non-positive weights")
-
-
-def integrate_radial(h, rule: QuadratureRule) -> float:
-    return rule.integrate(h)
 
 
 # ---------------------------------------------------------------------------

@@ -181,36 +181,40 @@ class Nodal:
 # ---------------------------------------------------------------------------
 
 
-def _integration_cells(profile: RadialProfile, xi) -> np.ndarray:
-    """Cell boundaries in t for integrals against xi: the profile's log
-    cells, clipped to the support, split at the family's kink radii.
-    Families with their own exact cell decomposition (nodal hats) use it."""
-    own = getattr(xi, "exact_cells", None)
-    if own is not None:
-        return np.log(np.asarray(own, dtype=float))
-    t = profile.grid.t
-    lo = max(xi.support_lo, profile.grid.r_min)
-    t_lo = math.log(lo) if lo > 0 else t[0]
-    pts = set(float(tt) for tt in t if tt >= t_lo - 1e-12)
-    pts.add(t_lo)
-    for kink in xi.kinks:
-        if lo <= kink <= 1.0:
-            pts.add(math.log(kink))
-    return np.array(sorted(pts))
-
-
 def _gauss_points(bounds: np.ndarray, n: float):
     """4-point Gauss nodes/weights per cell, flattened; wide cells are
     subdivided so the r^n weight stays resolved."""
-    tg_parts, wg_parts = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        panels = 1 + int((n + 8.0) * (b - a) / 0.25)
-        edges = np.linspace(a, b, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        tg_parts.append((mid[:, None] + half[:, None] * _GL4_NODES).ravel())
-        wg_parts.append((half[:, None] * _GL4_WEIGHTS).ravel())
-    return np.concatenate(tg_parts), np.concatenate(wg_parts)
+    a, b = bounds[:-1], bounds[1:]
+    panels = 1 + ((n + 8.0) * (b - a) / 0.25).astype(int)
+    # panel edges are k * step + a with the last one exactly b, as np.linspace
+    # builds them, so the points do not depend on how cells are batched
+    cell = np.repeat(np.arange(len(a)), panels)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = ((b - a) / panels)[cell]
+    lo = k * step + a[cell]
+    hi = np.where(k + 1 == panels[cell], b[cell], (k + 1) * step + a[cell])
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    tg = (mid[:, None] + half[:, None] * _GL4_NODES).ravel()
+    return tg, (half[:, None] * _GL4_WEIGHTS).ravel()
+
+
+def _samples(profile: RadialProfile, xi):
+    """Gauss radii and volume weights (r^n dt) for integrals against xi over
+    its support in [r_min, 1]: the profile's log cells, clipped to the
+    support and split at the family's kink radii.  Families with their own
+    exact cell decomposition (nodal hats) use it."""
+    own = getattr(xi, "exact_cells", None)
+    if own is not None:
+        bounds = np.log(np.asarray(own, dtype=float))
+    else:
+        t = profile.grid.t
+        lo = max(xi.support_lo, profile.grid.r_min)
+        t_lo = math.log(lo)
+        kinks = [math.log(kink) for kink in xi.kinks if lo <= kink <= 1.0]
+        bounds = np.unique(np.concatenate([t[t >= t_lo - 1e-12], [t_lo], kinks]))
+    tg, wg = _gauss_points(bounds, profile.n)
+    return np.exp(tg), wg * np.exp(profile.n * tg)
 
 
 def q_apply(profile: RadialProfile, g_prime, xi) -> float:
@@ -221,9 +225,7 @@ def q_apply(profile: RadialProfile, g_prime, xi) -> float:
     reaching such radii are rejected.
     """
     n, p = profile.n, profile.p
-    bounds = _integration_cells(profile, xi)
-    tg, wg = _gauss_points(bounds, n)
-    rg = np.exp(tg)
+    rg, wvol = _samples(profile, xi)
     ur = np.asarray(profile.u_r_at(rg), dtype=float)
     if p < 2.0 and np.any(np.abs(ur) < 1e-300):
         raise ParameterError(
@@ -237,7 +239,7 @@ def q_apply(profile: RadialProfile, g_prime, xi) -> float:
     xd = np.asarray(xi.derivative(rg), dtype=float)
     gp = np.asarray(g_prime(uu), dtype=float)
     integrand = coeff * xd**2 - gp * xv**2
-    value = float(np.dot(wg, integrand * np.exp(n * tg)))
+    value = float(np.dot(wvol, integrand))
     # head term over [0, r_min] for families that do not vanish there
     if xi.support_lo < profile.grid.r_min:
         r0 = profile.grid.r_min
@@ -261,6 +263,13 @@ def q_apply(profile: RadialProfile, g_prime, xi) -> float:
 class Tridiagonal:
     diag: np.ndarray
     off: np.ndarray  # superdiagonal, length len(diag) - 1
+
+    def __sub__(self, other: "Tridiagonal") -> "Tridiagonal":
+        return Tridiagonal(self.diag - other.diag, self.off - other.off)
+
+    def form(self, x: np.ndarray) -> float:
+        """x^T T x for a nodal coefficient vector."""
+        return float(np.dot(x, self.diag * x) + 2.0 * np.dot(x[:-1], self.off * x[1:]))
 
 
 @dataclass(frozen=True)
@@ -287,59 +296,39 @@ def assemble_q(profile: RadialProfile, g_prime, r_trunc: float, n_eig: int) -> Q
     s = eigen_grid.r
     k = n_eig  # interior unknowns
 
-    a_diag = np.zeros(k)
-    a_off = np.zeros(k - 1)
-    b_diag = np.zeros(k)
-    b_off = np.zeros(k - 1)
-    m_diag = np.zeros(k)
-    m_off = np.zeros(k - 1)
-
     tg, wg = _gauss_points(eigen_grid.t, n)
     per_cell = len(tg) // (k + 1)
     if per_cell * (k + 1) != len(tg):
         raise ConsistencyError("uneven Gauss panels on a uniform eigen grid")
     tg = tg.reshape(k + 1, per_cell)
-    wg = wg.reshape(k + 1, per_cell)
     rg = np.exp(tg)
+    weight = wg.reshape(k + 1, per_cell) * np.exp(n * tg)
     ur = np.asarray(profile.u_r_at(rg.ravel()), dtype=float).reshape(k + 1, per_cell)
     uu = np.asarray(profile.u_at(rg.ravel()), dtype=float).reshape(k + 1, per_cell)
     gp = np.asarray(g_prime(uu.ravel()), dtype=float).reshape(k + 1, per_cell)
     if not (np.all(np.isfinite(ur)) and np.all(np.isfinite(gp))):
         raise ParameterError("coefficient non-finite on an eigen cell")
     coeff = (p - 1.0) * np.abs(ur) ** (p - 2.0)
-    weight = wg * np.exp(n * tg)
 
+    # cell c carries the falling hat of node c and the rising hat of node
+    # c+1; the interior unknowns are nodes 1..k, so matrix index = node - 1
     h = np.diff(s)
-    # basis on cell c: left hat (s[c+1]-r)/h, right hat (r-s[c])/h
-    for c in range(k + 1):
-        rr = rg[c]
-        left = (s[c + 1] - rr) / h[c]
-        right = (rr - s[c]) / h[c]
-        dleft, dright = -1.0 / h[c], 1.0 / h[c]
-        wa = weight[c] * coeff[c]
-        wb = weight[c] * gp[c]
-        wm = weight[c]
-        # indices: left basis -> node c, right basis -> node c+1 (eigen grid);
-        # interior unknowns are nodes 1..k, matrix index = node - 1
-        il, ir = c - 1, c
-        if il >= 0:
-            a_diag[il] += np.sum(wa) * dleft * dleft
-            b_diag[il] += np.dot(wb, left * left)
-            m_diag[il] += np.dot(wm, left * left)
-        if ir < k:
-            a_diag[ir] += np.sum(wa) * dright * dright
-            b_diag[ir] += np.dot(wb, right * right)
-            m_diag[ir] += np.dot(wm, right * right)
-        if il >= 0 and ir < k:
-            a_off[il] += np.sum(wa) * dleft * dright
-            b_off[il] += np.dot(wb, left * right)
-            m_off[il] += np.dot(wm, left * right)
+    left = (s[1:, None] - rg) / h[:, None]
+    right = (rg - s[:-1, None]) / h[:, None]
+    products = (left * left, right * right, left * right)
 
+    def tridiagonal(ll, rr, lr):
+        return Tridiagonal(rr[:-1] + ll[1:], lr[1:-1])
+
+    def mass(w):
+        # one dot product per cell, as a (1 x m) @ (m x 1) matmul so it sums in
+        # the same order as np.dot
+        return tridiagonal(*((w[:, None, :] @ f[:, :, None])[:, 0, 0] for f in products))
+
+    d = 1.0 / h
+    stiff = np.sum(weight * coeff, axis=1) * d * d
     return QPencil(
-        a=Tridiagonal(a_diag, a_off),
-        b=Tridiagonal(b_diag, b_off),
-        m=Tridiagonal(m_diag, m_off),
-        nodes=s,
+        a=tridiagonal(stiff, stiff, -stiff), b=mass(weight * gp), m=mass(weight), nodes=s
     )
 
 
@@ -350,8 +339,7 @@ def nodal_family(pencil: QPencil):
 
 def quadratic_form_value(pencil: QPencil, x: np.ndarray) -> float:
     """x^T (A - B) x for a nodal coefficient vector."""
-    td, to = pencil.a.diag - pencil.b.diag, pencil.a.off - pencil.b.off
-    return float(np.dot(x, td * x) + 2.0 * np.dot(x[:-1], to * x[1:]))
+    return (pencil.a - pencil.b).form(x)
 
 
 def _negative_count(t_diag, t_off, m_diag, m_off, mu: float) -> int:
@@ -378,7 +366,8 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
     """Minimal mu with (A - B) x = mu M x, by Sturm-sequence bisection on the
     tridiagonal pencil; the returned midpoint carries a certified bracket of
     width below 1e-10 of the Rayleigh scale (or a few ulps)."""
-    t_diag, t_off = a.diag - b.diag, a.off - b.off
+    t = a - b
+    t_diag, t_off = t.diag, t.off
     m_diag, m_off = m.diag, m.off
     if np.any(m_diag <= 0):
         raise ParameterError("mass form is singular on a cell")
@@ -416,8 +405,9 @@ def _min_mode_vector(pencil: QPencil, mu: float) -> np.ndarray:
     """Eigenvector witness at the certified eigenvalue via a twisted
     factorization of (A - B) - mu M (robust under the extreme row scaling a
     log grid with an r^n weight produces)."""
-    a = pencil.a.diag - pencil.b.diag - mu * pencil.m.diag
-    b = pencil.a.off - pencil.b.off - mu * pencil.m.off
+    t = pencil.a - pencil.b
+    a = t.diag - mu * pencil.m.diag
+    b = t.off - mu * pencil.m.off
     k = len(a)
     tiny = 1e-300
     d_fwd = np.empty(k)
@@ -451,12 +441,7 @@ def _min_mode_vector(pencil: QPencil, mu: float) -> np.ndarray:
 
 def _rayleigh_of_min_mode(pencil: QPencil, mu: float) -> float:
     x = _min_mode_vector(pencil, mu)
-    td = pencil.a.diag - pencil.b.diag
-    to = pencil.a.off - pencil.b.off
-    md, mo = pencil.m.diag, pencil.m.off
-    num = np.dot(x, td * x) + 2 * np.dot(x[:-1], to * x[1:])
-    den = np.dot(x, md * x) + 2 * np.dot(x[:-1], mo * x[1:])
-    return float(num / den)
+    return (pencil.a - pencil.b).form(x) / pencil.m.form(x)
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +552,13 @@ def reaction_free_identity(
             f"exceeds bound {residual_bound:.3e}"
         )
     n, p = profile.n, profile.p
-    bounds = _integration_cells(profile, eta)
-    tg, wg = _gauss_points(bounds, n)
-    rg = np.exp(tg)
+    rg, wvol = _samples(profile, eta)
     ur = np.asarray(profile.u_r_at(rg), dtype=float)
     urr = np.asarray(profile.u_rr_at(rg), dtype=float)
     uu = np.asarray(profile.u_at(rg), dtype=float)
     ev = np.asarray(eta.value(rg), dtype=float)
     ed = np.asarray(eta.derivative(rg), dtype=float)
     gp = np.asarray(g_prime(uu), dtype=float)
-    wvol = wg * np.exp(n * tg)
 
     xi_r = urr * ev + ur * ed
     with np.errstate(divide="ignore"):
@@ -608,13 +590,10 @@ def hardy_inequality_check(profile: RadialProfile, eta_family) -> list[HardyChec
     n, p = profile.n, profile.p
     out = []
     for eta in eta_family:
-        bounds = _integration_cells(profile, eta)
-        tg, wg = _gauss_points(bounds, n)
-        rg = np.exp(tg)
+        rg, wvol = _samples(profile, eta)
         urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
         ev = np.asarray(eta.value(rg), dtype=float)
         scaled_d = ev + rg * np.asarray(eta.derivative(rg), dtype=float)
-        wvol = wg * np.exp(n * tg)
         lhs = (n - 1.0) * float(np.dot(wvol, urp * ev**2))
         rhs = (p - 1.0) * float(np.dot(wvol, urp * scaled_d**2))
         ok = lhs <= rhs * (1.0 + 1e-8) + 1e-300

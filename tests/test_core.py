@@ -10,7 +10,6 @@ from plaplab import (
     RadialProfile,
     Tabulated,
     energy,
-    integrate_radial,
     make_grid,
     make_rule,
 )
@@ -42,14 +41,14 @@ def test_make_grid_rejects(r_min, count):
 def test_integrate_constant_n3():
     g = make_grid(1e-8, 1000)
     rule = make_rule(g, 3.0)
-    val = integrate_radial(np.ones(g.size), rule)
+    val = rule.integrate(np.ones(g.size))
     assert abs(val - 1.0 / 3.0) < 1e-10 / 3.0
 
 
 def test_integrate_linear_n2():
     g = make_grid(1e-8, 2000)
     rule = make_rule(g, 2.0)
-    val = integrate_radial(g.r, rule)
+    val = rule.integrate(g.r)
     assert abs(val - 1.0 / 3.0) < 1e-8 / 3.0
 
 
@@ -57,7 +56,7 @@ def test_integrate_inverse_power():
     # int_0^1 r^-1 r^(n-1) dr = 1 for n = 2; the cutoff costs r_min/2
     g = make_grid(1e-8, 2000)
     rule = make_rule(g, 2.0)
-    val = integrate_radial(1.0 / g.r, rule)
+    val = rule.integrate(1.0 / g.r)
     assert abs(val - 1.0) < 1e-6
 
 
@@ -66,7 +65,7 @@ def test_integrate_inverse_power():
 def test_integrate_monomials(n, k):
     g = make_grid(1e-8, 2000)
     rule = make_rule(g, n)
-    val = integrate_radial(g.r**k, rule)
+    val = rule.integrate(g.r**k)
     exact = 1.0 / (n + k)
     assert abs(val - exact) / exact < 1e-8
 

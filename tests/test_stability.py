@@ -90,8 +90,11 @@ def test_q_apply_rejects_degenerate_support():
 # --- assembly and eigenvalues ------------------------------------------------
 
 
-def test_assembled_form_matches_q_apply(grid2000):
-    sol = exact_exponential(10.0, 2.0)
+@pytest.mark.parametrize(
+    "n,p", [(3.0, 2.0), (10.0, 2.0), (25.0, 2.0), (12.0, 3.0), (6.0, 1.5)]
+)
+def test_assembled_form_matches_q_apply(grid2000, n, p):
+    sol = exact_exponential(n, p)
     prof = sol.sample(grid2000)
     pencil = assemble_q(prof, sol.g_prime(), 1e-6, 64)
     hats = nodal_family(pencil)
