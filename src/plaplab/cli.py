@@ -52,17 +52,14 @@ from .estimates import (
 from .exponents import exponent_report, m_cs, q_exponent
 from .oracle import exact_exponential, exact_power, ode_residual
 from .solver import (
-    BlowUpError,
     BracketingError,
     Divergence,
     IterationControls,
     bifurcation_curve,
-    extremal_profile,
     lambda_star_estimate,
     minimal_iterate,
 )
 from .stability import (
-    PowerCutoff,
     SineModes,
     hardy_inequality_check,
     reaction_free_identity,
@@ -194,6 +191,18 @@ def _controls(cfg: RunConfig) -> IterationControls:
     )
 
 
+def _lambda_star(spec: ProblemSpec, grid: RadialGrid, cfg: RunConfig):
+    """``lambda_star_estimate`` with the [solver] settings of cfg."""
+    return lambda_star_estimate(
+        spec,
+        grid,
+        _controls(cfg),
+        tol_lambda=cfg["solver", "tol_lambda"],
+        lam_init=cfg["solver", "lambda_init"],
+        lam_cap=cfg["solver", "lambda_cap"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -238,6 +247,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def write_json(path: Path, report: dict) -> None:
     _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(path: Path, report: dict) -> None:
+    """Write ``report`` to ``path`` and print the same text."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    _atomic_write(path, text + "\n")
+    print(text)
 
 
 def _fmt(x: float) -> str:
@@ -300,8 +316,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
                 "reason": result.reason,
             },
         )
-        write_json(out / "report.json", report)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _emit(out / "report.json", report)
         return 3
     gp = lambda u: lam * np.asarray(spec.nonlinearity.derivative(u), dtype=float)
     stab = stability_report(
@@ -322,28 +337,18 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         estimates=est.as_dict(),
     )
     write_profile_csv(out / "profile.csv", result)
-    write_json(out / "report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(out / "report.json", report)
     return 0
 
 
 def cmd_lambda_star(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg["output", "directory"])
     spec = _problem(cfg)
-    grid = _grid(cfg)
     try:
-        result = lambda_star_estimate(
-            spec,
-            grid,
-            _controls(cfg),
-            tol_lambda=cfg["solver", "tol_lambda"],
-            lam_init=cfg["solver", "lambda_init"],
-            lam_cap=cfg["solver", "lambda_cap"],
-        )
+        result = _lambda_star(spec, _grid(cfg), cfg)
     except BracketingError as exc:
         report = base_report(cfg, outcome="no-bracket", diagnosis=str(exc))
-        write_json(out / "report.json", report)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _emit(out / "report.json", report)
         return 3
     report = base_report(
         cfg,
@@ -369,8 +374,7 @@ def cmd_lambda_star(args, cfg: RunConfig) -> int:
             f"{_fmt(rec.sup_norm)},{_fmt(rec.w1p_norm)},{_fmt(rec.f_l1_norm)}"
         )
     _atomic_write(out / "lambda_sweep.csv", "\n".join(lines) + "\n")
-    write_json(out / "report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(out / "report.json", report)
     return 0
 
 
@@ -402,8 +406,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> int:
             for pt in points
         ],
     )
-    write_json(out / "report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(out / "report.json", report)
     return 0
 
 
@@ -433,8 +436,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
         tol_eig=cfg["stability", "tol_eig"],
     )
     report = base_report(cfg, stability=stab.as_dict())
-    write_json(out / "stability.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(out / "stability.json", report)
     return 0
 
 
@@ -561,14 +563,7 @@ def _sweep_point(payload):
     spec = ProblemSpec(n_val, p_val, _nonlinearity(cfg))
     grid = _grid(cfg)
     try:
-        res = lambda_star_estimate(
-            spec,
-            grid,
-            _controls(cfg),
-            tol_lambda=cfg["solver", "tol_lambda"],
-            lam_init=cfg["solver", "lambda_init"],
-            lam_cap=cfg["solver", "lambda_cap"],
-        )
+        res = _lambda_star(spec, grid, cfg)
         payload = {
             "outcome": "bracketed",
             "n": n_val,
@@ -718,7 +713,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketingError, BlowUpError) as exc:
+    except BracketingError as exc:
         print(f"outcome: {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:

@@ -8,10 +8,14 @@ turns the equation into the non-degenerate first-order system
 avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
 (p > 2) where u_r vanishes.
 
-Three routes to solutions:
+Four routes to solutions:
 
   * ``shoot`` integrates from the center value u(0) = M with a startup
     series at r_min (fourth-order single steps on the log grid);
+  * ``bifurcation_curve`` uses the scaling of the equation: if v solves the
+    lambda = 1 problem with v(0) = M and first zero S, then u(r) = v(S r)
+    solves the lambda problem with lambda(M) = S^p, so one integration to
+    the first zero per center value gives the curve;
   * ``minimal_iterate`` runs the monotone iteration from u = 0, inverting
     the radial p-Laplacian by nested quadrature; iterates increase
     pointwise, and the limit is the minimal solution when one exists;
@@ -29,12 +33,14 @@ import numpy as np
 
 from .core import (
     ConsistencyError,
+    EvaluationError,
     Nonlinearity,
     ParameterError,
     ProblemSpec,
     QuadratureRule,
     RadialGrid,
     RadialProfile,
+    Tabulated,
     make_rule,
 )
 
@@ -115,6 +121,41 @@ def _check_solver_dimension(n: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _flux_rhs(n: float, p: float, g):
+    """rhs(t, u, w) = (du/dt, dw/dt) of the flux system in t = log r."""
+    q = 1.0 / (p - 1.0)
+
+    def rhs(t_, u_, w_):
+        du = 0.0
+        if w_ != 0.0:
+            mag = q * (math.log(abs(w_)) + (1.0 - n) * t_) + t_
+            du = math.copysign(math.exp(mag), w_)
+        return du, -math.exp(n * t_) * g(u_)
+
+    return rhs
+
+
+def _rk4_step(rhs, x, a, b, h):
+    """One classical RK4 step of (a, b)' = rhs(x, a, b) from x to x + h."""
+    k1a, k1b = rhs(x, a, b)
+    k2a, k2b = rhs(x + h / 2, a + h / 2 * k1a, b + h / 2 * k1b)
+    k3a, k3b = rhs(x + h / 2, a + h / 2 * k2a, b + h / 2 * k2b)
+    k4a, k4b = rhs(x + h, a + h * k3a, b + h * k3b)
+    a += h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+    b += h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+    return a, b
+
+
+def _startup_series(g, center_value: float, n: float, p: float, r_min: float):
+    """(u, w) at r_min from the startup series in ``shoot``'s docstring."""
+    q = 1.0 / (p - 1.0)
+    g_m = g(center_value)
+    u0 = center_value - math.copysign(
+        (p - 1.0) / p * (abs(g_m) / n) ** q * r_min ** (p / (p - 1.0)), g_m
+    )
+    return u0, -r_min**n * g_m / n
+
+
 def shoot(
     spec: ProblemSpec,
     center_value: float,
@@ -134,50 +175,21 @@ def shoot(
     """
     _check_solver_dimension(spec.n)
     n, p = spec.n, spec.p
-    q = 1.0 / (p - 1.0)
     g = spec.nonlinearity.scalar_value()
-    t = grid.t
-    dt = grid.dt / substeps
+    rhs = _flux_rhs(n, p, g)
+    dt = float(grid.dt) / substeps
 
-    if seed is None:
-        g_m = g(center_value)
-        u0 = center_value - math.copysign(
-            (p - 1.0) / p * (abs(g_m) / n) ** q * grid.r_min ** (p / (p - 1.0)), g_m
-        )
-        w0 = -grid.r_min**n * g_m / n
-    else:
-        u0, w0 = seed
-
-    def du_dt(t_, w_):
-        if w_ == 0.0:
-            return 0.0
-        mag = q * (math.log(abs(w_)) + (1.0 - n) * t_) + t_
-        return math.copysign(math.exp(mag), w_)
-
-    def dw_dt(t_, u_):
-        return -math.exp(n * t_) * g(u_)
-
+    u, w = seed if seed is not None else _startup_series(g, center_value, n, p, grid.r_min)
     u_nodes = np.empty(grid.size)
     w_nodes = np.empty(grid.size)
-    u_nodes[0], w_nodes[0] = u0, w0
-    u, w = u0, w0
+    u_nodes[0], w_nodes[0] = u, w
     steps = 0
     warnings: list[str] = []
     try:
-        for k in range(grid.size - 1):
-            tk = t[k]
+        for k, tk in enumerate(grid.t.tolist()[:-1]):
             for s in range(substeps):
                 t0 = tk + s * dt
-                k1u = du_dt(t0, w)
-                k1w = dw_dt(t0, u)
-                k2u = du_dt(t0 + dt / 2, w + dt / 2 * k1w)
-                k2w = dw_dt(t0 + dt / 2, u + dt / 2 * k1u)
-                k3u = du_dt(t0 + dt / 2, w + dt / 2 * k2w)
-                k3w = dw_dt(t0 + dt / 2, u + dt / 2 * k2u)
-                k4u = du_dt(t0 + dt, w + dt * k3w)
-                k4w = dw_dt(t0 + dt, u + dt * k3u)
-                u += dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-                w += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+                u, w = _rk4_step(rhs, t0, u, w, dt)
                 steps += 1
                 if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
                     raise BlowUpError(
@@ -407,81 +419,72 @@ def extremal_profile(result: ContinuationResult) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
+    """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
+    v(0) = M, with S the first zero of v.  log S is None when f is not
+    positive on [0, M] (checked at 0, M and the table nodes between), the
+    integration turns non-finite, or S passes the comparison bound
+    S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
+
+    Steps of grid.dt/2 in t = log r run from the startup series at r_min
+    until the current slope predicts the next one reaches u <= 0; one RK4
+    step in u, down to u = 0, then gives log S.  f is extended by f(0)
+    below 0, where v never goes, so it is evaluated only on [0, M].
+    """
+    n, p = spec.n, spec.p
+    f = spec.nonlinearity
+    nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
+    f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
+    if not f_min > 0.0:
+        return None, 0
+    t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
+    g = f.scalar_value()
+    rhs = _flux_rhs(n, p, lambda u_: g(max(u_, 0.0)))
+
+    def rhs_in_u(u_, t_, w_):
+        du, dw = rhs(t_, u_, w_)
+        return 1.0 / du, dw / du
+
+    h = float(grid.dt) / 2
+    t = float(grid.t[0])
+    u, w = _startup_series(g, m_val, n, p, grid.r_min)
+    steps = 0
+    try:
+        while u + h * rhs(t, u, w)[0] > 0.0:  # also ends on a nan or infinite state
+            if t > t_max:
+                return None, steps
+            u, w = _rk4_step(rhs, t, u, w, h)
+            t, steps = t + h, steps + 1
+        log_s, w = _rk4_step(rhs_in_u, u, t, w, -u)
+    except ArithmeticError:  # overflow, or a zero slope in the step in u
+        return None, steps
+    finite = math.isfinite(log_s) and math.isfinite(w)
+    return (log_s if finite else None), steps + 1
+
+
 def bifurcation_curve(
-    spec: ProblemSpec,
-    center_values,
-    grid: RadialGrid,
-    *,
-    boundary_rtol: float = 1e-8,
-    max_iter: int = 60,
+    spec: ProblemSpec, center_values, grid: RadialGrid
 ) -> list[BifurcationPoint]:
-    """Parameter-versus-center-value curve: for each M, a secant iteration
-    on lambda drives the shoot boundary value u(1) to zero (bisection
-    fallback once a sign change is seen).  Non-convergence for a given M is
-    recorded, not fatal."""
+    """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
+    integration per M (see the module docstring).  ``boundary_residual`` is
+    |u(1)| of the fixed-grid ``shoot`` at that lambda, inf when that shoot
+    leaves the reaction's domain or blows up.  A center value whose
+    integration fails is recorded with lambda = nan, not raised."""
     _check_solver_dimension(spec.n)
     ms = [float(m) for m in center_values]
     if any(m <= 0 for m in ms) or any(b >= a for a, b in zip(ms[1:], ms[:-1])):
         raise ParameterError("center values must be positive and increasing")
-    f = spec.nonlinearity
     points: list[BifurcationPoint] = []
-    lam_prev: float | None = None
-
     for m_val in ms:
-        f_mid = float(np.asarray(f.value(0.5 * m_val), dtype=float))
-        lam0 = lam_prev if lam_prev else spec.n * (
-            m_val * spec.p / (spec.p - 1.0)
-        ) ** (spec.p - 1.0) / max(f_mid, 1e-300)
-        lam1 = 0.8 * lam0
-
-        def boundary(lam: float) -> float:
-            run = shoot(
-                ProblemSpec(spec.n, spec.p, f.with_scale(lam)), m_val, grid
-            )
-            return run.boundary_value
-
-        try:
-            phi0, phi1 = boundary(lam0), boundary(lam1)
-        except BlowUpError:
-            points.append(BifurcationPoint(m_val, math.nan, math.inf, False, 0))
+        log_s, steps = _scaled_first_zero(spec, m_val, grid)
+        if log_s is None:
+            points.append(BifurcationPoint(m_val, math.nan, math.inf, False, steps))
             continue
-        bracket = None
-        converged = False
-        iterations = 0
-        lam_a, lam_b, phi_a, phi_b = lam0, lam1, phi0, phi1
-        lam_cur, phi_cur = lam_b, phi_b
-        for iterations in range(1, max_iter + 1):
-            if abs(phi_cur) < boundary_rtol * max(m_val, 1.0):
-                converged = True
-                break
-            if phi_a * phi_cur < 0:
-                bracket = (min(lam_a, lam_cur), max(lam_a, lam_cur))
-            denom = phi_cur - phi_a
-            if denom != 0 and math.isfinite(denom):
-                lam_next = lam_cur - phi_cur * (lam_cur - lam_a) / denom
-            else:
-                lam_next = math.nan
-            if bracket and not (
-                math.isfinite(lam_next) and bracket[0] < lam_next < bracket[1]
-            ):
-                lam_next = 0.5 * (bracket[0] + bracket[1])
-            elif not (math.isfinite(lam_next) and lam_next > 0):
-                lam_next = 0.5 * lam_cur
-            lam_a, phi_a = lam_cur, phi_cur
-            lam_cur = lam_next
-            try:
-                phi_cur = boundary(lam_cur)
-            except BlowUpError:
-                phi_cur = math.inf
-        points.append(
-            BifurcationPoint(
-                center_value=m_val,
-                lam=lam_cur,
-                boundary_residual=abs(phi_cur),
-                converged=converged,
-                iterations=iterations,
-            )
-        )
-        if converged:
-            lam_prev = lam_cur
+        lam = math.exp(spec.p * log_s)
+        try:
+            run = shoot(ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam)), m_val, grid)
+            residual = abs(run.boundary_value)
+        except (BlowUpError, EvaluationError):
+            residual = math.inf
+        points.append(BifurcationPoint(m_val, lam, residual, True, steps))
     return points

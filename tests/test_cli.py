@@ -143,6 +143,26 @@ def test_bifurcate_command(tmp_path, capsys):
     assert abs(lam - 8.0 * b / (1.0 + b) ** 2) < 1e-4
 
 
+def test_bifurcate_tabulated_table_from_zero(tmp_path, capsys):
+    # cubic Hermite data reproduce (1+u)^3 exactly; a table that starts at
+    # u = 0 must not be evaluated below it
+    us = [0.0] + [10.0 ** k for k in range(-3, 3)]
+    table = tmp_path / "cubic.csv"
+    rows = ["u,g,gp"] + [f"{u!r},{(1.0 + u) ** 3!r},{3.0 * (1.0 + u) ** 2!r}" for u in us]
+    table.write_text("\n".join(rows) + "\n")
+    curves = {}
+    for kind, extra in (("tabulated", f"tabulated_file = {table}\n"), ("power", "m = 3\n")):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(f"[problem]\nnonlinearity = {kind}\n{extra}[grid]\nnodes = 600\nr_min = 1e-7\n")
+        out_dir = tmp_path / kind
+        run_cli(capsys, "--config", str(cfg), "--out", str(out_dir),
+                "bifurcate", "--n", "3", "--p", "2", "--centers", "0.5,1.0,2.0,3.0")
+        curves[kind] = json.loads((out_dir / "report.json").read_text())["points"]
+    for tab, pow_ in zip(curves["tabulated"], curves["power"]):
+        assert tab["converged"] and pow_["converged"]
+        assert abs(tab["lambda"] - pow_["lambda"]) <= 1e-12 * pow_["lambda"]
+
+
 def test_stability_command_exact(tmp_path, capsys):
     out = run_cli(
         capsys,

@@ -211,6 +211,50 @@ def test_bifurcation_rejects_bad_centers(gelfand_disk_spec, grid2000):
         bifurcation_curve(gelfand_disk_spec, [-1.0], grid2000)
 
 
+def test_bifurcation_scaling_matches_liouville_closely(gelfand_disk_spec, grid2000):
+    bs = [0.02, 0.1, 0.3, 0.6, 1.0, 1.8, 4.0, 10.0, 30.0]
+    points = bifurcation_curve(gelfand_disk_spec, [liouville_center(b) for b in bs], grid2000)
+    for b, pt in zip(bs, points):
+        assert pt.converged
+        assert abs(pt.lam - liouville_lambda(b)) <= 1e-9 * liouville_lambda(b)
+
+
+@pytest.mark.parametrize(
+    "n, p, f",
+    [
+        (2.0, 2.0, Exponential(1.0)),
+        (5.0, 2.0, Exponential(1.0)),
+        (3.0, 1.5, Exponential(1.0)),
+        (4.0, 3.0, Power(m=3.0)),
+        (3.0, 2.0, Power(m=3.0)),
+    ],
+)
+def test_bifurcation_point_certified_by_fixed_grid_shoot(n, p, f, grid2000):
+    # the residual is u(1) of a fixed-grid shoot at the reported lambda; the
+    # bound is the acceptance tolerance of the secant search it replaced
+    points = bifurcation_curve(ProblemSpec(n, p, f), [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], grid2000)
+    for pt in points:
+        assert pt.converged and pt.lam > 0
+        assert pt.boundary_residual <= 1e-8 * max(pt.center_value, 1.0)
+
+
+def test_bifurcation_negative_reaction_is_unconverged(grid2000):
+    points = bifurcation_curve(ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), [0.5, 2.0], grid2000)
+    assert [pt.converged for pt in points] == [False, False]
+    assert all(math.isnan(pt.lam) and pt.boundary_residual == math.inf for pt in points)
+
+
+def test_bifurcation_critical_dimension_dichotomy(grid2000):
+    # p = 2: below n = p + 4p/(p-1) = 10 the curve oscillates around the
+    # singular value p^(p-1)(n-p); above it, it stays below that value
+    centers = np.linspace(1.0, 10.0, 19)
+    lam5 = np.array([pt.lam for pt in bifurcation_curve(ProblemSpec(5.0, 2.0, Exponential(1.0)), centers, grid2000)])
+    crossings = np.count_nonzero(np.diff(np.sign(lam5 - 6.0)))
+    assert crossings >= 2
+    lam12 = [pt.lam for pt in bifurcation_curve(ProblemSpec(12.0, 2.0, Exponential(1.0)), centers, grid2000)]
+    assert max(lam12) < 20.0
+
+
 def test_minimal_and_shoot_agree(gelfand_disk_spec, grid2000, minimal_disk_lam1):
     center = float(minimal_disk_lam1.u[0])
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
