@@ -19,6 +19,7 @@ O(r_min^n * h(r_min)).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 
 from typing import Callable, Union
@@ -112,27 +113,35 @@ class Power:
         return self.scale > 0
 
 
+def _outside_table(knots) -> EvaluationError:
+    return EvaluationError(
+        f"tabulated nonlinearity evaluated outside [{knots[0]}, {knots[-1]}]"
+    )
+
+
 def _hermite_eval(t, knots, values, slopes, want_derivative=False):
     t = np.asarray(t, dtype=float)
-    if np.any(t < knots[0] - 1e-12) or np.any(t > knots[-1] + 1e-12):
-        raise EvaluationError(
-            f"tabulated nonlinearity evaluated outside [{knots[0]}, {knots[-1]}]"
-        )
-    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-    h = knots[idx + 1] - knots[idx]
-    s = (t - knots[idx]) / h
-    y0, y1 = values[idx], values[idx + 1]
-    d0, d1 = slopes[idx], slopes[idx + 1]
+    if t.size and (t.min() < knots[0] - 1e-12 or t.max() > knots[-1] + 1e-12):
+        raise _outside_table(knots)
+    # the cell index clipped to [0, len(knots) - 2]: interior knots at or below t
+    idx = np.searchsorted(knots[1:-1], t, side="right")
+    nxt = idx + 1
+    t0 = knots[idx]
+    h = knots[nxt] - t0
+    s = (t - t0) / h
+    y0, y1 = values[idx], values[nxt]
+    d0, d1 = slopes[idx], slopes[nxt]
     if want_derivative:
         dh00 = 6 * s * s - 6 * s
         dh10 = 3 * s * s - 4 * s + 1
         dh01 = -dh00
         dh11 = 3 * s * s - 2 * s
         return (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
+    s2, s3 = s**2, s**3
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
     return h00 * y0 + h01 * y1 + h * (h10 * d0 + h11 * d1)
 
 
@@ -189,7 +198,26 @@ class Tabulated:
         return Tabulated(self.t, self.g, self.gp, self.scale * factor)
 
     def scalar_value(self) -> Callable[[float], float]:
-        return lambda u: float(self.value(u))
+        """``value`` on one Python float: the cell by bisection on the knots,
+        then the same Hermite basis in float arithmetic."""
+        knots, g, d = self.t, self.g, tuple(self._table[2].tolist())
+        lo, hi = knots[0] - 1e-12, knots[-1] + 1e-12
+        last, scale = len(knots) - 1, self.scale
+
+        def value(u: float) -> float:
+            if u < lo or u > hi:
+                raise _outside_table(knots)
+            i = bisect_right(knots, u, 1, last) - 1
+            h = knots[i + 1] - knots[i]
+            s = (u - knots[i]) / h
+            s2, s3 = s**2, s**3
+            h00 = 2 * s3 - 3 * s2 + 1
+            h10 = s3 - 2 * s2 + s
+            h01 = -2 * s3 + 3 * s2
+            h11 = s3 - s2
+            return scale * (h00 * g[i] + h01 * g[i + 1] + h * (h10 * d[i] + h11 * d[i + 1]))
+
+        return value
 
     @property
     def increasing(self) -> bool:
@@ -308,7 +336,7 @@ class QuadratureRule:
         h = np.asarray(h, dtype=float)
         if h.shape != self.grid.r.shape:
             raise ParameterError("integrand values must match the grid")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ParameterError("integrand contains non-finite values")
         return h
 
@@ -316,16 +344,17 @@ class QuadratureRule:
         return float(np.dot(self.weights, self._check(h)))
 
     def cell_integrals(self, h) -> np.ndarray:
-        h = self._check(h)
-        m = len(h)
-        cells = np.empty(m - 1)
+        return self._cells(self._check(h))
+
+    def _cells(self, h: np.ndarray) -> np.ndarray:
+        """Cell integrals of checked nodal values h: each interior cell is the
+        stencil weights correlated with its window of h."""
         if self._stencil == 2:
-            windows = np.lib.stride_tricks.sliding_window_view(h, 2)
-            return (windows @ self._cw_interior) * self._rn_cells
-        windows = np.lib.stride_tricks.sliding_window_view(h, 4)
-        cells[1:-1] = (windows @ self._cw_interior) * self._rn_cells[1:-1]
-        cells[0] = (h[:4] @ self._cw_first) * self._rn_cells[0]
-        cells[-1] = (h[-4:] @ self._cw_last) * self._rn_cells[-1]
+            return np.correlate(h, self._cw_interior, "valid") * self._rn_cells
+        cells = np.empty(len(h) - 1)
+        cells[1:-1] = np.correlate(h, self._cw_interior, "valid") * self._rn_cells[1:-1]
+        cells[0] = np.dot(h[:4], self._cw_first) * self._rn_cells[0]
+        cells[-1] = np.dot(h[-4:], self._cw_last) * self._rn_cells[-1]
         return cells
 
     def cumulative_from_zero(self, h) -> np.ndarray:
@@ -333,16 +362,16 @@ class QuadratureRule:
         h = self._check(h)
         out = np.empty(len(h))
         out[0] = self.head * h[0]
-        np.cumsum(self.cell_integrals(h), out=out[1:])
+        np.cumsum(self._cells(h), out=out[1:])
         out[1:] += out[0]
         return out
 
     def cumulative_to_one(self, h) -> np.ndarray:
         """G with G[j] = int_{r_j}^1 h r^(n-1) dr; G[-1] = 0 exactly."""
         h = self._check(h)
-        cells = self.cell_integrals(h)
-        out = np.zeros(len(h))
-        out[:-1] = np.cumsum(cells[::-1])[::-1]
+        out = np.empty(len(h))
+        out[-1] = 0.0
+        np.cumsum(self._cells(h)[::-1], out=out[-2::-1])
         return out
 
 

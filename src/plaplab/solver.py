@@ -228,26 +228,27 @@ def _require_admissible_reaction(f: Nonlinearity) -> None:
 
 
 def _iteration_step(u, lam, f, rule_src: QuadratureRule, rule_out: QuadratureRule, rpow, q):
-    """One sweep of the monotone iteration; returns (next u, flux integral F).
+    """One sweep of the monotone iteration; returns (next u, flux integral F),
+    or (None, None) when f(u) or the slope integrand is not finite.
 
     The source integral carries the r^(n-1) weight; the outer integral
-    int_r^1 v(s) ds is unweighted (rule built with n = 1).
+    int_r^1 v(s) ds is unweighted (rule built with n = 1).  Overflow is
+    expected here; the caller silences its floating-point warnings.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        fv = lam * np.asarray(f.value(u), dtype=float)
-    if not np.all(np.isfinite(fv)):
+    fv = lam * np.asarray(f.value(u), dtype=float)
+    if not np.isfinite(fv).all():
         return None, None
     F = rule_src.cumulative_from_zero(fv)
     v = (F * rpow) ** q
+    if not np.isfinite(v).all():
+        return None, None
     return rule_out.cumulative_to_one(v), F
 
 
-def _minimal_iterate_counted(
-    spec: ProblemSpec,
-    lam: float,
-    grid: RadialGrid,
-    controls: IterationControls,
-):
+def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
+    """The monotone iteration from u = 0 as a function of lambda, returning
+    (outcome, sweeps); its quadrature rules and r^(1-n) are built once here
+    and shared by every lambda it is called with."""
     n, p = spec.n, spec.p
     f = spec.nonlinearity
     q = 1.0 / (p - 1.0)
@@ -255,34 +256,41 @@ def _minimal_iterate_counted(
     rule_out = make_rule(grid, 1.0)
     rpow = grid.r ** (1.0 - n)
 
-    u = np.zeros(grid.size)
-    for k in range(1, controls.k_max + 1):
-        u_next, F = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-        if u_next is None or not np.all(np.isfinite(u_next)):
-            return Divergence(lam=lam, iterations=k, sup_u=math.inf, reason="overflow"), k
-        slack = 1e-12 * (1.0 + float(np.max(u_next)))
-        if np.any(u_next < u - slack):
-            raise ConsistencyError(
-                "monotone iteration decreased somewhere; quadrature bug"
-            )
-        sup = float(np.max(u_next))
-        if sup > controls.u_max:
-            return Divergence(lam=lam, iterations=k, sup_u=sup, reason="exceeded u_max"), k
-        delta = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if delta < controls.tol_abs + controls.tol_rel * sup:
-            # one more sweep makes (u, w) an exactly consistent pair
-            u_final, F_final = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-            return RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final), k
-    return (
-        Divergence(
-            lam=lam,
-            iterations=controls.k_max,
-            sup_u=float(np.max(u)),
-            reason="iteration cap",
-        ),
-        controls.k_max,
-    )
+    def iterate(lam: float):
+        u = np.zeros(grid.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, controls.k_max + 1):
+                u_next, F = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
+                if u_next is None:
+                    return Divergence(lam=lam, iterations=k, sup_u=math.inf, reason="overflow"), k
+                sup = float(u_next.max())
+                step = u_next - u
+                drop = float(step.min())
+                if not (math.isfinite(sup) and math.isfinite(drop)):
+                    return Divergence(lam=lam, iterations=k, sup_u=math.inf, reason="overflow"), k
+                if drop < -1e-12 * (1.0 + sup):
+                    raise ConsistencyError(
+                        "monotone iteration decreased somewhere; quadrature bug"
+                    )
+                if sup > controls.u_max:
+                    return Divergence(lam=lam, iterations=k, sup_u=sup, reason="exceeded u_max"), k
+                delta = max(float(step.max()), -drop)
+                u = u_next
+                if delta < controls.tol_abs + controls.tol_rel * sup:
+                    # one more sweep makes (u, w) an exactly consistent pair
+                    u_final, F_final = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
+                    return RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final), k
+        return (
+            Divergence(
+                lam=lam,
+                iterations=controls.k_max,
+                sup_u=float(np.max(u)),
+                reason="iteration cap",
+            ),
+            controls.k_max,
+        )
+
+    return iterate
 
 
 def minimal_iterate(
@@ -297,9 +305,7 @@ def minimal_iterate(
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
     _require_admissible_reaction(spec.nonlinearity)
-    outcome, _count = _minimal_iterate_counted(
-        spec, lam, grid, controls or IterationControls()
-    )
+    outcome, _count = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
     return outcome
 
 
@@ -333,11 +339,12 @@ def lambda_star_estimate(
     f = spec.nonlinearity
     _require_admissible_reaction(f)
     controls = controls or IterationControls()
+    iterate = _monotone_iteration(spec, grid, controls)
     records: list[LambdaRecord] = []
     profiles: dict[float, RadialProfile] = {}
 
     def probe(lam: float) -> bool:
-        out, count = _minimal_iterate_counted(spec, lam, grid, controls)
+        out, count = iterate(lam)
         if isinstance(out, Divergence):
             records.append(
                 LambdaRecord(

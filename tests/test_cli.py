@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 
 from plaplab.cli import main, read_profile_csv
 
@@ -118,6 +119,15 @@ def test_lambda_star_command(tmp_path, capsys):
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
     assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm"
     assert len(sweep) == len(report["records"]) + 1
+
+
+@pytest.mark.parametrize("n, p", [("5", "1.5"), ("3", "1.3")])
+def test_lambda_star_flux_overflow_exit0(tmp_path, capsys, n, p):
+    out_dir = tmp_path / "ls"
+    run_cli(capsys, "--out", str(out_dir), "lambda-star", "--n", n, "--p", p)
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["outcome"] == "bracketed"
+    assert 0.0 < report["lambda_lo"] < report["lambda_hi"]
 
 
 def test_bifurcate_command(tmp_path, capsys):

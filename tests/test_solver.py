@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from plaplab import solver
 from plaplab import (
     BlowUpError,
+    ConsistencyError,
     Divergence,
     Exponential,
     IterationControls,
@@ -272,3 +275,39 @@ def test_divergence_record_fields(grid2000):
     out = minimal_iterate(spec, 5.0, grid2000)
     assert isinstance(out, Divergence)
     assert out.lam == 5.0 and out.iterations > 0 and out.sup_u > 1e6
+
+
+@pytest.mark.parametrize("n, p", [(5.0, 1.5), (3.0, 1.3)])
+def test_lambda_star_flux_overflow_is_a_divergence(n, p, grid2000):
+    # for p < 2 the slope (F r^(1-n))^(1/(p-1)) can overflow before u_max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lambda_star_estimate(ProblemSpec(n, p, Exponential(1.0)), grid2000)
+    assert 0.0 < res.lambda_lo < res.lambda_hi <= res.lambda_lo * (1.0 + 1e-3)
+    # subcritical (n < p + 4p/(p-1)): the fold lies above the singular parameter
+    assert res.lambda_lo > p ** (p - 1.0) * (n - p)
+    assert any(not rec.converged and rec.sup_norm == math.inf for rec in res.records)
+
+
+@pytest.mark.parametrize("offset, raises", [(1e-6, True), (1e-13, False)])
+def test_monotone_iteration_guard(offset, raises, grid2000, monkeypatch):
+    """A sweep that lowers u by more than the 1e-12 slack is a bug, caught."""
+    real_step = solver._iteration_step
+    sweeps = 0
+
+    def lowered_third_sweep(u, *args):
+        nonlocal sweeps
+        sweeps += 1
+        u_next, F = real_step(u, *args)
+        if sweeps == 3:
+            u_next = u_next - offset
+        return u_next, F
+
+    monkeypatch.setattr(solver, "_iteration_step", lowered_third_sweep)
+    spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
+    if raises:
+        with pytest.raises(ConsistencyError, match="decreased"):
+            minimal_iterate(spec, 1.0, grid2000)
+        assert sweeps == 3
+    else:
+        assert not isinstance(minimal_iterate(spec, 1.0, grid2000), Divergence)
