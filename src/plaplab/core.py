@@ -137,6 +137,12 @@ def _hermite_eval(t, knots, values, slopes, want_derivative=False):
         dh01 = -dh00
         dh11 = 3 * s * s - 2 * s
         return (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
+    return _hermite_basis(s, h, y0, y1, d0, d1)
+
+
+def _hermite_basis(s, h, y0, y1, d0, d1):
+    """The cubic Hermite interpolant at offset s in [0, 1] of a cell of width
+    h; the same operations on numpy arrays and on Python floats."""
     s2, s3 = s**2, s**3
     h00 = 2 * s3 - 3 * s2 + 1
     h10 = s3 - 2 * s2 + s
@@ -199,7 +205,7 @@ class Tabulated:
 
     def scalar_value(self) -> Callable[[float], float]:
         """``value`` on one Python float: the cell by bisection on the knots,
-        then the same Hermite basis in float arithmetic."""
+        then ``_hermite_basis`` in float arithmetic."""
         knots, g, d = self.t, self.g, tuple(self._table[2].tolist())
         lo, hi = knots[0] - 1e-12, knots[-1] + 1e-12
         last, scale = len(knots) - 1, self.scale
@@ -210,12 +216,7 @@ class Tabulated:
             i = bisect_right(knots, u, 1, last) - 1
             h = knots[i + 1] - knots[i]
             s = (u - knots[i]) / h
-            s2, s3 = s**2, s**3
-            h00 = 2 * s3 - 3 * s2 + 1
-            h10 = s3 - 2 * s2 + s
-            h01 = -2 * s3 + 3 * s2
-            h11 = s3 - s2
-            return scale * (h00 * g[i] + h01 * g[i + 1] + h * (h10 * d[i] + h11 * d[i + 1]))
+            return scale * _hermite_basis(s, h, g[i], g[i + 1], d[i], d[i + 1])
 
         return value
 

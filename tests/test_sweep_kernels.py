@@ -82,19 +82,12 @@ def integrand(seed, count, log_scale):
 @example(n=12.0, log_r_min=-6.0, count=16, seed=0, log_scale=3.0)
 def test_quadrature_matches_window_reference(n, log_r_min, count, seed, log_scale):
     rule = make_rule(make_grid(10.0**log_r_min, count), n)
+    if (n, log_r_min, count) == (12.0, -6.0, 16):
+        assert rule._stencil == 2
     h = integrand(seed, count, log_scale)
     assert np.array_equal(rule.cell_integrals(h), cells_reference(rule, h))
     assert np.array_equal(rule.cumulative_from_zero(h), from_zero_reference(rule, h))
     assert np.array_equal(rule.cumulative_to_one(h), to_one_reference(rule, h))
-
-
-@pytest.mark.parametrize("n, stencil", [(1.0, 4), (2.0, 4), (12.0, 4), (12.0, 2)])
-def test_both_stencils_covered(n, stencil):
-    grid = make_grid(1e-6, 16) if stencil == 2 else make_grid(1e-8, 2000)
-    rule = make_rule(grid, n)
-    assert rule._stencil == stencil
-    h = integrand(stencil, grid.size, 6.0)
-    assert np.array_equal(rule.cell_integrals(h), cells_reference(rule, h))
 
 
 def random_table(seed, nodes):
