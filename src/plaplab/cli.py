@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,8 @@ from .core import (
     RadialGrid,
     RadialProfile,
     Tabulated,
+    _jsonable,
+    _key,
     make_grid,
 )
 from .estimates import (
@@ -52,9 +54,11 @@ from .estimates import (
 from .exponents import exponent_report, m_cs, q_exponent
 from .oracle import exact_exponential, exact_power, ode_residual
 from .solver import (
+    BifurcationPoint,
     BracketingError,
     Divergence,
     IterationControls,
+    LambdaRecord,
     bifurcation_curve,
     lambda_star_estimate,
     minimal_iterate,
@@ -110,7 +114,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
         "directory": ("plaplab-out", str),
     },
     "sweep": {
-        "task": ("lambda-star", str),
         "p_values": ("", str),
         "n_values": ("", str),
     },
@@ -203,23 +206,20 @@ def _lambda_star(spec: ProblemSpec, grid: RadialGrid, cfg: RunConfig):
     )
 
 
+def _stability(profile: RadialProfile, gp, cfg: RunConfig):
+    """``stability_report`` with the [stability] settings of cfg."""
+    return stability_report(
+        profile,
+        gp,
+        r_trunc=cfg["stability", "r_trunc"],
+        n_eig=cfg["stability", "n_eig"],
+        tol_eig=cfg["stability", "tol_eig"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def _jsonable(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def base_report(cfg: RunConfig, **payload) -> dict:
@@ -245,26 +245,42 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_json(path: Path, report: dict) -> None:
-    _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+def _dumps(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def write_json(path: Path, report: dict) -> str:
+    """Write ``report`` to ``path``; returns the text without its newline."""
+    text = _dumps(report)
+    _atomic_write(path, text + "\n")
+    return text
 
 
 def _emit(path: Path, report: dict) -> None:
     """Write ``report`` to ``path`` and print the same text."""
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _atomic_write(path, text + "\n")
-    print(text)
+    print(write_json(path, report))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(x) -> str:
+    """One CSV cell: 17 significant digits for a float, 0/1 for a bool,
+    empty for None."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return format(float(x), ".17g")
+    return str(x)
 
 
-def write_profile_csv(path: Path, profile: RadialProfile) -> None:
-    lines = ["r,u,u_r,w"]
-    for r, u, ur, w in zip(profile.grid.r, profile.u, profile.u_r, profile.w):
-        lines.append(f"{_fmt(r)},{_fmt(u)},{_fmt(ur)},{_fmt(w)}")
+def _write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _columns(cls) -> list[str]:
+    """CSV header of a result dataclass: its report keys in field order."""
+    return [_key(f.name) for f in fields(cls)]
 
 
 def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
@@ -295,7 +311,7 @@ def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
 
 def cmd_exponents(args, cfg: RunConfig) -> int:
     report = exponent_report(args.n, args.p)
-    print(json.dumps(base_report(cfg, exponents=report.as_dict()), indent=2, sort_keys=True))
+    print(_dumps(base_report(cfg, exponents=report.as_dict())))
     return 0
 
 
@@ -306,26 +322,10 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     lam = cfg["problem", "lambda"]
     result = minimal_iterate(spec, lam, grid, _controls(cfg))
     if isinstance(result, Divergence):
-        report = base_report(
-            cfg,
-            outcome="divergence",
-            record={
-                "lambda": result.lam,
-                "iterations": result.iterations,
-                "sup_u": result.sup_u,
-                "reason": result.reason,
-            },
-        )
-        _emit(out / "report.json", report)
+        _emit(out / "report.json", base_report(cfg, outcome="divergence", record=result))
         return 3
     gp = lambda u: lam * np.asarray(spec.nonlinearity.derivative(u), dtype=float)
-    stab = stability_report(
-        result,
-        gp,
-        r_trunc=cfg["stability", "r_trunc"],
-        n_eig=cfg["stability", "n_eig"],
-        tol_eig=cfg["stability", "tol_eig"],
-    )
+    stab = _stability(result, gp, cfg)
     q_values = _float_list(cfg["estimates", "q_values"])
     scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
     est = check_regularity_bounds(result, scaled, stab, q_values=q_values)
@@ -336,7 +336,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
         stability=stab.as_dict(),
         estimates=est.as_dict(),
     )
-    write_profile_csv(out / "profile.csv", result)
+    _write_csv(out / "profile.csv", ("r", "u", "u_r", "w"), zip(grid.r, result.u, result.u_r, result.w))
     _emit(out / "report.json", report)
     return 0
 
@@ -355,25 +355,9 @@ def cmd_lambda_star(args, cfg: RunConfig) -> int:
         outcome="bracketed",
         lambda_lo=result.lambda_lo,
         lambda_hi=result.lambda_hi,
-        records=[
-            {
-                "lambda": rec.lam,
-                "converged": rec.converged,
-                "iterations": rec.iterations,
-                "sup_norm": rec.sup_norm,
-                "w1p_norm": rec.w1p_norm,
-                "f_l1_norm": rec.f_l1_norm,
-            }
-            for rec in result.records
-        ],
+        records=result.records,
     )
-    lines = ["lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm"]
-    for rec in result.records:
-        lines.append(
-            f"{_fmt(rec.lam)},{int(rec.converged)},{rec.iterations},"
-            f"{_fmt(rec.sup_norm)},{_fmt(rec.w1p_norm)},{_fmt(rec.f_l1_norm)}"
-        )
-    _atomic_write(out / "lambda_sweep.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))
     _emit(out / "report.json", report)
     return 0
 
@@ -386,27 +370,8 @@ def cmd_bifurcate(args, cfg: RunConfig) -> int:
     if not centers:
         raise ConfigError("no center values given (--centers)")
     points = bifurcation_curve(spec, centers, grid)
-    lines = ["center_value,lambda,boundary_residual,converged,iterations"]
-    for pt in points:
-        lines.append(
-            f"{_fmt(pt.center_value)},{_fmt(pt.lam)},{_fmt(pt.boundary_residual)},"
-            f"{int(pt.converged)},{pt.iterations}"
-        )
-    _atomic_write(out / "bifurcation.csv", "\n".join(lines) + "\n")
-    report = base_report(
-        cfg,
-        outcome="curve",
-        points=[
-            {
-                "center_value": pt.center_value,
-                "lambda": pt.lam,
-                "boundary_residual": pt.boundary_residual,
-                "converged": pt.converged,
-            }
-            for pt in points
-        ],
-    )
-    _emit(out / "report.json", report)
+    _write_csv(out / "bifurcation.csv", _columns(BifurcationPoint), map(astuple, points))
+    _emit(out / "report.json", base_report(cfg, outcome="curve", points=points))
     return 0
 
 
@@ -428,14 +393,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
         gp = sol.g_prime()
     else:
         raise ConfigError("need --profile FILE or --exact {exponential,power}")
-    stab = stability_report(
-        profile,
-        gp,
-        r_trunc=cfg["stability", "r_trunc"],
-        n_eig=cfg["stability", "n_eig"],
-        tol_eig=cfg["stability", "tol_eig"],
-    )
-    report = base_report(cfg, stability=stab.as_dict())
+    report = base_report(cfg, stability=_stability(profile, gp, cfg).as_dict())
     _emit(out / "stability.json", report)
     return 0
 
@@ -459,7 +417,7 @@ def _scenario_gelfand_disk(cfg: RunConfig, checks: list) -> None:
     )
     prof = minimal_iterate(spec, 1.0, grid, _controls(cfg))
     gp = Exponential(1.0).derivative
-    stab = stability_report(prof, gp, r_trunc=cfg["stability", "r_trunc"], n_eig=cfg["stability", "n_eig"])
+    stab = _stability(prof, gp, cfg)
     checks.append(
         ("minimal solution semi-stable", stab.verdict == "semi-stable", f"mu1={stab.mu_1:.4g}")
     )
@@ -490,7 +448,7 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
     checks.append(("closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"))
     for n_test, expect in ((8.0, "unstable"), (12.0, "semi-stable")):
         s = exact_exponential(n_test, 2.0)
-        rep = stability_report(s.sample(grid), s.g_prime(), n_eig=cfg["stability", "n_eig"])
+        rep = _stability(s.sample(grid), s.g_prime(), cfg)
         checks.append(
             (f"exact solution n={n_test:g} is {expect}", rep.verdict == expect, f"mu1={rep.mu_1:.4g}")
         )
@@ -582,9 +540,6 @@ def _sweep_point(payload):
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg["output", "directory"])
-    task = cfg["sweep", "task"]
-    if task != "lambda-star":
-        raise ConfigError(f"unsupported sweep task: {task}")
     p_values = _float_list(cfg["sweep", "p_values"])
     n_values = _float_list(cfg["sweep", "n_values"])
     if not p_values and not n_values:
@@ -604,10 +559,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         report_path = pdir / "report.json"
         if report_path.exists() and not args.force:
             cached = json.loads(report_path.read_text())
-            rows[name] = (
-                "cached" if cached.get("outcome") == "bracketed" else "error",
-                cached,
-            )
+            rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
         else:
             jobs.append((cfg.values, n_val, p_val, str(pdir)))
 
@@ -620,16 +572,11 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         for (cfg_values, n_val, p_val, pdir), (status, payload) in zip(jobs, results):
             rows[f"n{n_val:g}_p{p_val:g}"] = (status, payload)
 
-    lines = ["point,n,p,status,lambda_lo,lambda_hi"]
-    for name, n_val, p_val, pdir in points:
+    index = []
+    for name, n_val, p_val, _pdir in points:
         status, payload = rows[name]
-        lo = payload.get("lambda_lo", "")
-        hi = payload.get("lambda_hi", "")
-        lo_s = _fmt(lo) if lo != "" else ""
-        hi_s = _fmt(hi) if hi != "" else ""
-        status_s = "ok" if status == "cached" else status
-        lines.append(f"{name},{_fmt(n_val)},{_fmt(p_val)},{status_s},{lo_s},{hi_s}")
-    _atomic_write(out / "index.csv", "\n".join(lines) + "\n")
+        index.append((name, n_val, p_val, status, payload.get("lambda_lo"), payload.get("lambda_hi")))
+    _write_csv(out / "index.csv", ("point", "n", "p", "status", "lambda_lo", "lambda_hi"), index)
     print(f"sweep complete: {len(points)} points, index at {out / 'index.csv'}")
     return 0
 

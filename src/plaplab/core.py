@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 
 from typing import Callable, Union
 
@@ -40,9 +40,27 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not a math outcome."""
 
 
-def signed_power(x, q):
-    """sign(x) * |x|^q, the odd power map used by the flux variable."""
-    return np.sign(x) * np.abs(x) ** q
+def _key(name: str) -> str:
+    """Report key of a dataclass field; Python cannot name a field lambda."""
+    return "lambda" if name == "lam" else name
+
+
+def _jsonable(obj):
+    """obj as plain JSON data: dataclasses become dicts of their fields, tuples
+    become lists, and non-finite floats the tags "inf", "-inf" and "nan"."""
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+        return obj
+    if is_dataclass(obj):
+        return {_key(f.name): _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------

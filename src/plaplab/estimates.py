@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Nonlinearity, ParameterError, ProblemSpec, RadialProfile
+from .core import Nonlinearity, ParameterError, ProblemSpec, RadialProfile, _jsonable
 from .exponents import classify_regime, critical_dimension, q_exponent
 
 #: head-growth fraction beyond which an integral is declared divergent
@@ -240,22 +240,7 @@ class EstimateReport:
         return all(self.checks.values())
 
     def as_dict(self) -> dict:
-        def ext(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
-
-        return {
-            "regime": self.regime,
-            "norms": {k: ext(v) for k, v in self.norms.items()},
-            "checks": dict(self.checks),
-            "implied_constants": {k: ext(v) for k, v in self.implied_constants.items()},
-            "fitted_exponent": self.fitted_exponent,
-            "exponent_target": self.exponent_target,
-            "singular": self.singular,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**_jsonable(self), "passed": self.passed}
 
 
 #: slope slack absorbing the |log r|^(1/p) factor over the fit window

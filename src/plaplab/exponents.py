@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError
+from .core import ParameterError, _jsonable
 
 #: relative tolerance for deciding n == p + 4p/(p-1); the boundary is a
 #: genuine parameter set (any p), so exact-float comparison is not usable
@@ -140,21 +140,7 @@ class ExponentReport:
     summary: str
 
     def as_dict(self) -> dict:
-        def ext(x: float):
-            # +inf carries a dedicated tag so reports serialize unambiguously
-            return "inf" if math.isinf(x) else x
-
-        return {
-            "n": self.n,
-            "p": self.p,
-            "critical_dimension": self.critical_dimension,
-            "q0": ext(self.q0),
-            "q1": ext(self.q1),
-            "m_cs": ext(self.m_cs),
-            "regime": self.regime,
-            "non_integer_dimension": self.non_integer_dimension,
-            "summary": self.summary,
-        }
+        return _jsonable(self)
 
 
 def exponent_report(n: float, p: float) -> ExponentReport:

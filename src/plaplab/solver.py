@@ -76,8 +76,6 @@ class Divergence:
 class ShootResult:
     profile: RadialProfile
     boundary_value: float
-    steps: int
-    min_step: float
     warnings: tuple = ()
 
 
@@ -162,7 +160,6 @@ def shoot(
     grid: RadialGrid,
     *,
     seed: tuple[float, float] | None = None,
-    substeps: int = 2,
     u_guard: float = 1e6,
 ) -> ShootResult:
     """Integrate the flux system outward from r_min with u(0) = M.
@@ -171,26 +168,25 @@ def shoot(
     w(r) ~ -r^n g(M)/n seeds the integration at r_min (error
     O(r_min^(2p/(p-1)))); ``seed`` overrides it with explicit
     (u(r_min), w(r_min)) values, which is the right choice when targeting a
-    solution that is singular at the origin.
+    solution that is singular at the origin.  Each grid cell takes two RK4
+    steps.
     """
     _check_solver_dimension(spec.n)
     n, p = spec.n, spec.p
     g = spec.nonlinearity.scalar_value()
     rhs = _flux_rhs(n, p, g)
-    dt = float(grid.dt) / substeps
+    dt = float(grid.dt) / 2
 
     u, w = seed if seed is not None else _startup_series(g, center_value, n, p, grid.r_min)
     u_nodes = np.empty(grid.size)
     w_nodes = np.empty(grid.size)
     u_nodes[0], w_nodes[0] = u, w
-    steps = 0
     warnings: list[str] = []
     try:
         for k, tk in enumerate(grid.t.tolist()[:-1]):
-            for s in range(substeps):
+            for s in range(2):
                 t0 = tk + s * dt
                 u, w = _rk4_step(rhs, t0, u, w, dt)
-                steps += 1
                 if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
                     raise BlowUpError(
                         f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}"
@@ -207,11 +203,7 @@ def shoot(
         grid=grid, n=n, p=p, u=u_nodes, w=np.minimum(w_nodes, 0.0), check=False
     )
     return ShootResult(
-        profile=profile,
-        boundary_value=float(u_nodes[-1]),
-        steps=steps,
-        min_step=dt,
-        warnings=tuple(warnings),
+        profile=profile, boundary_value=float(u_nodes[-1]), warnings=tuple(warnings)
     )
 
 
@@ -247,8 +239,8 @@ def _iteration_step(u, lam, f, rule_src: QuadratureRule, rule_out: QuadratureRul
 
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration from u = 0 as a function of lambda, returning
-    (outcome, sweeps); its quadrature rules and r^(1-n) are built once here
-    and shared by every lambda it is called with."""
+    (outcome, LambdaRecord); its quadrature rules and r^(1-n) are built once
+    here and shared by every lambda it is called with."""
     n, p = spec.n, spec.p
     f = spec.nonlinearity
     q = 1.0 / (p - 1.0)
@@ -256,39 +248,37 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     rule_out = make_rule(grid, 1.0)
     rpow = grid.r ** (1.0 - n)
 
+    def diverged(lam: float, k: int, sup: float, reason: str):
+        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf)
+        return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
+
     def iterate(lam: float):
         u = np.zeros(grid.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, controls.k_max + 1):
                 u_next, F = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
                 if u_next is None:
-                    return Divergence(lam=lam, iterations=k, sup_u=math.inf, reason="overflow"), k
+                    return diverged(lam, k, math.inf, "overflow")
                 sup = float(u_next.max())
                 step = u_next - u
                 drop = float(step.min())
                 if not (math.isfinite(sup) and math.isfinite(drop)):
-                    return Divergence(lam=lam, iterations=k, sup_u=math.inf, reason="overflow"), k
+                    return diverged(lam, k, math.inf, "overflow")
                 if drop < -1e-12 * (1.0 + sup):
                     raise ConsistencyError(
                         "monotone iteration decreased somewhere; quadrature bug"
                     )
                 if sup > controls.u_max:
-                    return Divergence(lam=lam, iterations=k, sup_u=sup, reason="exceeded u_max"), k
+                    return diverged(lam, k, sup, "exceeded u_max")
                 delta = max(float(step.max()), -drop)
                 u = u_next
                 if delta < controls.tol_abs + controls.tol_rel * sup:
                     # one more sweep makes (u, w) an exactly consistent pair
                     u_final, F_final = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-                    return RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final), k
-        return (
-            Divergence(
-                lam=lam,
-                iterations=controls.k_max,
-                sup_u=float(np.max(u)),
-                reason="iteration cap",
-            ),
-            controls.k_max,
-        )
+                    profile = RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final)
+                    w1p, f_l1 = _profile_norms(profile, f, rule_src)
+                    return profile, LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1)
+        return diverged(lam, controls.k_max, float(np.max(u)), "iteration cap")
 
     return iterate
 
@@ -305,12 +295,11 @@ def minimal_iterate(
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
     _require_admissible_reaction(spec.nonlinearity)
-    outcome, _count = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
+    outcome, _record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
     return outcome
 
 
-def _profile_norms(profile: RadialProfile, f: Nonlinearity):
-    rule = profile.rule()
+def _profile_norms(profile: RadialProfile, f: Nonlinearity, rule: QuadratureRule):
     p = profile.p
     w1p = (
         rule.integrate(np.abs(profile.u) ** p) + rule.integrate(np.abs(profile.u_r) ** p)
@@ -341,35 +330,15 @@ def lambda_star_estimate(
     controls = controls or IterationControls()
     iterate = _monotone_iteration(spec, grid, controls)
     records: list[LambdaRecord] = []
-    profiles: dict[float, RadialProfile] = {}
+    profile_lo = None  # the last converged probe's profile, which is always lo's
 
     def probe(lam: float) -> bool:
-        out, count = iterate(lam)
-        if isinstance(out, Divergence):
-            records.append(
-                LambdaRecord(
-                    lam=lam,
-                    converged=False,
-                    iterations=out.iterations,
-                    sup_norm=out.sup_u,
-                    w1p_norm=math.inf,
-                    f_l1_norm=math.inf,
-                )
-            )
-            return False
-        w1p, f_l1 = _profile_norms(out, f)
-        records.append(
-            LambdaRecord(
-                lam=lam,
-                converged=True,
-                iterations=count,
-                sup_norm=float(np.max(out.u)),
-                w1p_norm=w1p,
-                f_l1_norm=f_l1,
-            )
-        )
-        profiles[lam] = out
-        return True
+        nonlocal profile_lo
+        out, record = iterate(lam)
+        records.append(record)
+        if record.converged:
+            profile_lo = out
+        return record.converged
 
     lam = lam_init
     if probe(lam):
@@ -409,7 +378,7 @@ def lambda_star_estimate(
 
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
     return ContinuationResult(
-        lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profiles[lo]
+        lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profile_lo
     )
 
 
@@ -430,13 +399,19 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
     positive on [0, M] (checked at 0, M and the table nodes between), the
-    integration turns non-finite, or S passes the comparison bound
-    S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
+    startup flux underflows, the integration turns non-finite, or S passes
+    the comparison bound S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
 
-    Steps of grid.dt/2 in t = log r run from the startup series at r_min
-    until the current slope predicts the next one reaches u <= 0; one RK4
-    step in u, down to u = 0, then gives log S.  f is extended by f(0)
-    below 0, where v never goes, so it is evaluated only on [0, M].
+    The startup series starts at r_min, or further in where its correction
+    M - v(r) = (p-1)/p (f(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M when that
+    correction at r_min is larger: the length scale of v shrinks as M grows
+    (like e^(-M/2) for e^v, p = 2), and a start at r_min would then lie
+    outside the series' range or past S itself.
+
+    Steps of grid.dt/2 in t = log r run until the current slope predicts the
+    next one reaches u <= 0; one RK4 step in u, down to u = 0, then gives
+    log S.  f is extended by f(0) below 0, where v never goes, so it is
+    evaluated only on [0, M].
     """
     n, p = spec.n, spec.p
     f = spec.nonlinearity
@@ -453,8 +428,15 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
         return 1.0 / du, dw / du
 
     h = float(grid.dt) / 2
-    t = float(grid.t[0])
-    u, w = _startup_series(g, m_val, n, p, grid.r_min)
+    t, r0 = float(grid.t[0]), grid.r_min
+    log_r = (p - 1.0) / p * (  # log of the radius where the correction is 1e-10 M
+        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g(m_val) / n) / (p - 1.0)
+    )
+    if log_r < t:
+        t, r0 = log_r, math.exp(log_r)
+    u, w = _startup_series(g, m_val, n, p, r0)
+    if w == 0.0:
+        return None, 0
     steps = 0
     try:
         while u + h * rhs(t, u, w)[0] > 0.0:  # also ends on a nan or infinite state

@@ -33,6 +33,7 @@ from .core import (
     ConsistencyError,
     ParameterError,
     RadialProfile,
+    _jsonable,
     make_grid,
 )
 
@@ -462,17 +463,7 @@ class StabilityReport:
     hardy_witness_ok: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "mu_1": self.mu_1,
-            "rayleigh_min": self.rayleigh_min,
-            "verdict": self.verdict,
-            "scale": self.scale,
-            "r_trunc": self.r_trunc,
-            "n_eig": self.n_eig,
-            "mu_1_alt": self.mu_1_alt,
-            "r_trunc_alt": self.r_trunc_alt,
-            "hardy_witness_ok": self.hardy_witness_ok,
-        }
+        return _jsonable(self)
 
 
 def stability_report(

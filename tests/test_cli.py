@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 
 import pytest
 
+from plaplab import cli
 from plaplab.cli import main, read_profile_csv
 
 
@@ -99,6 +101,14 @@ def test_unknown_config_key_names_it(tmp_path, capsys):
     assert "nn" in err
 
 
+def test_removed_sweep_task_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "task.ini"
+    cfg.write_text("[sweep]\ntask = lambda-star\nn_values = 12\n")
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"), "sweep"])
+    assert code == 2
+    assert "unknown config key 'task'" in capsys.readouterr().err
+
+
 def test_lambda_star_command(tmp_path, capsys):
     out_dir = tmp_path / "ls"
     run_cli(
@@ -119,6 +129,8 @@ def test_lambda_star_command(tmp_path, capsys):
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
     assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm"
     assert len(sweep) == len(report["records"]) + 1
+    assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
+    _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
 
 
 @pytest.mark.parametrize("n, p", [("5", "1.5"), ("3", "1.3")])
@@ -307,6 +319,61 @@ def test_verify_gelfand_disk(tmp_path, capsys):
     assert "PASS" in out.out and "FAIL" not in out.out
     report = json.loads((tmp_path / "verify" / "verify_gelfand-disk.json").read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "2", "--p", "2", "--lam", "1"],
+        ["stability", "--n", "11", "--p", "2", "--exact", "exponential"],
+        ["verify", "--scenario", "gelfand-disk"],
+        ["verify", "--scenario", "supercritical-exp"],
+    ],
+    ids=["solve", "stability", "verify-gelfand-disk", "verify-supercritical-exp"],
+)
+def test_stability_settings_reach_every_report(tmp_path, capsys, monkeypatch, argv):
+    real = cli.stability_report
+    calls = []
+
+    def recorded(profile, g_prime, **kwargs):
+        calls.append(kwargs)
+        return real(profile, g_prime, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_report", recorded)
+    cfg = tmp_path / "stab.ini"
+    cfg.write_text(
+        "[grid]\nnodes = 600\nr_min = 1e-7\n"
+        "[stability]\nr_trunc = 1e-5\nn_eig = 150\ntol_eig = 1e-7\n"
+    )
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
+    assert calls
+    assert all(kw == {"r_trunc": 1e-5, "n_eig": 150, "tol_eig": 1e-7} for kw in calls)
+
+
+def _assert_csv_rows_equal_json(csv_path, records):
+    """Each CSV row carries the same fields and values as its JSON record."""
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert set(row) == set(rec)
+        for key, value in rec.items():
+            if isinstance(value, bool):
+                assert row[key] == str(int(value)), key
+            elif isinstance(value, str):  # "inf", "-inf", "nan"
+                assert row[key] == value, key
+            else:
+                assert float(row[key]) == value, key
+
+
+def test_bifurcate_csv_rows_equal_json_points(tmp_path, capsys):
+    out_dir = tmp_path / "bf"
+    run_cli(capsys, "--out", str(out_dir), "--config", _tiny_config(tmp_path),
+            "bifurcate", "--n", "12", "--p", "2", "--centers", "1,4,300")
+    points = json.loads((out_dir / "report.json").read_text())["points"]
+    # the startup flux at M = 300 underflows: an unconverged point
+    assert points[-1]["lambda"] == "nan" and points[-1]["boundary_residual"] == "inf"
+    _assert_csv_rows_equal_json(out_dir / "bifurcation.csv", points)
 
 
 def _tiny_config(tmp_path):

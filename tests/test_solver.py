@@ -222,6 +222,25 @@ def test_bifurcation_scaling_matches_liouville_closely(gelfand_disk_spec, grid20
         assert abs(pt.lam - liouville_lambda(b)) <= 1e-9 * liouville_lambda(b)
 
 
+def test_bifurcation_large_centres_match_liouville(gelfand_disk_spec, grid2000):
+    # the solution's length scale shrinks like e^(-M/2), so the startup series
+    # must start inside r_min when M is large
+    ms = [30.0, 40.0, 50.0]
+    for m_val, pt in zip(ms, bifurcation_curve(gelfand_disk_spec, ms, grid2000)):
+        lam = liouville_lambda(math.expm1(m_val / 2.0))
+        assert pt.converged
+        assert abs(pt.lam - lam) <= 1e-9 * lam
+
+
+def test_bifurcation_huge_centre_is_never_falsely_converged(grid2000):
+    spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
+    for pt in bifurcation_curve(spec, [100.0, 300.0], grid2000):
+        if pt.converged:
+            assert 19.9 < pt.lam < 20.0
+        else:
+            assert math.isnan(pt.lam)
+
+
 @pytest.mark.parametrize(
     "n, p, f",
     [
