@@ -544,36 +544,28 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     n_values = _float_list(cfg["sweep", "n_values"])
     if not p_values and not n_values:
         raise ConfigError("sweep grid is empty: set p_values and/or n_values")
-    p_values = p_values or [cfg["problem", "p"]]
-    n_values = n_values or [cfg["problem", "n"]]
-
-    points = []
-    for n_val in n_values:
-        for p_val in p_values:
-            name = f"n{n_val:g}_p{p_val:g}"
-            points.append((name, n_val, p_val, out / name))
-
-    jobs = []
+    points = [
+        (f"n{n_val:g}_p{p_val:g}", n_val, p_val)
+        for n_val in n_values or [cfg["problem", "n"]]
+        for p_val in p_values or [cfg["problem", "p"]]
+    ]
     rows = {}
-    for name, n_val, p_val, pdir in points:
-        report_path = pdir / "report.json"
+    for name, _n, _p in points:
+        report_path = out / name / "report.json"
         if report_path.exists() and not args.force:
             cached = json.loads(report_path.read_text())
             rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
-        else:
-            jobs.append((cfg.values, n_val, p_val, str(pdir)))
-
-    if jobs:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_sweep_point, jobs))
-        else:
-            results = [_sweep_point(job) for job in jobs]
-        for (cfg_values, n_val, p_val, pdir), (status, payload) in zip(jobs, results):
-            rows[f"n{n_val:g}_p{p_val:g}"] = (status, payload)
+    todo = [(name, n_val, p_val) for name, n_val, p_val in points if name not in rows]
+    jobs = [(cfg.values, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
+    if args.jobs > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_sweep_point, jobs))
+    else:
+        results = [_sweep_point(job) for job in jobs]
+    rows.update(zip([name for name, _n, _p in todo], results))
 
     index = []
-    for name, n_val, p_val, _pdir in points:
+    for name, n_val, p_val in points:
         status, payload = rows[name]
         index.append((name, n_val, p_val, status, payload.get("lambda_lo"), payload.get("lambda_hi")))
     _write_csv(out / "index.csv", ("point", "n", "p", "status", "lambda_lo", "lambda_hi"), index)
@@ -640,15 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    pairs = {}
-    for attr, target in (
-        ("n", ("problem", "n")),
-        ("p", ("problem", "p")),
-        ("lam", ("problem", "lambda")),
-    ):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            pairs[target] = getattr(args, attr)
-    return pairs
+    targets = {"n": ("problem", "n"), "p": ("problem", "p"), "lam": ("problem", "lambda")}
+    return {t: getattr(args, a) for a, t in targets.items() if getattr(args, a, None) is not None}
 
 
 def main(argv=None) -> int:

@@ -378,16 +378,22 @@ class QuadratureRule:
 
     def cumulative_from_zero(self, h) -> np.ndarray:
         """F with F[j] ~ int_0^{r_j} h r^(n-1) dr, head term included."""
-        h = self._check(h)
+        return self._from_zero(self._check(h))
+
+    def cumulative_to_one(self, h) -> np.ndarray:
+        """G with G[j] = int_{r_j}^1 h r^(n-1) dr; G[-1] = 0 exactly."""
+        return self._to_one(self._check(h))
+
+    # unchecked forms for the monotone iteration, which tests its result only:
+    # every node feeds a cell, and every cell feeds G[0] and F[-1]
+    def _from_zero(self, h: np.ndarray) -> np.ndarray:
         out = np.empty(len(h))
         out[0] = self.head * h[0]
         np.cumsum(self._cells(h), out=out[1:])
         out[1:] += out[0]
         return out
 
-    def cumulative_to_one(self, h) -> np.ndarray:
-        """G with G[j] = int_{r_j}^1 h r^(n-1) dr; G[-1] = 0 exactly."""
-        h = self._check(h)
+    def _to_one(self, h: np.ndarray) -> np.ndarray:
         out = np.empty(len(h))
         out[-1] = 0.0
         np.cumsum(self._cells(h)[::-1], out=out[-2::-1])

@@ -87,6 +87,7 @@ class LambdaRecord:
     sup_norm: float
     w1p_norm: float
     f_l1_norm: float
+    reason: str  # "converged", or the Divergence reason
 
 
 @dataclass(frozen=True)
@@ -220,21 +221,16 @@ def _require_admissible_reaction(f: Nonlinearity) -> None:
 
 
 def _iteration_step(u, lam, f, rule_src: QuadratureRule, rule_out: QuadratureRule, rpow, q):
-    """One sweep of the monotone iteration; returns (next u, flux integral F),
-    or (None, None) when f(u) or the slope integrand is not finite.
+    """One sweep of the monotone iteration; returns (next u, flux integral F).
 
     The source integral carries the r^(n-1) weight; the outer integral
     int_r^1 v(s) ds is unweighted (rule built with n = 1).  Overflow is
-    expected here; the caller silences its floating-point warnings.
+    expected here; the caller silences its floating-point warnings.  Nothing
+    is tested for finiteness: a non-finite f(u), F or slope integrand makes
+    the next u[0] non-finite, which the caller sees.
     """
-    fv = lam * np.asarray(f.value(u), dtype=float)
-    if not np.isfinite(fv).all():
-        return None, None
-    F = rule_src.cumulative_from_zero(fv)
-    v = (F * rpow) ** q
-    if not np.isfinite(v).all():
-        return None, None
-    return rule_out.cumulative_to_one(v), F
+    F = rule_src._from_zero(lam * np.asarray(f.value(u), dtype=float))
+    return rule_out._to_one((F * rpow) ** q), F
 
 
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
@@ -249,7 +245,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     rpow = grid.r ** (1.0 - n)
 
     def diverged(lam: float, k: int, sup: float, reason: str):
-        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf)
+        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason)
         return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
 
     def iterate(lam: float):
@@ -257,8 +253,6 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, controls.k_max + 1):
                 u_next, F = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-                if u_next is None:
-                    return diverged(lam, k, math.inf, "overflow")
                 sup = float(u_next.max())
                 step = u_next - u
                 drop = float(step.min())
@@ -277,7 +271,9 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                     u_final, F_final = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
                     profile = RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final)
                     w1p, f_l1 = _profile_norms(profile, f, rule_src)
-                    return profile, LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1)
+                    return profile, LambdaRecord(
+                        lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged"
+                    )
         return diverged(lam, controls.k_max, float(np.max(u)), "iteration cap")
 
     return iterate
@@ -395,6 +391,27 @@ def extremal_profile(result: ContinuationResult) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
+    """log of the radius where the startup series' correction
+    M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M."""
+    return (p - 1.0) / p * (
+        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
+    )
+
+
+def _certificate_grid(spec: ProblemSpec, m_val: float, grid: RadialGrid) -> RadialGrid:
+    """``grid``, or, when the startup correction at r_min exceeds 1e-10 M,
+    ``grid`` extended inward with its own dt past the radius where the
+    correction is 1e-10 M (the rule of ``_scaled_first_zero``)."""
+    g_m = spec.nonlinearity.scalar_value()(m_val)
+    extra = math.ceil((grid.t[0] - _series_start(g_m, m_val, spec.n, spec.p)) / grid.dt)
+    if extra <= 0:
+        return grid
+    t = np.concatenate([grid.t[0] - grid.dt * np.arange(extra, 0, -1), grid.t])
+    r = np.concatenate([np.exp(t[:extra]), grid.r])
+    return RadialGrid(r_min=float(r[0]), t=t, r=r, dt=grid.dt)
+
+
 def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
@@ -429,9 +446,7 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
 
     h = float(grid.dt) / 2
     t, r0 = float(grid.t[0]), grid.r_min
-    log_r = (p - 1.0) / p * (  # log of the radius where the correction is 1e-10 M
-        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g(m_val) / n) / (p - 1.0)
-    )
+    log_r = _series_start(g(m_val), m_val, n, p)
     if log_r < t:
         t, r0 = log_r, math.exp(log_r)
     u, w = _startup_series(g, m_val, n, p, r0)
@@ -456,7 +471,8 @@ def bifurcation_curve(
 ) -> list[BifurcationPoint]:
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
     integration per M (see the module docstring).  ``boundary_residual`` is
-    |u(1)| of the fixed-grid ``shoot`` at that lambda, inf when that shoot
+    |u(1)| of the fixed-grid ``shoot`` at that lambda, started further in
+    than r_min for large M (``_certificate_grid``), inf when that shoot
     leaves the reaction's domain or blows up.  A center value whose
     integration fails is recorded with lambda = nan, not raised."""
     _check_solver_dimension(spec.n)
@@ -470,8 +486,9 @@ def bifurcation_curve(
             points.append(BifurcationPoint(m_val, math.nan, math.inf, False, steps))
             continue
         lam = math.exp(spec.p * log_s)
+        scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
         try:
-            run = shoot(ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam)), m_val, grid)
+            run = shoot(scaled, m_val, _certificate_grid(scaled, m_val, grid))
             residual = abs(run.boundary_value)
         except (BlowUpError, EvaluationError):
             residual = math.inf

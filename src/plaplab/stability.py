@@ -343,24 +343,26 @@ def quadratic_form_value(pencil: QPencil, x: np.ndarray) -> float:
     return (pencil.a - pencil.b).form(x)
 
 
-def _negative_count(t_diag, t_off, m_diag, m_off, mu: float) -> int:
-    """Inertia of (A - B) - mu M via the tridiagonal LDL^T recurrence."""
-    d = t_diag - mu * m_diag
-    e = t_off - mu * m_off
-    count = 0
-    prev = d[0]
-    if prev == 0.0:
-        prev = -1e-300
-    if prev < 0:
-        count += 1
-    for i in range(1, len(d)):
-        val = d[i] - e[i - 1] ** 2 / prev
-        if val == 0.0:
-            val = -1e-300
-        if val < 0:
+def _ldl(d: list, e2: list, pivots: list | None = None) -> int:
+    """Negative pivots of the LDL^T recurrence of a symmetric tridiagonal
+    matrix with diagonal d and squared off-diagonal e2 (lists of Python
+    floats); the pivots are appended to ``pivots`` when one is given.  An
+    exact zero pivot becomes -1e-300: it counts as negative and is divided by
+    as such."""
+    count, prev = 0, 1.0
+    for di, ei in zip(d, [0.0] + e2):
+        prev = di - ei / prev or -1e-300
+        if prev < 0:
             count += 1
-        prev = val
+        if pivots is not None:
+            pivots.append(prev)
     return count
+
+
+def _negative_count(t: Tridiagonal, m: Tridiagonal, mu: float) -> int:
+    """Inertia of T - mu M: its number of negative pivots, with the
+    off-diagonal squared by np.square."""
+    return _ldl((t.diag - mu * m.diag).tolist(), np.square(t.off - mu * m.off).tolist())
 
 
 def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
@@ -368,23 +370,19 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
     tridiagonal pencil; the returned midpoint carries a certified bracket of
     width below 1e-10 of the Rayleigh scale (or a few ulps)."""
     t = a - b
-    t_diag, t_off = t.diag, t.off
-    m_diag, m_off = m.diag, m.off
-    if np.any(m_diag <= 0):
+    if np.any(m.diag <= 0):
         raise ParameterError("mass form is singular on a cell")
-    hi = float(np.min(t_diag / m_diag))  # basis-vector Rayleigh quotient
-    while _negative_count(t_diag, t_off, m_diag, m_off, hi) < 1:
+    hi = float(np.min(t.diag / m.diag))  # basis-vector Rayleigh quotient
+    while _negative_count(t, m, hi) < 1:
         hi = hi + max(1.0, abs(hi))
     # A is positive semidefinite, so mu_1 >= -lambda_max(B, M); a pencil
     # Gershgorin row bound on (B, M) keeps the initial bracket physical
-    pad = lambda v: np.concatenate([[0.0], np.abs(v)]) + np.concatenate(
-        [np.abs(v), [0.0]]
-    )
-    m_row = m_diag - pad(m_off)
-    m_row = np.where(m_row > 0, m_row, np.min(m_diag) * 0.1)
+    pad = lambda v: np.concatenate([[0.0], np.abs(v)]) + np.concatenate([np.abs(v), [0.0]])
+    m_row = m.diag - pad(m.off)
+    m_row = np.where(m_row > 0, m_row, np.min(m.diag) * 0.1)
     lo = -float(np.max((np.abs(b.diag) + pad(b.off)) / m_row)) - 1.0
     lo = min(lo, hi - 1.0)
-    while _negative_count(t_diag, t_off, m_diag, m_off, lo) > 0:
+    while _negative_count(t, m, lo) > 0:
         lo = 2.0 * lo - 1.0
     # width target follows the shrinking bracket so the certificate is
     # relative to the eigenvalue itself, not to the stiffest basis quotient
@@ -395,7 +393,7 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
         if hi - lo <= target:
             break
         mid = 0.5 * (lo + hi)
-        if _negative_count(t_diag, t_off, m_diag, m_off, mid) >= 1:
+        if _negative_count(t, m, mid) >= 1:
             hi = mid
         else:
             lo = mid
@@ -405,44 +403,36 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
 def _min_mode_vector(pencil: QPencil, mu: float) -> np.ndarray:
     """Eigenvector witness at the certified eigenvalue via a twisted
     factorization of (A - B) - mu M (robust under the extreme row scaling a
-    log grid with an r^n weight produces)."""
+    log grid with an r^n weight produces): forward pivots from ``_ldl``, and
+    backward ones from ``_ldl`` on the reversed rows."""
     t = pencil.a - pencil.b
     a = t.diag - mu * pencil.m.diag
     b = t.off - mu * pencil.m.off
     k = len(a)
-    tiny = 1e-300
-    d_fwd = np.empty(k)
-    d_fwd[0] = a[0]
-    for i in range(1, k):
-        prev = d_fwd[i - 1]
-        d_fwd[i] = a[i] - b[i - 1] ** 2 / (prev if prev != 0 else tiny)
-    d_bwd = np.empty(k)
-    d_bwd[-1] = a[-1]
-    for i in range(k - 2, -1, -1):
-        nxt = d_bwd[i + 1]
-        d_bwd[i] = a[i] - b[i] ** 2 / (nxt if nxt != 0 else tiny)
-    gamma = d_fwd + d_bwd - a
+    d, off = a.tolist(), b.tolist()
+    # squared by libm pow (``**``), which can differ from np.square's exact
+    # product in the last bit, so the witness keeps the bits it always had
+    e2 = [v**2 for v in off]
+    fwd, bwd = [], []
+    _ldl(d, e2, fwd)
+    _ldl(d[::-1], e2[::-1], bwd)
+    bwd.reverse()
+    gamma = np.array(fwd) + np.array(bwd) - a
     # row weights vary over many decades (r^n on a log grid), so the twist
     # index must minimize gamma relative to the local row scale
     row_scale = np.abs(a)
     row_scale[:-1] += np.abs(b)
     row_scale[1:] += np.abs(b)
-    twist = int(np.argmin(np.abs(gamma) / np.maximum(row_scale, tiny)))
-    x = np.zeros(k)
+    twist = int(np.argmin(np.abs(gamma) / np.maximum(row_scale, 1e-300)))
+    x = [0.0] * k
     x[twist] = 1.0
     for i in range(twist - 1, -1, -1):
-        df = d_fwd[i]
-        x[i] = -b[i] * x[i + 1] / (df if df != 0 else tiny)
+        x[i] = -off[i] * x[i + 1] / fwd[i]
     for i in range(twist, k - 1):
-        db = d_bwd[i + 1]
-        x[i + 1] = -b[i] * x[i] / (db if db != 0 else tiny)
+        x[i + 1] = -off[i] * x[i] / bwd[i + 1]
+    x = np.array(x)
     norm = np.max(np.abs(x))
     return x / (norm if norm > 0 else 1.0)
-
-
-def _rayleigh_of_min_mode(pencil: QPencil, mu: float) -> float:
-    x = _min_mode_vector(pencil, mu)
-    return (pencil.a - pencil.b).form(x) / pencil.m.form(x)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +473,8 @@ def stability_report(
     """
     pencil = assemble_q(profile, g_prime, r_trunc, n_eig)
     mu1 = min_eigenvalue(pencil.a, pencil.b, pencil.m)
-    rayleigh = _rayleigh_of_min_mode(pencil, mu1)
+    x = _min_mode_vector(pencil, mu1)
+    rayleigh = (pencil.a - pencil.b).form(x) / pencil.m.form(x)
     scale = float(np.max(pencil.m.diag))
     threshold = tol_eig * scale
     if mu1 >= -threshold:

@@ -127,7 +127,7 @@ def test_lambda_star_command(tmp_path, capsys):
     assert report["outcome"] == "bracketed"
     assert 1.9 < report["lambda_lo"] <= report["lambda_hi"] < 2.1
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
-    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm"
+    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason"
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])

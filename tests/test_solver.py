@@ -19,6 +19,7 @@ from plaplab import (
     extremal_profile,
     lambda_star_estimate,
     make_grid,
+    make_rule,
     minimal_iterate,
     shoot,
 )
@@ -224,17 +225,21 @@ def test_bifurcation_scaling_matches_liouville_closely(gelfand_disk_spec, grid20
 
 def test_bifurcation_large_centres_match_liouville(gelfand_disk_spec, grid2000):
     # the solution's length scale shrinks like e^(-M/2), so the startup series
-    # must start inside r_min when M is large
-    ms = [30.0, 40.0, 50.0]
+    # must start inside r_min when M is large, and so must the certificate
+    ms = [30.0, 36.0, 40.0, 50.0]
     for m_val, pt in zip(ms, bifurcation_curve(gelfand_disk_spec, ms, grid2000)):
         lam = liouville_lambda(math.expm1(m_val / 2.0))
         assert pt.converged
         assert abs(pt.lam - lam) <= 1e-9 * lam
+        assert pt.boundary_residual <= 1e-8 * m_val
 
 
 def test_bifurcation_huge_centre_is_never_falsely_converged(grid2000):
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
-    for pt in bifurcation_curve(spec, [100.0, 300.0], grid2000):
+    points = bifurcation_curve(spec, [100.0, 300.0], grid2000)
+    # M = 100 converges, and its certificate starts inside r_min
+    assert points[0].converged and points[0].boundary_residual <= 1e-8 * 100.0
+    for pt in points:
         if pt.converged:
             assert 19.9 < pt.lam < 20.0
         else:
@@ -330,3 +335,65 @@ def test_monotone_iteration_guard(offset, raises, grid2000, monkeypatch):
         assert sweeps == 3
     else:
         assert not isinstance(minimal_iterate(spec, 1.0, grid2000), Divergence)
+
+
+@pytest.mark.parametrize(
+    "n, p, lam, controls, source, sweeps",
+    [
+        # e^u overflows once u passes 709, long before this u_max
+        (2.0, 2.0, 4.0, IterationControls(u_max=1e300), "reaction", 6),
+        # p < 2: the slope (F r^(1-n))^2 overflows while e^u is still finite
+        (3.0, 1.5, 100.0, IterationControls(), "slope", 2),
+    ],
+)
+def test_sweep_ends_each_non_finite_source_as_overflow(
+    n, p, lam, controls, source, sweeps, grid2000, monkeypatch
+):
+    """A sweep tests only the next u for finiteness; a non-finite reaction
+    value or slope integrand still ends the probe as an overflow at the sweep
+    where it arises (the sweep indices of per-array finiteness tests)."""
+    real_step = solver._iteration_step
+    inputs = []
+
+    def recording_step(u, *args):
+        inputs.append(u)
+        return real_step(u, *args)
+
+    monkeypatch.setattr(solver, "_iteration_step", recording_step)
+    spec = ProblemSpec(n, p, Exponential(1.0))
+    out = minimal_iterate(spec, lam, grid2000, controls)
+    assert isinstance(out, Divergence)
+    assert (out.iterations, out.sup_u, out.reason) == (sweeps, math.inf, "overflow")
+    assert len(inputs) == sweeps
+    with np.errstate(over="ignore"):
+        fv = lam * np.exp(inputs[-1])
+        assert np.isfinite(fv).all() == (source == "slope")
+        if source == "slope":
+            F = make_rule(grid2000, n).cumulative_from_zero(fv)
+            assert not np.isfinite((F * grid2000.r ** (1.0 - n)) ** (1.0 / (p - 1.0))).all()
+
+
+@pytest.mark.parametrize(
+    "lam, controls, reason",
+    [
+        (1.0, IterationControls(), "converged"),
+        (5.0, IterationControls(), "exceeded u_max"),
+        (4.0, IterationControls(u_max=1e300), "overflow"),
+        (1.0, IterationControls(k_max=5), "iteration cap"),
+    ],
+)
+def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_disk_spec, grid2000):
+    out, record = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)(lam)
+    assert record.reason == reason
+    assert record.converged == (reason == "converged")
+    if not record.converged:
+        assert (out.reason, out.iterations) == (reason, record.iterations)
+
+
+def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid2000):
+    for m_val, pt in zip([0.5, 3.0, 30.0], bifurcation_curve(gelfand_disk_spec, [0.5, 3.0, 30.0], grid2000)):
+        scaled = ProblemSpec(2.0, 2.0, Exponential(pt.lam))
+        assert solver._certificate_grid(scaled, m_val, grid2000) is grid2000
+    big = solver._certificate_grid(ProblemSpec(2.0, 2.0, Exponential(1e-10)), 50.0, grid2000)
+    assert big.size > grid2000.size and big.dt == grid2000.dt
+    assert np.array_equal(big.t[-grid2000.size :], grid2000.t)
