@@ -160,8 +160,12 @@ def _hermite_eval(t, knots, values, slopes, want_derivative=False):
 
 def _hermite_basis(s, h, y0, y1, d0, d1):
     """The cubic Hermite interpolant at offset s in [0, 1] of a cell of width
-    h; the same operations on numpy arrays and on Python floats."""
-    s2, s3 = s**2, s**3
+    h; the same operations on numpy arrays and on Python floats.
+
+    Products, not ``**``: numpy's array power and libm's pow round s**3
+    differently, so only products give both paths the same bits."""
+    s2 = s * s
+    s3 = s2 * s
     h00 = 2 * s3 - 3 * s2 + 1
     h10 = s3 - 2 * s2 + s
     h01 = -2 * s3 + 3 * s2

@@ -57,10 +57,11 @@ def hermite_reference(t, knots, values, slopes, want_derivative=False):
         dh01 = -dh00
         dh11 = 3 * s * s - 2 * s
         return (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
+    s3 = s * s * s
+    h00 = 2 * s3 - 3 * s**2 + 1
+    h10 = s3 - 2 * s**2 + s
+    h01 = -2 * s3 + 3 * s**2
+    h11 = s3 - s**2
     return h00 * y0 + h01 * y1 + h * (h10 * d0 + h11 * d1)
 
 
@@ -123,6 +124,9 @@ def test_hermite_matches_clipped_index_reference(seed, nodes):
 
 @settings(deadline=None, max_examples=100)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), nodes=st.integers(min_value=2, max_value=80))
+# draws where libm's pow and numpy's array power rounded s**3 apart
+@example(seed=3883, nodes=2)
+@example(seed=42665, nodes=2)
 def test_tabulated_scalar_value_agrees_with_value(seed, nodes):
     table = random_table(seed, nodes)
     scalar = table.scalar_value()
