@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -558,6 +557,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     todo = [(name, n_val, p_val) for name, n_val, p_val in points if name not in rows]
     jobs = [(cfg.values, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
     if args.jobs > 1 and jobs:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:

@@ -6,12 +6,12 @@ turns the equation into the non-degenerate first-order system
     u' = sgn(w) (|w| r^(1-n))^(1/(p-1)),      w' = -r^(n-1) g(u),
 
 avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
-(p > 2) where u_r vanishes.
+(p > 2) where u_r vanishes.  Both shooting routes share one inlined RK4 step.
 
 Four routes to solutions:
 
   * ``shoot`` integrates from the center value u(0) = M with a startup
-    series at r_min (fourth-order single steps on the log grid);
+    series at r_min (two steps per cell of the log grid);
   * ``bifurcation_curve`` uses the scaling of the equation: if v solves the
     lambda = 1 problem with v(0) = M and first zero S, then u(r) = v(S r)
     solves the lambda problem with lambda(M) = S^p, so one integration to
@@ -120,18 +120,35 @@ def _check_solver_dimension(n: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _flux_rhs(n: float, p: float, g):
-    """rhs(t, u, w) = (du/dt, dw/dt) of the flux system in t = log r."""
-    q = 1.0 / (p - 1.0)
+def _flux_rk4(n: float, p: float, g, h: float):
+    """(slope, step) of the flux system in t = log r.  slope(t, w) is du/dt;
+    step(x, u, w, du1, e1), given du1 = slope(x, w) and e1 = e^(n x), takes
+    one RK4 step of size h and returns (u, w, e^(n (x + h))).  The stages are
+    inline and 2 and 3 share e^(n (x + h/2)); the operations and their order
+    are the classical step's, so the results are bit for bit the same."""
+    q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, h / 2, h / 6
+    log, exp, copysign = math.log, math.exp, math.copysign
 
-    def rhs(t_, u_, w_):
-        du = 0.0
-        if w_ != 0.0:
-            mag = q * (math.log(abs(w_)) + (1.0 - n) * t_) + t_
-            du = math.copysign(math.exp(mag), w_)
-        return du, -math.exp(n * t_) * g(u_)
+    def slope(t, w):
+        return copysign(exp(q * (log(abs(w)) + m * t) + t), w) if w != 0.0 else 0.0
 
-    return rhs
+    def step(x, u, w, du1, e1):
+        dw1 = -e1 * g(u)
+        xm, w2 = x + h2, w + h2 * dw1
+        du2 = copysign(exp(q * (log(abs(w2)) + m * xm) + xm), w2) if w2 != 0.0 else 0.0
+        em = exp(n * xm)
+        dw2 = -em * g(u + h2 * du1)
+        w3 = w + h2 * dw2
+        du3 = copysign(exp(q * (log(abs(w3)) + m * xm) + xm), w3) if w3 != 0.0 else 0.0
+        dw3 = -em * g(u + h2 * du2)
+        x4, w4 = x + h, w + h * dw3
+        du4 = copysign(exp(q * (log(abs(w4)) + m * x4) + x4), w4) if w4 != 0.0 else 0.0
+        e4 = exp(n * x4)
+        dw4 = -e4 * g(u + h * du3)
+        u += h6 * (du1 + 2 * du2 + 2 * du3 + du4)
+        return u, w + h6 * (dw1 + 2 * dw2 + 2 * dw3 + dw4), e4
+
+    return slope, step
 
 
 def _rk4_step(rhs, x, a, b, h):
@@ -170,31 +187,32 @@ def shoot(
     O(r_min^(2p/(p-1)))); ``seed`` overrides it with explicit
     (u(r_min), w(r_min)) values, which is the right choice when targeting a
     solution that is singular at the origin.  Each grid cell takes two RK4
-    steps.
+    steps.  Below its table, a ``Tabulated`` reaction takes its first knot's
+    value: RK4 stages dip below u = 0 near a zero at r = 1.
     """
     _check_solver_dimension(spec.n)
-    n, p = spec.n, spec.p
-    g = spec.nonlinearity.scalar_value()
-    rhs = _flux_rhs(n, p, g)
-    dt = float(grid.dt) / 2
-
+    n, p, f = spec.n, spec.p, spec.nonlinearity
+    g = f.scalar_value()
     u, w = seed if seed is not None else _startup_series(g, center_value, n, p, grid.r_min)
-    u_nodes = np.empty(grid.size)
-    w_nodes = np.empty(grid.size)
-    u_nodes[0], w_nodes[0] = u, w
+    if isinstance(f, Tabulated):  # scalar_value raises below t[0] - 1e-12
+        g_table, k0, lo = g, f.t[0], f.t[0] - 1e-12
+        g = lambda u_: g_table(k0 if u_ < lo else u_)
+    dt = float(grid.dt) / 2
+    slope, step = _flux_rk4(n, p, g, dt)
+
+    nodes = [(u, w)]
     warnings: list[str] = []
     try:
-        for k, tk in enumerate(grid.t.tolist()[:-1]):
-            for s in range(2):
-                t0 = tk + s * dt
-                u, w = _rk4_step(rhs, t0, u, w, dt)
+        for tk in grid.t.tolist()[:-1]:
+            e = math.exp(n * tk)
+            for t0 in (tk, tk + dt):
+                u, w, e = step(t0, u, w, slope(t0, w), e)
                 if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
-                    raise BlowUpError(
-                        f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}"
-                    )
-            u_nodes[k + 1], w_nodes[k + 1] = u, w
+                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}")
+            nodes.append((u, w))
     except OverflowError as exc:
         raise BlowUpError(f"overflow during integration: {exc}") from exc
+    u_nodes, w_nodes = map(np.array, zip(*nodes))
 
     if np.any(np.diff(u_nodes) > 1e-10 * (1.0 + np.max(np.abs(u_nodes)))):
         warnings.append("u is not monotone along the trajectory")
@@ -425,26 +443,26 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     (like e^(-M/2) for e^v, p = 2), and a start at r_min would then lie
     outside the series' range or past S itself.
 
-    Steps of grid.dt/2 in t = log r run until the current slope predicts the
-    next one reaches u <= 0; one RK4 step in u, down to u = 0, then gives
-    log S.  f is extended by f(0) below 0, where v never goes, so it is
-    evaluated only on [0, M].
+    Steps of grid.dt/2 in t = log r run until the current slope, which is
+    the next step's stage 1, predicts u <= 0; one RK4 step in u, down to 0,
+    then gives log S.  f is extended by f(0) below 0, where v never goes,
+    so it is evaluated only on [0, M].
     """
-    n, p = spec.n, spec.p
-    f = spec.nonlinearity
+    n, p, f = spec.n, spec.p, spec.nonlinearity
     nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
     f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
     if not f_min > 0.0:
         return None, 0
     t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
     g = f.scalar_value()
-    rhs = _flux_rhs(n, p, lambda u_: g(max(u_, 0.0)))
+    g0 = lambda u_: g(max(u_, 0.0))
+    h = float(grid.dt) / 2
+    slope, step = _flux_rk4(n, p, g0, h)
 
     def rhs_in_u(u_, t_, w_):
-        du, dw = rhs(t_, u_, w_)
+        du, dw = slope(t_, w_), -math.exp(n * t_) * g0(u_)
         return 1.0 / du, dw / du
 
-    h = float(grid.dt) / 2
     t, r0 = float(grid.t[0]), grid.r_min
     log_r = _series_start(g(m_val), m_val, n, p)
     if log_r < t:
@@ -454,11 +472,13 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
         return None, 0
     steps = 0
     try:
-        while u + h * rhs(t, u, w)[0] > 0.0:  # also ends on a nan or infinite state
+        du, e = slope(t, w), math.exp(n * t)  # stage 1 of the next step
+        while u + h * du > 0.0:  # also ends on a nan or infinite state
             if t > t_max:
                 return None, steps
-            u, w = _rk4_step(rhs, t, u, w, h)
+            u, w, e = step(t, u, w, du, e)
             t, steps = t + h, steps + 1
+            du = slope(t, w)
         log_s, w = _rk4_step(rhs_in_u, u, t, w, -u)
     except ArithmeticError:  # overflow, or a zero slope in the step in u
         return None, steps

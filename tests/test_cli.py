@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +384,14 @@ def _tiny_config(tmp_path):
     if not path.exists():
         path.write_text("[grid]\nnodes = 600\nr_min = 1e-7\n[stability]\nn_eig = 200\n")
     return str(path)
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only `sweep --jobs N` with N > 1 uses it; every command pays for an import
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import plaplab.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -397,3 +397,37 @@ def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid200
     big = solver._certificate_grid(ProblemSpec(2.0, 2.0, Exponential(1e-10)), 50.0, grid2000)
     assert big.size > grid2000.size and big.dt == grid2000.dt
     assert np.array_equal(big.t[-grid2000.size :], grid2000.t)
+
+
+def cubic_table(t0, t1, nodes):
+    from plaplab import Tabulated
+
+    ts = np.linspace(t0, t1, nodes)
+    return Tabulated(tuple(ts), tuple((1.0 + ts) ** 3), tuple(3.0 * (1.0 + ts) ** 2))
+
+
+def test_certificates_for_a_table_that_starts_at_zero(grid2000):
+    # the certificate's RK4 stages dip below u = 0 near r = 1, where a table
+    # from 0 used to raise and leave the point uncertified (inf)
+    spec = ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81))
+    for pt in bifurcation_curve(spec, [0.5, 1.0, 2.0, 3.0], grid2000):
+        assert pt.converged
+        assert pt.boundary_residual <= 1e-8 * max(pt.center_value, 1.0)
+
+
+@pytest.mark.parametrize(
+    "t0, m_val, scale", [(0.0, 2.0, None), (-0.5, 0.5, None), (-0.5, 1.0, None), (0.0, -5e-13, 1e-12)]
+)
+def test_table_clamp_changes_no_evaluation_that_succeeds(t0, m_val, scale, grid2000, monkeypatch):
+    # shoots that stay inside the table, or within the 1e-12 below its first
+    # knot where it extrapolates instead of raising, must not see the clamp
+    spec = ProblemSpec(3.0, 2.0, cubic_table(t0, 4.0, 81))
+    if scale is None:  # the curve's lambda, so that u(1) is about 0
+        scale = bifurcation_curve(spec, [m_val], grid2000)[0].lam
+    scaled = ProblemSpec(3.0, 2.0, spec.nonlinearity.with_scale(scale))
+    clamped = shoot(scaled, m_val, grid2000)
+    assert clamped.boundary_value > t0 - 1e-12
+    monkeypatch.setattr(solver, "Tabulated", type(None))
+    raw = shoot(scaled, m_val, grid2000)
+    assert np.array_equal(clamped.profile.u, raw.profile.u)
+    assert np.array_equal(clamped.profile.w, raw.profile.w)
