@@ -367,40 +367,66 @@ class QuadratureRule:
         return float(np.dot(self.weights, self._check(h)))
 
     def cell_integrals(self, h) -> np.ndarray:
-        return self._cells(self._check(h))
-
-    def _cells(self, h: np.ndarray) -> np.ndarray:
-        """Cell integrals of checked nodal values h: each interior cell is the
-        stencil weights correlated with its window of h."""
-        if self._stencil == 2:
-            return np.correlate(h, self._cw_interior, "valid") * self._rn_cells
-        cells = np.empty(len(h) - 1)
-        cells[1:-1] = np.correlate(h, self._cw_interior, "valid") * self._rn_cells[1:-1]
-        cells[0] = np.dot(h[:4], self._cw_first) * self._rn_cells[0]
-        cells[-1] = np.dot(h[-4:], self._cw_last) * self._rn_cells[-1]
-        return cells
+        return _CellSums(self, self._check(h)).fill_cells()
 
     def cumulative_from_zero(self, h) -> np.ndarray:
         """F with F[j] ~ int_0^{r_j} h r^(n-1) dr, head term included."""
-        return self._from_zero(self._check(h))
+        return _CellSums(self, self._check(h)).from_zero(np.empty(self.grid.size))
 
     def cumulative_to_one(self, h) -> np.ndarray:
         """G with G[j] = int_{r_j}^1 h r^(n-1) dr; G[-1] = 0 exactly."""
-        return self._to_one(self._check(h))
+        return _CellSums(self, self._check(h)).to_one(np.empty(self.grid.size))
 
-    # unchecked forms for the monotone iteration, which tests its result only:
-    # every node feeds a cell, and every cell feeds G[0] and F[-1]
-    def _from_zero(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty(len(h))
-        out[0] = self.head * h[0]
-        np.cumsum(self._cells(h), out=out[1:])
-        out[1:] += out[0]
+
+class _CellSums:
+    """The cell integrals and cumulative sums of one rule over one nodal
+    array ``h``, read at each call; ``h`` is not checked.
+
+    The work arrays and every view a sum reads are made once, so a sum
+    allocates only its correlation.  The monotone iteration's sweep kernel
+    keeps one per rule over its own arrays and tests only its result: every
+    node feeds a cell, and every cell feeds G[0] and F[-1]."""
+
+    def __init__(self, rule: QuadratureRule, h: np.ndarray):
+        self.head, self.h = rule.head, h
+        self.cells = np.empty(len(h) - 1)
+        self._rev = np.empty(len(h) - 1)
+        self._cells_rev = self.cells[::-1]
+        self._cw = rule._cw_interior
+        rn = rule._rn_cells
+        if rule._stencil == 2:
+            self._rn, self._mid, self._ends = rn, self.cells, ()
+        else:
+            self._rn, self._mid = rn[1:-1], self.cells[1:-1]
+            self._ends = (
+                (0, h[:4], rule._cw_first, rn[0]),
+                (-1, h[-4:], rule._cw_last, rn[-1]),
+            )
+
+    def fill_cells(self) -> np.ndarray:
+        """The cell integrals of h, into ``cells``: each interior cell is the
+        stencil weights correlated with its window of h."""
+        np.multiply(np.correlate(self.h, self._cw, "valid"), self._rn, out=self._mid)
+        for j, window, cw, rn in self._ends:
+            self.cells[j] = window.dot(cw) * rn
+        return self.cells
+
+    def from_zero(self, out: np.ndarray) -> np.ndarray:
+        """``cumulative_from_zero`` of h, into out."""
+        out[0] = self.head * self.h[0]
+        tail = out[1:]
+        np.add.accumulate(self.fill_cells(), out=tail)
+        tail += out[0]
         return out
 
-    def _to_one(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty(len(h))
+    def to_one(self, out: np.ndarray) -> np.ndarray:
+        """``cumulative_to_one`` of h, into out: the cells summed from the
+        last one down, as sequential adds into a contiguous array, then
+        copied reversed into out[:-1]."""
+        self.fill_cells()
+        np.add.accumulate(self._cells_rev, out=self._rev)
+        out[-2::-1] = self._rev
         out[-1] = 0.0
-        np.cumsum(self._cells(h)[::-1], out=out[-2::-1])
         return out
 
 

@@ -18,7 +18,8 @@ Four routes to solutions:
     the first zero per center value gives the curve;
   * ``minimal_iterate`` runs the monotone iteration from u = 0, inverting
     the radial p-Laplacian by nested quadrature; iterates increase
-    pointwise, and the limit is the minimal solution when one exists;
+    pointwise, and the limit is the minimal solution when one exists.  Its
+    sweeps write into the work arrays of one ``_SweepKernel`` per search;
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
     never a point value.
@@ -41,6 +42,7 @@ from .core import (
     RadialGrid,
     RadialProfile,
     Tabulated,
+    _CellSums,
     make_rule,
 )
 
@@ -238,29 +240,58 @@ def _require_admissible_reaction(f: Nonlinearity) -> None:
         raise ParameterError("minimal-solution iteration requires f(0) > 0")
 
 
-def _iteration_step(u, lam, f, rule_src: QuadratureRule, rule_out: QuadratureRule, rpow, q):
-    """One sweep of the monotone iteration; returns (next u, flux integral F).
+class _SweepKernel:
+    """What every sweep of one lambda* search reuses: the source rule (weight
+    r^(n-1)) and the unweighted outer rule, each with its ``_CellSums`` over
+    a work array, r^(1-n), q = 1/(p-1), and the work arrays themselves.
+
+    A sweep allocates only the correlation inside each cumulative sum.  The
+    next iterate alternates between the two ``u`` arrays, so a sweep never
+    writes into the iterate it reads; ``diff`` holds the loop's u_next - u."""
+
+    def __init__(self, grid: RadialGrid, n: float, p: float):
+        m = grid.size
+        self.rule_src = make_rule(grid, n)
+        self.rpow = grid.r ** (1.0 - n)
+        self.q = 1.0 / (p - 1.0)
+        self.h, self.F, self.slope, self.diff = (np.empty(m) for _ in range(4))
+        self.source = _CellSums(self.rule_src, self.h)
+        self.outer = _CellSums(make_rule(grid, 1.0), self.slope)
+        self.u = (np.empty(m), np.empty(m))
+
+
+def _iteration_step(u, lam, f, kernel: _SweepKernel):
+    """One sweep of the monotone iteration; returns (next u, flux integral F),
+    both in ``kernel``'s arrays, which the next sweep overwrites.
 
     The source integral carries the r^(n-1) weight; the outer integral
-    int_r^1 v(s) ds is unweighted (rule built with n = 1).  Overflow is
+    int_r^1 v(s) ds is unweighted (rule built with n = 1).  The operations
+    and their order are those of ``(cumulative_to_one((F * r^(1-n)) ** q),
+    F)`` with ``F = cumulative_from_zero(lam * f(u))``; only where the
+    results go differs, so every sweep gives the same bits.  ``**=`` keeps
+    numpy's scalar-power fast paths (``sqrt`` for q = 1/2, ``square`` for
+    q = 2), and q = 1 skips the power, since x ** 1.0 is x.  Overflow is
     expected here; the caller silences its floating-point warnings.  Nothing
     is tested for finiteness: a non-finite f(u), F or slope integrand makes
     the next u[0] non-finite, which the caller sees.
     """
-    F = rule_src._from_zero(lam * np.asarray(f.value(u), dtype=float))
-    return rule_out._to_one((F * rpow) ** q), F
+    np.multiply(f.value(u), lam, out=kernel.h)
+    F = kernel.source.from_zero(kernel.F)
+    s = np.multiply(F, kernel.rpow, out=kernel.slope)
+    if kernel.q != 1.0:
+        s **= kernel.q
+    u_next = kernel.u[1] if u is kernel.u[0] else kernel.u[0]
+    return kernel.outer.to_one(u_next), F
 
 
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration from u = 0 as a function of lambda, returning
-    (outcome, LambdaRecord); its quadrature rules and r^(1-n) are built once
-    here and shared by every lambda it is called with."""
+    (outcome, LambdaRecord); one ``_SweepKernel`` serves every lambda it is
+    called with.  A returned profile owns its arrays."""
     n, p = spec.n, spec.p
     f = spec.nonlinearity
-    q = 1.0 / (p - 1.0)
-    rule_src = make_rule(grid, n)
-    rule_out = make_rule(grid, 1.0)
-    rpow = grid.r ** (1.0 - n)
+    kernel = _SweepKernel(grid, n, p)
+    sup_of, min_of = np.maximum.reduce, np.minimum.reduce
 
     def diverged(lam: float, k: int, sup: float, reason: str):
         record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason)
@@ -270,10 +301,10 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
         u = np.zeros(grid.size)
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, controls.k_max + 1):
-                u_next, F = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-                sup = float(u_next.max())
-                step = u_next - u
-                drop = float(step.min())
+                u_next, F = _iteration_step(u, lam, f, kernel)
+                sup = float(sup_of(u_next))
+                step = np.subtract(u_next, u, out=kernel.diff)
+                drop = float(min_of(step))
                 if not (math.isfinite(sup) and math.isfinite(drop)):
                     return diverged(lam, k, math.inf, "overflow")
                 if drop < -1e-12 * (1.0 + sup):
@@ -282,13 +313,13 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                     )
                 if sup > controls.u_max:
                     return diverged(lam, k, sup, "exceeded u_max")
-                delta = max(float(step.max()), -drop)
+                delta = max(float(sup_of(step)), -drop)
                 u = u_next
                 if delta < controls.tol_abs + controls.tol_rel * sup:
                     # one more sweep makes (u, w) an exactly consistent pair
-                    u_final, F_final = _iteration_step(u, lam, f, rule_src, rule_out, rpow, q)
-                    profile = RadialProfile(grid=grid, n=n, p=p, u=u_final, w=-F_final)
-                    w1p, f_l1 = _profile_norms(profile, f, rule_src)
+                    u_final, F_final = _iteration_step(u, lam, f, kernel)
+                    profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
+                    w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
                     return profile, LambdaRecord(
                         lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged"
                     )
