@@ -137,42 +137,6 @@ def _outside_table(knots) -> EvaluationError:
     )
 
 
-def _hermite_eval(t, knots, values, slopes, want_derivative=False):
-    t = np.asarray(t, dtype=float)
-    if t.size and (t.min() < knots[0] - 1e-12 or t.max() > knots[-1] + 1e-12):
-        raise _outside_table(knots)
-    # the cell index clipped to [0, len(knots) - 2]: interior knots at or below t
-    idx = np.searchsorted(knots[1:-1], t, side="right")
-    nxt = idx + 1
-    t0 = knots[idx]
-    h = knots[nxt] - t0
-    s = (t - t0) / h
-    y0, y1 = values[idx], values[nxt]
-    d0, d1 = slopes[idx], slopes[nxt]
-    if want_derivative:
-        dh00 = 6 * s * s - 6 * s
-        dh10 = 3 * s * s - 4 * s + 1
-        dh01 = -dh00
-        dh11 = 3 * s * s - 2 * s
-        return (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
-    return _hermite_basis(s, h, y0, y1, d0, d1)
-
-
-def _hermite_basis(s, h, y0, y1, d0, d1):
-    """The cubic Hermite interpolant at offset s in [0, 1] of a cell of width
-    h; the same operations on numpy arrays and on Python floats.
-
-    Products, not ``**``: numpy's array power and libm's pow round s**3
-    differently, so only products give both paths the same bits."""
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h01 * y1 + h * (h10 * d0 + h11 * d1)
-
-
 @dataclass(frozen=True)
 class Tabulated:
     """g given at nodes (t, g(t), g'(t)); cubic Hermite interpolation between
@@ -180,7 +144,10 @@ class Tabulated:
 
     For monotone data the supplied slopes are limited into the
     Fritsch-Carlson region, so the interpolant preserves monotonicity (the
-    minimal-solution iteration depends on it)."""
+    minimal-solution iteration depends on it).  Each cell's cubic is stored
+    once, as a row (t_i, c0, c1, c2, c3) with
+    g ~ ((c3 x + c2) x + c1) x + c0 at x = u - t_i; every evaluation path
+    runs that Horner form."""
 
     t: tuple
     g: tuple
@@ -200,21 +167,44 @@ class Tabulated:
         object.__setattr__(self, "g", tuple(float(x) for x in self.g))
         object.__setattr__(self, "gp", tuple(float(x) for x in self.gp))
         g = np.asarray(self.g)
-        gp = np.asarray(self.gp)
-        secants = np.diff(g) / np.diff(t)
-        if np.all(secants >= 0) and np.all(gp >= 0):
+        d = np.asarray(self.gp)
+        h = np.diff(t)
+        secants = np.diff(g) / h
+        if np.all(secants >= 0) and np.all(d >= 0):
             cap = 3.0 * np.minimum(
                 np.concatenate([secants[:1], secants]),
                 np.concatenate([secants, secants[-1:]]),
             )
-            gp = np.minimum(gp, cap)
-        object.__setattr__(self, "_table", (t, g, gp))
+            d = np.minimum(d, cap)
+        d0, d1 = d[:-1], d[1:]
+        with np.errstate(all="ignore"):  # non-finite coefficients are rejected below
+            hh = h * h
+            c2 = (3.0 * secants - 2.0 * d0 - d1) / h
+            c3 = (d0 + d1 - 2.0 * secants) / hh
+        cells = np.column_stack([t[:-1], g[:-1], d0, c2, c3])
+        if not (np.isfinite(cells).all() and np.isfinite(hh).all()):
+            raise ParameterError("tabulated data and their cubic coefficients must be finite")
+        object.__setattr__(self, "_table", (t[1:-1], cells))
+
+    def _locate(self, u):
+        """x = u - t_i and the coefficients c0..c3 of each point's cell."""
+        u = np.asarray(u, dtype=float)
+        if u.size and (u.min() < self.t[0] - 1e-12 or u.max() > self.t[-1] + 1e-12):
+            raise _outside_table(self.t)
+        inner, cells = self._table
+        # searchsorted over the interior knots is the cell index clipped to
+        # [0, len(cells) - 1], so take's "clip" never clips
+        i = np.searchsorted(inner, u, side="right")
+        knot, c0, c1, c2, c3 = np.take(cells, i, axis=0, mode="clip").T
+        return u - knot, c0, c1, c2, c3
 
     def value(self, u):
-        return self.scale * _hermite_eval(u, *self._table)
+        x, c0, c1, c2, c3 = self._locate(u)
+        return self.scale * (((c3 * x + c2) * x + c1) * x + c0)
 
     def derivative(self, u):
-        return self.scale * _hermite_eval(u, *self._table, want_derivative=True)
+        x, _, c1, c2, c3 = self._locate(u)
+        return self.scale * ((3.0 * c3 * x + 2.0 * c2) * x + c1)
 
     def antiderivative(self, u):
         raise EvaluationError(
@@ -227,18 +217,18 @@ class Tabulated:
 
     def scalar_value(self) -> Callable[[float], float]:
         """``value`` on one Python float: the cell by bisection on the knots,
-        then ``_hermite_basis`` in float arithmetic."""
-        knots, g, d = self.t, self.g, tuple(self._table[2].tolist())
+        then the same Horner operations in float arithmetic, so the two
+        paths agree bit for bit."""
+        knots, rows = self.t, self._table[1].tolist()
         lo, hi = knots[0] - 1e-12, knots[-1] + 1e-12
         last, scale = len(knots) - 1, self.scale
 
         def value(u: float) -> float:
             if u < lo or u > hi:
                 raise _outside_table(knots)
-            i = bisect_right(knots, u, 1, last) - 1
-            h = knots[i + 1] - knots[i]
-            s = (u - knots[i]) / h
-            return scale * _hermite_basis(s, h, g[i], g[i + 1], d[i], d[i + 1])
+            knot, c0, c1, c2, c3 = rows[bisect_right(knots, u, 1, last) - 1]
+            x = u - knot
+            return scale * (((c3 * x + c2) * x + c1) * x + c0)
 
         return value
 
@@ -390,42 +380,41 @@ class _CellSums:
     def __init__(self, rule: QuadratureRule, h: np.ndarray):
         self.head, self.h = rule.head, h
         self.cells = np.empty(len(h) - 1)
-        self._rev = np.empty(len(h) - 1)
         self._cells_rev = self.cells[::-1]
         self._cw = rule._cw_interior
         rn = rule._rn_cells
-        if rule._stencil == 2:
-            self._rn, self._mid, self._ends = rn, self.cells, ()
-        else:
+        # the 4-point stencil's two end cells have their own weights
+        self._ends = rule._stencil == 4
+        if self._ends:
             self._rn, self._mid = rn[1:-1], self.cells[1:-1]
-            self._ends = (
-                (0, h[:4], rule._cw_first, rn[0]),
-                (-1, h[-4:], rule._cw_last, rn[-1]),
-            )
+            self._first, self._cw_first, self._rn_first = h[:4], rule._cw_first, rn[0]
+            self._last, self._cw_last, self._rn_last = h[-4:], rule._cw_last, rn[-1]
+        else:
+            self._rn, self._mid = rn, self.cells
 
     def fill_cells(self) -> np.ndarray:
         """The cell integrals of h, into ``cells``: each interior cell is the
         stencil weights correlated with its window of h."""
+        cells = self.cells
         np.multiply(np.correlate(self.h, self._cw, "valid"), self._rn, out=self._mid)
-        for j, window, cw, rn in self._ends:
-            self.cells[j] = window.dot(cw) * rn
-        return self.cells
+        if self._ends:
+            cells[0] = self._first.dot(self._cw_first) * self._rn_first
+            cells[-1] = self._last.dot(self._cw_last) * self._rn_last
+        return cells
 
     def from_zero(self, out: np.ndarray) -> np.ndarray:
         """``cumulative_from_zero`` of h, into out."""
-        out[0] = self.head * self.h[0]
+        out[0] = head = self.head * self.h[0]
         tail = out[1:]
         np.add.accumulate(self.fill_cells(), out=tail)
-        tail += out[0]
+        tail += head
         return out
 
     def to_one(self, out: np.ndarray) -> np.ndarray:
         """``cumulative_to_one`` of h, into out: the cells summed from the
-        last one down, as sequential adds into a contiguous array, then
-        copied reversed into out[:-1]."""
+        last one down, as sequential adds straight into out[-2::-1]."""
         self.fill_cells()
-        np.add.accumulate(self._cells_rev, out=self._rev)
-        out[-2::-1] = self._rev
+        np.add.accumulate(self._cells_rev, out=out[-2::-1])
         out[-1] = 0.0
         return out
 

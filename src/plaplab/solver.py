@@ -280,50 +280,60 @@ def _iteration_step(u, lam, f, kernel: _SweepKernel):
     s = np.multiply(F, kernel.rpow, out=kernel.slope)
     if kernel.q != 1.0:
         s **= kernel.q
-    u_next = kernel.u[1] if u is kernel.u[0] else kernel.u[0]
-    return kernel.outer.to_one(u_next), F
+    u0, u1 = kernel.u
+    return kernel.outer.to_one(u1 if u is u0 else u0), F
 
 
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration from u = 0 as a function of lambda, returning
     (outcome, LambdaRecord); one ``_SweepKernel`` serves every lambda it is
-    called with.  A returned profile owns its arrays."""
-    n, p = spec.n, spec.p
-    f = spec.nonlinearity
+    called with.  A returned profile owns its arrays; a converged u that
+    rises in r means the grid is too coarse for order preservation."""
+    n, p, f = spec.n, spec.p, spec.nonlinearity
     kernel = _SweepKernel(grid, n, p)
-    sup_of, min_of = np.maximum.reduce, np.minimum.reduce
+    sup_of, min_of, subtract = np.maximum.reduce, np.minimum.reduce, np.subtract
+    isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
+    tol_abs, tol_rel = controls.tol_abs, controls.tol_rel
 
     def diverged(lam: float, k: int, sup: float, reason: str):
         record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason)
         return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
 
+    def converged(lam: float, k: int, u_final, F_final):
+        try:
+            profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
+        except ParameterError as exc:
+            raise ParameterError(
+                f"converged iterate at lambda = {lam!r} rejected ({exc}): the quadrature "
+                f"lost order preservation on this {grid.size}-node grid; refine the grid"
+            ) from exc
+        w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
+        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged")
+        return profile, record
+
     def iterate(lam: float):
+        step_of, diff = _iteration_step, kernel.diff
         u = np.zeros(grid.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, controls.k_max + 1):
-                u_next, F = _iteration_step(u, lam, f, kernel)
+            for k in range(1, k_max + 1):
+                u_next, F = step_of(u, lam, f, kernel)
                 sup = float(sup_of(u_next))
-                step = np.subtract(u_next, u, out=kernel.diff)
+                step = subtract(u_next, u, out=diff)
                 drop = float(min_of(step))
-                if not (math.isfinite(sup) and math.isfinite(drop)):
+                if not (isfinite(sup) and isfinite(drop)):
                     return diverged(lam, k, math.inf, "overflow")
                 if drop < -1e-12 * (1.0 + sup):
                     raise ConsistencyError(
                         "monotone iteration decreased somewhere; quadrature bug"
                     )
-                if sup > controls.u_max:
+                if sup > u_max:
                     return diverged(lam, k, sup, "exceeded u_max")
                 delta = max(float(sup_of(step)), -drop)
                 u = u_next
-                if delta < controls.tol_abs + controls.tol_rel * sup:
+                if delta < tol_abs + tol_rel * sup:
                     # one more sweep makes (u, w) an exactly consistent pair
-                    u_final, F_final = _iteration_step(u, lam, f, kernel)
-                    profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
-                    w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-                    return profile, LambdaRecord(
-                        lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged"
-                    )
-        return diverged(lam, controls.k_max, float(np.max(u)), "iteration cap")
+                    return converged(lam, k, *step_of(u, lam, f, kernel))
+        return diverged(lam, k_max, float(np.max(u)), "iteration cap")
 
     return iterate
 

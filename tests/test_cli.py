@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plaplab import cli
@@ -188,6 +189,36 @@ def test_bifurcate_tabulated_table_from_zero(tmp_path, capsys):
         assert abs(tab["lambda"] - pow_["lambda"]) <= 1e-12 * pow_["lambda"]
 
 
+def test_lambda_star_tabulated_cubic_matches_power(tmp_path, capsys):
+    # a (1+u)^3 table with exact slopes is (1+u)^3 to a few ulps, so every
+    # probe of the lambda* search ends as with Power(3), and so does the bracket
+    us = [0.0] + [float(u) for u in np.geomspace(1e-3, 2e6, 40)]
+    table = tmp_path / "cubic.csv"
+    rows = ["u,g,gp"] + [f"{u!r},{(1.0 + u) ** 3!r},{3.0 * (1.0 + u) ** 2!r}" for u in us]
+    table.write_text("\n".join(rows) + "\n")
+    reports = {}
+    for kind, extra in (("tabulated", f"tabulated_file = {table}\n"), ("power", "m = 3\n")):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text(f"[problem]\nnonlinearity = {kind}\n{extra}[grid]\nnodes = 300\nr_min = 1e-6\n")
+        out_dir = tmp_path / kind
+        run_cli(capsys, "--config", str(cfg), "--out", str(out_dir), "lambda-star", "--n", "3", "--p", "2")
+        reports[kind] = json.loads((out_dir / "report.json").read_text())
+    tab, pow_ = reports["tabulated"], reports["power"]
+    assert tab["outcome"] == pow_["outcome"] == "bracketed"
+    assert (tab["lambda_lo"], tab["lambda_hi"]) == (pow_["lambda_lo"], pow_["lambda_hi"])
+    assert [(r["lambda"], r["reason"]) for r in tab["records"]] == [
+        (r["lambda"], r["reason"]) for r in pow_["records"]
+    ]
+
+
+def test_lambda_star_coarse_grid_order_loss_exit2(tmp_path, capsys):
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[grid]\nnodes = 16\nr_min = 1e-2\n")
+    out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "lambda-star", "--n", "1", "--p", "1.109375", expect=2)
+    assert "16-node grid; refine the grid" in out.err
+
+
 def test_stability_command_exact(tmp_path, capsys):
     out = run_cli(
         capsys,
@@ -277,8 +308,6 @@ def test_verify_scenario_unknown(capsys):
 
 def test_lambda_star_tabulated_sublinear_exit3(tmp_path, capsys):
     # a reaction that flattens out never diverges: structured outcome, exit 3
-    import numpy as np
-
     ts = np.linspace(0.0, 2e4, 400)
     vals = 1.0 + np.tanh(ts / 10.0)
     slopes = np.where(ts < 300.0, 0.1, 0.0)

@@ -186,6 +186,15 @@ def test_tabulated_interpolation():
 def test_tabulated_rejects_bad_nodes():
     with pytest.raises(ParameterError):
         Tabulated((0.0, 0.0, 1.0), (1.0, 1.0, 2.0), (0.0, 0.0, 0.0))
+    # data or cubic coefficients that are not finite: a nan value, knots so
+    # close that c2 and c3 overflow, knots so far apart that h * h does
+    for t, g, gp in [
+        ((0.0, 1.0, 2.0), (1.0, np.nan, 2.0), (0.0, 0.0, 0.0)),
+        ((0.0, 1e-170, 2e-170), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)),
+        ((0.0, 1e160, 2e160), (1.0, 2.0, 3.0), (0.0, 0.0, 0.0)),
+    ]:
+        with pytest.raises(ParameterError, match="finite"):
+            Tabulated(t, g, gp)
 
 
 def test_power_nonlinearity_values():

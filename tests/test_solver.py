@@ -14,6 +14,7 @@ from plaplab import (
     ParameterError,
     Power,
     ProblemSpec,
+    RadialProfile,
     bifurcation_curve,
     exact_exponential,
     extremal_profile,
@@ -431,3 +432,15 @@ def test_table_clamp_changes_no_evaluation_that_succeeds(t0, m_val, scale, grid2
     raw = shoot(scaled, m_val, grid2000)
     assert np.array_equal(clamped.profile.u, raw.profile.u)
     assert np.array_equal(clamped.profile.w, raw.profile.w)
+
+
+def test_coarse_grid_order_loss_blames_the_grid():
+    """On 16 nodes the slope integrand F^(1/(p-1)) = F^9.14 is too steep near
+    r = 1 for the cubic cells: the converged u rises there.  The error names
+    that cause and the node count, not the (valid) problem."""
+    spec = ProblemSpec(1.0, 1.109375, Exponential(1.0))
+    grid = make_grid(1e-2, 16)
+    for run in (lambda: minimal_iterate(spec, 0.5, grid), lambda: lambda_star_estimate(spec, grid)):
+        with pytest.raises(ParameterError, match="order preservation on this 16-node grid; refine the grid"):
+            run()
+    assert isinstance(minimal_iterate(spec, 0.5, make_grid(1e-2, 200)), RadialProfile)
