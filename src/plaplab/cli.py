@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -46,11 +46,12 @@ from .core import (
     make_grid,
 )
 from .estimates import (
+    _default_window,
     check_regularity_bounds,
     integrability_threshold,
     singularity_exponent_fit,
 )
-from .exponents import exponent_report, m_cs, q_exponent
+from .exponents import _pointwise_exponent, exponent_report, m_cs, q_exponent
 from .oracle import exact_exponential, exact_power, ode_residual
 from .solver import (
     BifurcationPoint,
@@ -171,7 +172,7 @@ def _nonlinearity(cfg: RunConfig):
         path = cfg["problem", "tabulated_file"]
         if not path:
             raise ConfigError("tabulated nonlinearity needs tabulated_file")
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = _read_csv_table(Path(path), 3, "tabulated")
         return Tabulated(tuple(rows[:, 0]), tuple(rows[:, 1]), tuple(rows[:, 2]))
     raise ConfigError(f"unknown nonlinearity kind: {kind}")
 
@@ -282,10 +283,28 @@ def _columns(cls) -> list[str]:
     return [_key(f.name) for f in fields(cls)]
 
 
+def _read_csv_table(path: Path, columns: int, what: str) -> np.ndarray:
+    """The numeric rows of a CSV input file below its header line: exactly
+    ``columns`` columns and at least two rows, or ConfigError."""
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns on a file without rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    rows, cols = data.shape
+    if rows < 2 or cols != columns:
+        raise ConfigError(
+            f"{what} file {path} needs {columns} columns and at least two rows, "
+            f"got {cols} columns and {rows} rows"
+        )
+    return data
+
+
 def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
-    if not Path(path).exists():
-        raise ConfigError(f"profile file not found: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_csv_table(Path(path), 4, "profile")
     r = data[:, 0]
     t = np.log(r)
     dt = np.diff(t)
@@ -377,7 +396,6 @@ def cmd_bifurcate(args, cfg: RunConfig) -> int:
 def cmd_stability(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg["output", "directory"])
     n, p = cfg["problem", "n"], cfg["problem", "p"]
-    grid = _grid(cfg)
     if args.profile:
         profile = read_profile_csv(Path(args.profile), n, p)
         lam = cfg["problem", "lambda"]
@@ -388,7 +406,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
             sol = exact_exponential(n, p)
         else:
             sol = exact_power(n, p, cfg["problem", "m"])
-        profile = sol.sample(grid)
+        profile = sol.sample(_grid(cfg))
         gp = sol.g_prime()
     else:
         raise ConfigError("need --profile FILE or --exact {exponential,power}")
@@ -402,18 +420,29 @@ def cmd_stability(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _residual_check(cfg: RunConfig, sol) -> tuple:
+    """The check of a closed form's flux-form residual on a grid of at
+    least 4000 nodes."""
+    fine = make_grid(cfg["grid", "r_min"], max(4000, cfg["grid", "nodes"]))
+    resid = ode_residual(sol.sample(fine), sol.nonlinearity())
+    return "closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"
+
+
+def _bracket_check(res, exact: float, narrow: bool) -> tuple:
+    """The check that a lambda* bracket lies within 1% of its closed form
+    (and, if narrow, is at most 2% wide)."""
+    lo, hi = res.lambda_lo, res.lambda_hi
+    ok = lo <= exact * 1.01 and hi >= exact * 0.99
+    if narrow:
+        ok = ok and (hi - lo) <= 0.02 * exact
+    return f"lambda-star brackets {exact!r} within 1%", ok, f"[{lo:.6f}, {hi:.6f}]"
+
+
 def _scenario_gelfand_disk(cfg: RunConfig, checks: list) -> None:
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
-    checks.append(
-        (
-            "lambda-star brackets 2.0 within 1%",
-            res.lambda_lo <= 2.0 * 1.01 and res.lambda_hi >= 2.0 * 0.99
-            and (res.lambda_hi - res.lambda_lo) <= 0.02 * 2.0,
-            f"[{res.lambda_lo:.6f}, {res.lambda_hi:.6f}]",
-        )
-    )
+    checks.append(_bracket_check(res, 2.0, narrow=True))
     prof = minimal_iterate(spec, 1.0, grid, _controls(cfg))
     gp = Exponential(1.0).derivative
     stab = _stability(prof, gp, cfg)
@@ -434,17 +463,8 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
-    checks.append(
-        (
-            "lambda-star brackets 20.0 within 1%",
-            res.lambda_lo <= 20.0 * 1.01 and res.lambda_hi >= 20.0 * 0.99,
-            f"[{res.lambda_lo:.6f}, {res.lambda_hi:.6f}]",
-        )
-    )
-    fine = make_grid(cfg["grid", "r_min"], max(4000, cfg["grid", "nodes"]))
-    sol = exact_exponential(12.0, 2.0)
-    resid = ode_residual(sol.sample(fine), sol.nonlinearity())
-    checks.append(("closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"))
+    checks.append(_bracket_check(res, 20.0, narrow=False))
+    checks.append(_residual_check(cfg, exact_exponential(12.0, 2.0)))
     for n_test, expect in ((8.0, "unstable"), (12.0, "semi-stable")):
         s = exact_exponential(n_test, 2.0)
         rep = _stability(s.sample(grid), s.g_prime(), cfg)
@@ -454,26 +474,18 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
 
 
 def _scenario_power_critical(cfg: RunConfig, checks: list) -> None:
-    mc = m_cs(15.0, 2.0)
-    sol = exact_power(15.0, 2.0, mc)
-    fine = make_grid(cfg["grid", "r_min"], max(4000, cfg["grid", "nodes"]))
-    resid = ode_residual(sol.sample(fine), sol.nonlinearity())
-    checks.append(("closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"))
-    grid = _grid(cfg)
-    prof = sol.sample(grid)
-    slope, _ = singularity_exponent_fit(prof, (max(10 * grid.r_min, 1e-5), 0.01))
-    target = -(15.0 - 2.0 * math.sqrt(14.0) - 4.0) / 2.0
+    sol = exact_power(15.0, 2.0, m_cs(15.0, 2.0))
+    checks.append(_residual_check(cfg, sol))
+    prof = sol.sample(_grid(cfg))
+    slope, _ = singularity_exponent_fit(prof, _default_window(prof))
+    target = -_pointwise_exponent(15.0, 2.0, 0)
     checks.append(
         ("singularity slope matches within 1e-3", abs(slope - target) < 1e-3, f"{slope:.6f} vs {target:.6f}")
     )
     thr = integrability_threshold(prof, "u_r", 2.0, 12.0)
     q1 = q_exponent(15.0, 2.0, 1)
     checks.append(
-        (
-            "gradient integrability threshold within 2%",
-            abs(thr - q1) / q1 < 0.02,
-            f"{thr:.4f} vs {q1:.4f}",
-        )
+        ("gradient integrability threshold within 2%", abs(thr - q1) / q1 < 0.02, f"{thr:.4f} vs {q1:.4f}")
     )
 
 
@@ -537,6 +549,13 @@ def _sweep_point(payload):
     return status, payload
 
 
+def _point_setting(config: dict) -> dict:
+    """A report's config less [sweep] and [output], which only say which
+    points run and where: a cached point is reused only if its setting is
+    the current one."""
+    return {s: kv for s, kv in config.items() if s not in ("sweep", "output")}
+
+
 def cmd_sweep(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg["output", "directory"])
     p_values = _float_list(cfg["sweep", "p_values"])
@@ -549,11 +568,13 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         for p_val in p_values or [cfg["problem", "p"]]
     ]
     rows = {}
+    setting = _point_setting(_jsonable(cfg.as_dict()))
     for name, _n, _p in points:
         report_path = out / name / "report.json"
         if report_path.exists() and not args.force:
             cached = json.loads(report_path.read_text())
-            rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
+            if _point_setting(cached.get("config", {})) == setting:
+                rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
     todo = [(name, n_val, p_val) for name, n_val, p_val in points if name not in rows]
     jobs = [(cfg.values, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
     if args.jobs > 1 and jobs:
@@ -592,42 +613,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("exponents", help="closed-form exponents and regime")
-    s.add_argument("--n", type=float, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.set_defaults(func=cmd_exponents)
+    def command(name: str, func, help: str, n_p: bool = True, required: bool = False):
+        s = sub.add_parser(name, help=help)
+        if n_p:  # overrides of [problem] n and p
+            s.add_argument("--n", type=float, default=None, required=required)
+            s.add_argument("--p", type=float, default=None, required=required)
+        s.set_defaults(func=func)
+        return s
 
-    s = sub.add_parser("solve", help="minimal solution at fixed lambda")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    command("exponents", cmd_exponents, "closed-form exponents and regime", required=True)
+    s = command("solve", cmd_solve, "minimal solution at fixed lambda")
     s.add_argument("--lam", type=float, default=None, dest="lam")
-    s.set_defaults(func=cmd_solve)
-
-    s = sub.add_parser("lambda-star", help="bracket the extremal parameter")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
-    s.set_defaults(func=cmd_lambda_star)
-
-    s = sub.add_parser("bifurcate", help="parameter vs center-value curve")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    command("lambda-star", cmd_lambda_star, "bracket the extremal parameter")
+    s = command("bifurcate", cmd_bifurcate, "parameter vs center-value curve")
     s.add_argument("--centers", default="", metavar="M1,M2,...")
-    s.set_defaults(func=cmd_bifurcate)
-
-    s = sub.add_parser("stability", help="semi-stability report for a profile")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    s = command("stability", cmd_stability, "semi-stability report for a profile")
     s.add_argument("--profile", default=None, metavar="CSV")
     s.add_argument("--exact", default=None, choices=["exponential", "power"])
-    s.set_defaults(func=cmd_stability)
-
-    s = sub.add_parser("verify", help="consolidated scenario checks")
+    s = command("verify", cmd_verify, "consolidated scenario checks", n_p=False)
     s.add_argument("--scenario", required=True)
-    s.set_defaults(func=cmd_verify)
-
-    s = sub.add_parser("sweep", help="parameter-grid sweep with index")
-    s.set_defaults(func=cmd_sweep)
-
+    command("sweep", cmd_sweep, "parameter-grid sweep with index", n_p=False)
     return parser
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field, fields, is_dataclass
+from functools import cached_property
 
 from typing import Callable, Union
 
@@ -38,6 +39,14 @@ class EvaluationError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not a math outcome."""
+
+
+def _check_np(n: float | None, p: float) -> None:
+    """The standing precondition p > 1 and n >= 1; n = None checks p only."""
+    if not (p > 1.0):
+        raise ParameterError(f"p must exceed 1, got {p}")
+    if n is not None and not (n >= 1.0):
+        raise ParameterError(f"n must be at least 1, got {n}")
 
 
 def _key(name: str) -> str:
@@ -257,10 +266,7 @@ class ProblemSpec:
     nonlinearity: Nonlinearity
 
     def __post_init__(self):
-        if not (self.p > 1.0):
-            raise ParameterError(f"p must exceed 1, got {self.p}")
-        if not (self.n >= 1.0):
-            raise ParameterError(f"n must be at least 1, got {self.n}")
+        _check_np(self.n, self.p)
 
     @property
     def non_integer_dimension(self) -> bool:
@@ -573,7 +579,9 @@ class RadialProfile:
         u_r = -np.exp(mag)
         object.__setattr__(self, "u_r", u_r)
 
+    @cached_property
     def rule(self) -> QuadratureRule:
+        """Built on first use and kept: grid and n are frozen."""
         return make_rule(self.grid, self.n)
 
     def u_at(self, r):
@@ -594,7 +602,7 @@ def energy(profile: RadialProfile, G) -> float:
     G is the antiderivative of the reaction term, passed as a callable or as
     nodal values (tabulated reaction terms have no closed form).
     """
-    rule = profile.rule()
+    rule = profile.rule
     kinetic = rule.integrate(np.abs(profile.u_r) ** profile.p) / profile.p
     g_vals = G(profile.u) if callable(G) else np.asarray(G, dtype=float)
     return kinetic - rule.integrate(g_vals)

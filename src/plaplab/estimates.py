@@ -17,14 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Nonlinearity, ParameterError, ProblemSpec, RadialProfile, _jsonable
-from .exponents import classify_regime, critical_dimension, q_exponent
+from .exponents import _pointwise_exponent, classify_regime, q_exponent
 
 #: head-growth fraction beyond which an integral is declared divergent
 HEAD_GROWTH_LIMIT = 0.05
 
 
 def _scaled_lq_integral(profile: RadialProfile, values: np.ndarray, q: float):
-    """(norm, diverged) for the L^q norm of |values| in the radial measure.
+    """(norm, diverged) for the L^q norm of |values| in the radial measure,
+    the sup norm for q = inf.
 
     The integrand is scaled by its maximum before exponentiation so that
     singular heads cannot overflow; divergence is flagged when the head
@@ -32,7 +33,11 @@ def _scaled_lq_integral(profile: RadialProfile, values: np.ndarray, q: float):
     integral (the discrete Cauchy test: shrinking the cutoff would keep
     growing the value).
     """
-    rule = profile.rule()
+    if not q >= 1.0:
+        raise ParameterError(f"q must be at least 1, got {q}")
+    if q == math.inf:
+        return float(np.max(np.abs(values))), False
+    rule = profile.rule
     mags = np.abs(values)
     top = float(np.max(mags))
     if top == 0.0:
@@ -52,32 +57,24 @@ def _scaled_lq_integral(profile: RadialProfile, values: np.ndarray, q: float):
 def lq_norm(profile: RadialProfile, q: float) -> float:
     """L^q norm in radial units; sup norm for q = inf; math.inf when the
     integral fails the head Cauchy test."""
-    if q != math.inf and q < 1.0:
-        raise ParameterError(f"q must be at least 1, got {q}")
-    if q == math.inf:
-        return float(np.max(np.abs(profile.u)))
-    value, _ = _scaled_lq_integral(profile, profile.u, q)
-    return value
+    return _scaled_lq_integral(profile, profile.u, q)[0]
 
 
 def w1q_norm(profile: RadialProfile, q: float) -> float:
     """(|u|_q^q + |u_r|_q^q)^(1/q), with the same divergence detection on
-    the gradient term."""
-    if q != math.inf and q < 1.0:
-        raise ParameterError(f"q must be at least 1, got {q}")
-    if q == math.inf:
-        return float(max(np.max(np.abs(profile.u)), np.max(np.abs(profile.u_r))))
-    nu, du = _scaled_lq_integral(profile, profile.u, q)
-    ng, dg = _scaled_lq_integral(profile, profile.u_r, q)
+    the gradient term; max(|u|_inf, |u_r|_inf) for q = inf."""
+    (nu, du), (ng, dg) = (_scaled_lq_integral(profile, v, q) for v in (profile.u, profile.u_r))
     if du or dg:
         return math.inf
-    return (nu**q + ng**q) ** (1.0 / q)
+    return max(nu, ng) if q == math.inf else (nu**q + ng**q) ** (1.0 / q)
 
 
 def integrability_threshold(
     profile: RadialProfile, component: str, q_lo: float, q_hi: float
 ) -> float:
-    """Empirical L^q divergence threshold by bisection on the head flag."""
+    """Empirical L^q divergence threshold of u or u_r by bisection on the head flag."""
+    if component not in ("u", "u_r"):
+        raise ParameterError(f"component must be 'u' or 'u_r', got {component!r}")
     values = profile.u if component == "u" else profile.u_r
 
     def diverged(q: float) -> bool:
@@ -157,26 +154,21 @@ def singularity_exponent_fit(
     return slope, stderr
 
 
+def _window_fit(profile: RadialProfile, window, y, x=None, r_max=math.inf) -> tuple[float, float]:
+    """(slope, stderr) of y(mask) against x (default log r) over the grid
+    nodes in the window below r_max; y maps the node mask to the values
+    fitted, so it transforms only those nodes."""
+    mask = _window_mask(profile, *window) & (profile.grid.r < r_max)
+    return _lstsq_slope((profile.grid.t if x is None else x)[mask], y(mask))
+
+
 def log_singularity_fit(
     profile: RadialProfile, window: tuple[float, float]
 ) -> tuple[float, float]:
     """Slope of (u - u(1)) against |log r|: the companion fit for
     logarithmic heads."""
-    r_a, r_b = window
-    mask = _window_mask(profile, r_a, r_b)
-    x = -profile.grid.t[mask]
-    y = _shifted(profile)[mask]
-    return _lstsq_slope(x, y)
-
-
-def _raw_power_slope(profile: RadialProfile, window: tuple[float, float]) -> float:
-    """Lenient power-law slope (no drift rejection): upper bounds apply to
-    any head, logarithmic ones simply land far inside the bound."""
-    r_a, r_b = window
-    mask = _window_mask(profile, r_a, r_b)
-    x = profile.grid.t[mask]
-    y = np.log1p(np.maximum(_shifted(profile)[mask], 0.0))
-    return _lstsq_slope(x, y)[0]
+    us = _shifted(profile)
+    return _window_fit(profile, window, lambda m: us[m], x=-profile.grid.t)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +202,7 @@ def flux_monotonicity_check(profile: RadialProfile, slack: float = 1e-10) -> Flu
 def gradient_L1_bound(profile: RadialProfile, g: Nonlinearity):
     """Gradient energy against the two L^1 quantities that bound it:
     returns (|grad u|_p, (term_u, term_g), implied constant)."""
-    rule = profile.rule()
+    rule = profile.rule
     gu = np.asarray(g.value(profile.u), dtype=float)
     if np.min(gu) < 0:
         raise ParameterError("reaction term must be nonnegative on the range of u")
@@ -273,7 +265,7 @@ def check_regularity_bounds(
     if (abs(n - spec.n) > 1e-12) or (abs(p - spec.p) > 1e-12):
         raise ParameterError("profile and problem disagree on (n, p)")
     regime, _summary = classify_regime(n, p)
-    rule = profile.rule()
+    rule = profile.rule
     us = _shifted(profile)
     grid = profile.grid
 
@@ -297,18 +289,21 @@ def check_regularity_bounds(
     singular = head_rise > 0.05 * max(linf, 1e-30)
 
     if regime == "A":
-        checks["bounded"] = head_rise <= 0.05 * max(linf, 1e-30)
+        checks["bounded"] = not singular
         implied["linf_over_w1p"] = linf / w1p if w1p > 0 else 0.0
     elif regime == "B":
-        ratio_all = float(np.max(us / (np.abs(grid.t) + 1.0)))
-        away = grid.r >= 100.0 * grid.r_min
-        ratio_away = float(np.max(us[away] / (np.abs(grid.t[away]) + 1.0)))
+        ratios = us / (np.abs(grid.t) + 1.0)
+        ratio_all = float(np.max(ratios))
+        ratio_away = float(np.max(ratios[grid.r >= 100.0 * grid.r_min]))
         checks["log_bound"] = ratio_all <= 1.1 * ratio_away
         implied["log_bound_ratio"] = ratio_all
     else:
-        target = (n - 2.0 * math.sqrt((n - 1.0) / (p - 1.0)) - p - 2.0) / p
+        target = _pointwise_exponent(n, p, 0)
         if singular:
-            fitted = _raw_power_slope(profile, _default_window(profile))
+            # lenient (no drift rejection): upper bounds apply to any head,
+            # logarithmic ones simply land far inside the bound
+            head = lambda m: np.log1p(np.maximum(us[m], 0.0))
+            fitted = _window_fit(profile, _default_window(profile), head)[0]
             checks["pointwise_slope"] = fitted >= -(target + SLOPE_SLACK)
         else:
             # bounded heads sit strictly inside any power bound
@@ -323,20 +318,14 @@ def check_regularity_bounds(
 
     gu = np.asarray(spec.nonlinearity.value(profile.u), dtype=float)
     if np.min(gu) >= 0.0:
-        lhs, (term_u, term_g), const = gradient_L1_bound(profile, spec.nonlinearity)
+        const = gradient_L1_bound(profile, spec.nonlinearity)[2]
         implied["gradient_bound"] = const
         checks["gradient_bound_finite"] = math.isfinite(const)
-        flux = flux_monotonicity_check(profile)
-        checks["flux_monotone"] = flux.monotone
-        if n >= critical_dimension(p) * (1.0 - 1e-12):
-            window = _default_window(profile)
-            mask = _window_mask(profile, *window)
-            mask &= grid.r < 0.25
-            x = grid.t[mask]
-            y = np.log(np.maximum(np.abs(profile.u_r[mask]), 1e-300))
-            slope_ur, _ = _lstsq_slope(x, y)
-            target_d3 = (n - 2.0 * math.sqrt((n - 1.0) / (p - 1.0)) - 2.0) / p
-            checks["gradient_slope"] = slope_ur >= -(target_d3 + SLOPE_SLACK)
+        checks["flux_monotone"] = flux_monotonicity_check(profile).monotone
+        if regime != "A":
+            grad = lambda m: np.log(np.maximum(np.abs(profile.u_r[m]), 1e-300))
+            slope_ur, _ = _window_fit(profile, _default_window(profile), grad, r_max=0.25)
+            checks["gradient_slope"] = slope_ur >= -(_pointwise_exponent(n, p, 1) + SLOPE_SLACK)
             implied["gradient_slope"] = slope_ur
     else:
         notes.append("reaction changes sign; gradient bounds skipped")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, _jsonable
+from .core import ParameterError, _check_np, _jsonable
 
 #: relative tolerance for deciding n == p + 4p/(p-1); the boundary is a
 #: genuine parameter set (any p), so exact-float comparison is not usable
@@ -28,18 +28,10 @@ REGIME_LOG = "B"
 REGIME_SINGULAR = "C"
 
 
-def _validate(n: float, p: float) -> None:
-    if not (p > 1.0):
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if not (n >= 1.0):
-        raise ParameterError(f"n must be at least 1, got {n}")
-
-
 def critical_dimension(p: float) -> float:
     """Dimension threshold p + 4p/(p-1) for boundedness of semi-stable
     radial solutions."""
-    if not (p > 1.0):
-        raise ParameterError(f"p must exceed 1, got {p}")
+    _check_np(None, p)
     return p + 4.0 * p / (p - 1.0)
 
 
@@ -54,7 +46,7 @@ def _side_of_critical(n: float, p: float) -> int:
 def q_exponent(n: float, p: float, k: int) -> float:
     """Sharp integrability exponent q_k; +inf below (and at) the critical
     dimension.  Returns math.inf, never a large-float sentinel."""
-    _validate(n, p)
+    _check_np(n, p)
     if k not in (0, 1):
         raise ParameterError(f"k must be 0 or 1, got {k}")
     if _side_of_critical(n, p) <= 0:
@@ -73,11 +65,18 @@ def q_exponent(n: float, p: float, k: int) -> float:
     return 1.0 / recip
 
 
+def _pointwise_exponent(n: float, p: float, k: int) -> float:
+    """e in the sharp pointwise bound r^(-e) (|log r|^(1/p) + 1) above the
+    critical dimension: of u for k = 0, of u_r for k = 1 (one more power)."""
+    shift = p if k == 0 else 0.0
+    return (n - 2.0 * math.sqrt((n - 1.0) / (p - 1.0)) - shift - 2.0) / p
+
+
 def m_cs(n: float, p: float) -> float:
     """Critical power exponent separating bounded from singular limiting
     solutions of the (1+u)^m family; +inf at or below the critical
     dimension."""
-    _validate(n, p)
+    _check_np(n, p)
     if _side_of_critical(n, p) <= 0:
         return math.inf
     num = (p - 1.0) * n - 2.0 * math.sqrt((p - 1.0) * (n - 1.0)) + 2.0 - p
@@ -88,7 +87,7 @@ def m_cs(n: float, p: float) -> float:
 def consistency_q0_mcs(n: float, p: float) -> float:
     """Relative defect of the identity n (m_cs - (p-1)) / p = q_0; requires
     n strictly above the critical dimension."""
-    _validate(n, p)
+    _check_np(n, p)
     if _side_of_critical(n, p) <= 0:
         raise ParameterError(
             f"identity requires n above the critical dimension "
@@ -101,7 +100,7 @@ def consistency_q0_mcs(n: float, p: float) -> float:
 
 def classify_regime(n: float, p: float) -> tuple[str, str]:
     """Regime letter plus a one-line summary of the applicable bound."""
-    _validate(n, p)
+    _check_np(n, p)
     side = _side_of_critical(n, p)
     crit = critical_dimension(p)
     if side < 0:
@@ -118,7 +117,7 @@ def classify_regime(n: float, p: float) -> tuple[str, str]:
         )
     q0 = q_exponent(n, p, 0)
     q1 = q_exponent(n, p, 1)
-    expo = (n - 2.0 * math.sqrt((n - 1.0) / (p - 1.0)) - p - 2.0) / p
+    expo = _pointwise_exponent(n, p, 0)
     return (
         REGIME_SINGULAR,
         f"n={n:g} > {crit:.6g}: u in L^q for q < q0={q0:.6g}, "
@@ -144,7 +143,6 @@ class ExponentReport:
 
 
 def exponent_report(n: float, p: float) -> ExponentReport:
-    _validate(n, p)
     regime, summary = classify_regime(n, p)
     return ExponentReport(
         n=n,

@@ -27,6 +27,7 @@ from .core import (
     Power,
     RadialGrid,
     RadialProfile,
+    _check_np,
     derivative_log_uniform,
 )
 
@@ -88,8 +89,7 @@ class ExactSolution:
 
 
 def exact_exponential(n: float, p: float) -> ExactSolution:
-    if not (p > 1.0):
-        raise ParameterError(f"p must exceed 1, got {p}")
+    _check_np(None, p)
     if not (n > p):
         raise ParameterError(
             f"the exponential-reaction singular solution needs n > p, got n={n}, p={p}"
@@ -99,8 +99,7 @@ def exact_exponential(n: float, p: float) -> ExactSolution:
 
 
 def exact_power(n: float, p: float, m: float) -> ExactSolution:
-    if not (p > 1.0):
-        raise ParameterError(f"p must exceed 1, got {p}")
+    _check_np(None, p)
     if not (m > p - 1.0):
         raise ParameterError(f"power reaction needs m > p-1, got m={m}, p={p}")
     gamma = p / (m - (p - 1.0))

@@ -595,7 +595,7 @@ def weighted_gradient_integral(profile: RadialProfile, alpha: float) -> tuple[fl
         raise ParameterError(
             f"alpha must lie in [1, {alpha_max:.6g}), got {alpha}"
         )
-    rule = profile.rule()
+    rule = profile.rule
     urp = np.abs(profile.u_r) ** p
     value = rule.integrate(urp * profile.grid.r ** (-2.0 * alpha))
     grad = rule.integrate(urp)

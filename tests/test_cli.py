@@ -267,6 +267,31 @@ def test_stability_command_missing_profile(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("stability", "r,u,u_r,w\n1e-8,2,-1,-1e-8\n", "at least two rows"),
+        ("lambda-star", None, "tabulated file not found"),
+        ("lambda-star", "t,g\n0,1\n1,2\n", "needs 3 columns"),
+        ("lambda-star", "t,g,gp\n0,1,1\n1,x,1\n", "cannot read tabulated file"),
+        ("stability", "r,u,u_r,w\n1e-8,2,-1,-1e-8\n1,0,-1,abc\n", "cannot read profile file"),
+    ],
+    ids=["profile-one-row", "table-missing", "table-two-columns", "table-non-numeric", "profile-non-numeric"],
+)
+def test_bad_input_file_exit2(tmp_path, capsys, command, text, message):
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text)
+    if command == "stability":
+        argv = ["stability", "--profile", str(data)]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[problem]\nnonlinearity = tabulated\ntabulated_file = {data}\n")
+        argv = ["--config", str(cfg), "lambda-star"]
+    out = run_cli(capsys, "--out", str(tmp_path / "out"), *argv, expect=2)
+    assert message in out.err
+
+
 def test_stability_command_needs_source(capsys):
     run_cli(capsys, "stability", "--n", "2", "--p", "2", expect=2)
 
@@ -294,6 +319,40 @@ def test_sweep_determinism_and_resume(tmp_path, capsys):
     out3 = tmp_path / "s3"
     run_cli(capsys, "--jobs", "2", "--config", str(cfg), "--out", str(out3), "sweep")
     assert (out3 / "index.csv").read_text() == index1
+
+
+def test_sweep_reruns_points_whose_config_changed(tmp_path, capsys, monkeypatch):
+    ran = []
+    real = cli._sweep_point
+
+    def recorded(job):
+        ran.append(job[1:3])
+        return real(job)
+
+    monkeypatch.setattr(cli, "_sweep_point", recorded)
+    cfg = tmp_path / "sweep.ini"
+    body = "[grid]\nr_min = 1e-6\nnodes = {nodes}\n[sweep]\nn_values = 3\n"
+    out = tmp_path / "s"
+
+    def sweep(nodes, p_values, where=out):
+        cfg.write_text(body.format(nodes=nodes) + f"p_values = {p_values}\n")
+        run_cli(capsys, "--config", str(cfg), "--out", str(where), "sweep")
+        return (where / "index.csv").read_text()
+
+    # 30 nodes move the lambda* bracket of n = 3 away from the 400-node one
+    at400 = sweep(400, "2")
+    at30 = sweep(30, "2")
+    assert ran == [(3.0, 2.0), (3.0, 2.0)]
+    assert at30 != at400
+    assert at30 == sweep(30, "2", tmp_path / "fresh")
+    report = json.loads((out / "n3_p2" / "report.json").read_text())
+    assert report["config"]["grid"]["nodes"] == 30
+
+    # a new p value leaves the cached point alone
+    ran.clear()
+    grown = sweep(30, "2, 1.5")
+    assert ran == [(3.0, 1.5)]
+    assert grown.split("\n")[1] == at30.split("\n")[1]
 
 
 def test_sweep_empty_grid(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import plaplab.core
 from plaplab import (
     Exponential,
     ParameterError,
@@ -45,6 +46,38 @@ def test_lq_norm_rejects_small_q():
     grid = make_grid(1e-6, 100)
     with pytest.raises(ParameterError):
         lq_norm(constant_profile(grid, 1.0), 0.5)
+
+
+def test_norms_reject_nan_q():
+    prof = constant_profile(make_grid(1e-6, 100), 1.0)
+    for norm in (lq_norm, w1q_norm):
+        with pytest.raises(ParameterError, match="q must be at least 1"):
+            norm(prof, math.nan)
+
+
+def test_integrability_threshold_rejects_unknown_component(grid2000):
+    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
+    for component in ("grad", "U", "ur", ""):
+        with pytest.raises(ParameterError, match="component must be 'u' or 'u_r'"):
+            integrability_threshold(prof, component, 2.0, 12.0)
+
+
+def test_integrability_threshold_builds_one_rule(grid2000, monkeypatch):
+    # the profile's rule is built on first use and kept: the 52 head tests
+    # of one bisection share it
+    built = []
+    real = plaplab.core.make_rule
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plaplab.core, "make_rule", counting)
+    prof = exact_power(15.0, 2.0, m_cs(15.0, 2.0)).sample(grid2000)
+    thr = integrability_threshold(prof, "u_r", 2.0, 12.0)
+    assert len(built) == 1
+    assert prof.rule is prof.rule
+    assert abs(thr - q_exponent(15.0, 2.0, 1)) / thr < 0.02
 
 
 def test_lq_integrability_of_power_solution(grid2000):
