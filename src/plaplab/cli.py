@@ -396,6 +396,7 @@ def cmd_bifurcate(args, cfg: RunConfig) -> int:
 def cmd_stability(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg["output", "directory"])
     n, p = cfg["problem", "n"], cfg["problem", "p"]
+    grid = _grid(cfg)
     if args.profile:
         profile = read_profile_csv(Path(args.profile), n, p)
         lam = cfg["problem", "lambda"]
@@ -406,7 +407,7 @@ def cmd_stability(args, cfg: RunConfig) -> int:
             sol = exact_exponential(n, p)
         else:
             sol = exact_power(n, p, cfg["problem", "m"])
-        profile = sol.sample(_grid(cfg))
+        profile = sol.sample(grid)
         gp = sol.g_prime()
     else:
         raise ConfigError("need --profile FILE or --exact {exponential,power}")
@@ -428,21 +429,18 @@ def _residual_check(cfg: RunConfig, sol) -> tuple:
     return "closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"
 
 
-def _bracket_check(res, exact: float, narrow: bool) -> tuple:
-    """The check that a lambda* bracket lies within 1% of its closed form
-    (and, if narrow, is at most 2% wide)."""
-    lo, hi = res.lambda_lo, res.lambda_hi
-    ok = lo <= exact * 1.01 and hi >= exact * 0.99
-    if narrow:
-        ok = ok and (hi - lo) <= 0.02 * exact
-    return f"lambda-star brackets {exact!r} within 1%", ok, f"[{lo:.6f}, {hi:.6f}]"
-
-
 def _scenario_gelfand_disk(cfg: RunConfig, checks: list) -> None:
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
-    checks.append(_bracket_check(res, 2.0, narrow=True))
+    checks.append(
+        (
+            "lambda-star brackets 2.0 within 1%",
+            res.lambda_lo <= 2.0 * 1.01 and res.lambda_hi >= 2.0 * 0.99
+            and (res.lambda_hi - res.lambda_lo) <= 0.02 * 2.0,
+            f"[{res.lambda_lo:.6f}, {res.lambda_hi:.6f}]",
+        )
+    )
     prof = minimal_iterate(spec, 1.0, grid, _controls(cfg))
     gp = Exponential(1.0).derivative
     stab = _stability(prof, gp, cfg)
@@ -463,7 +461,13 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
-    checks.append(_bracket_check(res, 20.0, narrow=False))
+    checks.append(
+        (
+            "lambda-star brackets 20.0 within 1%",
+            res.lambda_lo <= 20.0 * 1.01 and res.lambda_hi >= 20.0 * 0.99,
+            f"[{res.lambda_lo:.6f}, {res.lambda_hi:.6f}]",
+        )
+    )
     checks.append(_residual_check(cfg, exact_exponential(12.0, 2.0)))
     for n_test, expect in ((8.0, "unstable"), (12.0, "semi-stable")):
         s = exact_exponential(n_test, 2.0)
@@ -474,9 +478,11 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
 
 
 def _scenario_power_critical(cfg: RunConfig, checks: list) -> None:
-    sol = exact_power(15.0, 2.0, m_cs(15.0, 2.0))
+    mc = m_cs(15.0, 2.0)
+    sol = exact_power(15.0, 2.0, mc)
     checks.append(_residual_check(cfg, sol))
-    prof = sol.sample(_grid(cfg))
+    grid = _grid(cfg)
+    prof = sol.sample(grid)
     slope, _ = singularity_exponent_fit(prof, _default_window(prof))
     target = -_pointwise_exponent(15.0, 2.0, 0)
     checks.append(
@@ -485,7 +491,11 @@ def _scenario_power_critical(cfg: RunConfig, checks: list) -> None:
     thr = integrability_threshold(prof, "u_r", 2.0, 12.0)
     q1 = q_exponent(15.0, 2.0, 1)
     checks.append(
-        ("gradient integrability threshold within 2%", abs(thr - q1) / q1 < 0.02, f"{thr:.4f} vs {q1:.4f}")
+        (
+            "gradient integrability threshold within 2%",
+            abs(thr - q1) / q1 < 0.02,
+            f"{thr:.4f} vs {q1:.4f}",
+        )
     )
 
 
@@ -613,26 +623,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, help: str, n_p: bool = True, required: bool = False):
-        s = sub.add_parser(name, help=help)
-        if n_p:  # overrides of [problem] n and p
-            s.add_argument("--n", type=float, default=None, required=required)
-            s.add_argument("--p", type=float, default=None, required=required)
-        s.set_defaults(func=func)
-        return s
+    s = sub.add_parser("exponents", help="closed-form exponents and regime")
+    s.add_argument("--n", type=float, required=True)
+    s.add_argument("--p", type=float, required=True)
+    s.set_defaults(func=cmd_exponents)
 
-    command("exponents", cmd_exponents, "closed-form exponents and regime", required=True)
-    s = command("solve", cmd_solve, "minimal solution at fixed lambda")
+    s = sub.add_parser("solve", help="minimal solution at fixed lambda")
+    s.add_argument("--n", type=float, default=None)
+    s.add_argument("--p", type=float, default=None)
     s.add_argument("--lam", type=float, default=None, dest="lam")
-    command("lambda-star", cmd_lambda_star, "bracket the extremal parameter")
-    s = command("bifurcate", cmd_bifurcate, "parameter vs center-value curve")
+    s.set_defaults(func=cmd_solve)
+
+    s = sub.add_parser("lambda-star", help="bracket the extremal parameter")
+    s.add_argument("--n", type=float, default=None)
+    s.add_argument("--p", type=float, default=None)
+    s.set_defaults(func=cmd_lambda_star)
+
+    s = sub.add_parser("bifurcate", help="parameter vs center-value curve")
+    s.add_argument("--n", type=float, default=None)
+    s.add_argument("--p", type=float, default=None)
     s.add_argument("--centers", default="", metavar="M1,M2,...")
-    s = command("stability", cmd_stability, "semi-stability report for a profile")
+    s.set_defaults(func=cmd_bifurcate)
+
+    s = sub.add_parser("stability", help="semi-stability report for a profile")
+    s.add_argument("--n", type=float, default=None)
+    s.add_argument("--p", type=float, default=None)
     s.add_argument("--profile", default=None, metavar="CSV")
     s.add_argument("--exact", default=None, choices=["exponential", "power"])
-    s = command("verify", cmd_verify, "consolidated scenario checks", n_p=False)
+    s.set_defaults(func=cmd_stability)
+
+    s = sub.add_parser("verify", help="consolidated scenario checks")
     s.add_argument("--scenario", required=True)
-    command("sweep", cmd_sweep, "parameter-grid sweep with index", n_p=False)
+    s.set_defaults(func=cmd_verify)
+
+    s = sub.add_parser("sweep", help="parameter-grid sweep with index")
+    s.set_defaults(func=cmd_sweep)
+
     return parser
 
 

@@ -63,10 +63,13 @@ def lq_norm(profile: RadialProfile, q: float) -> float:
 def w1q_norm(profile: RadialProfile, q: float) -> float:
     """(|u|_q^q + |u_r|_q^q)^(1/q), with the same divergence detection on
     the gradient term; max(|u|_inf, |u_r|_inf) for q = inf."""
-    (nu, du), (ng, dg) = (_scaled_lq_integral(profile, v, q) for v in (profile.u, profile.u_r))
+    nu, du = _scaled_lq_integral(profile, profile.u, q)
+    ng, dg = _scaled_lq_integral(profile, profile.u_r, q)
     if du or dg:
         return math.inf
-    return max(nu, ng) if q == math.inf else (nu**q + ng**q) ** (1.0 / q)
+    if q == math.inf:
+        return max(nu, ng)
+    return (nu**q + ng**q) ** (1.0 / q)
 
 
 def integrability_threshold(
@@ -75,6 +78,8 @@ def integrability_threshold(
     """Empirical L^q divergence threshold of u or u_r by bisection on the head flag."""
     if component not in ("u", "u_r"):
         raise ParameterError(f"component must be 'u' or 'u_r', got {component!r}")
+    if not math.isfinite(q_hi):
+        raise ParameterError(f"q_hi must be finite, got {q_hi}")
     values = profile.u if component == "u" else profile.u_r
 
     def diverged(q: float) -> bool:
@@ -154,12 +159,11 @@ def singularity_exponent_fit(
     return slope, stderr
 
 
-def _window_fit(profile: RadialProfile, window, y, x=None, r_max=math.inf) -> tuple[float, float]:
-    """(slope, stderr) of y(mask) against x (default log r) over the grid
-    nodes in the window below r_max; y maps the node mask to the values
-    fitted, so it transforms only those nodes."""
-    mask = _window_mask(profile, *window) & (profile.grid.r < r_max)
-    return _lstsq_slope((profile.grid.t if x is None else x)[mask], y(mask))
+def _window_fit(profile: RadialProfile, window, y, x=None) -> tuple[float, float]:
+    """(slope, stderr) of the nodal values y against x (default log r) over
+    the grid nodes in the window."""
+    mask = _window_mask(profile, *window)
+    return _lstsq_slope((profile.grid.t if x is None else x)[mask], y[mask])
 
 
 def log_singularity_fit(
@@ -167,8 +171,7 @@ def log_singularity_fit(
 ) -> tuple[float, float]:
     """Slope of (u - u(1)) against |log r|: the companion fit for
     logarithmic heads."""
-    us = _shifted(profile)
-    return _window_fit(profile, window, lambda m: us[m], x=-profile.grid.t)
+    return _window_fit(profile, window, _shifted(profile), x=-profile.grid.t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,7 @@ def check_regularity_bounds(
         if singular:
             # lenient (no drift rejection): upper bounds apply to any head,
             # logarithmic ones simply land far inside the bound
-            head = lambda m: np.log1p(np.maximum(us[m], 0.0))
+            head = np.log1p(np.maximum(us, 0.0))
             fitted = _window_fit(profile, _default_window(profile), head)[0]
             checks["pointwise_slope"] = fitted >= -(target + SLOPE_SLACK)
         else:
@@ -321,11 +324,13 @@ def check_regularity_bounds(
         const = gradient_L1_bound(profile, spec.nonlinearity)[2]
         implied["gradient_bound"] = const
         checks["gradient_bound_finite"] = math.isfinite(const)
-        checks["flux_monotone"] = flux_monotonicity_check(profile).monotone
+        flux = flux_monotonicity_check(profile)
+        checks["flux_monotone"] = flux.monotone
         if regime != "A":
-            grad = lambda m: np.log(np.maximum(np.abs(profile.u_r[m]), 1e-300))
-            slope_ur, _ = _window_fit(profile, _default_window(profile), grad, r_max=0.25)
-            checks["gradient_slope"] = slope_ur >= -(_pointwise_exponent(n, p, 1) + SLOPE_SLACK)
+            grad = np.log(np.maximum(np.abs(profile.u_r), 1e-300))
+            slope_ur, _ = _window_fit(profile, _default_window(profile), grad)
+            target_d3 = _pointwise_exponent(n, p, 1)
+            checks["gradient_slope"] = slope_ur >= -(target_d3 + SLOPE_SLACK)
             implied["gradient_slope"] = slope_ur
     else:
         notes.append("reaction changes sign; gradient bounds skipped")

@@ -62,6 +62,14 @@ def test_integrability_threshold_rejects_unknown_component(grid2000):
             integrability_threshold(prof, component, 2.0, 12.0)
 
 
+def test_integrability_threshold_needs_finite_q_hi(grid2000):
+    # the sup norm never fails the head test, so q_hi = inf could not bracket
+    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
+    for q_hi in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="q_hi must be finite"):
+            integrability_threshold(prof, "u", 2.0, q_hi)
+
+
 def test_integrability_threshold_builds_one_rule(grid2000, monkeypatch):
     # the profile's rule is built on first use and kept: the 52 head tests
     # of one bisection share it
