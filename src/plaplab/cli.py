@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,20 +120,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getitem__(self, pair):
-        section, key = pair
-        return self.values[section][key]
-
-    def as_dict(self) -> dict:
-        return {s: dict(kv) for s, kv in self.values.items()}
-
-
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then the config file, then command-line overrides."""
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """Defaults, then the config file, then command-line overrides, as
+    {section: {key: value}}."""
     values = {s: {k: conv(d) for k, (d, conv) in keys.items()} for s, keys in _SCHEMA.items()}
     if path:
         parser = configparser.ConfigParser()
@@ -155,21 +144,21 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         if val is None:
             continue
         values[section][key] = _SCHEMA[section][key][1](val)
-    return RunConfig(values)
+    return values
 
 
 def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _nonlinearity(cfg: RunConfig):
-    kind = cfg["problem", "nonlinearity"].lower()
+def _nonlinearity(cfg: dict):
+    kind = cfg["problem"]["nonlinearity"].lower()
     if kind == "exponential":
         return Exponential(1.0)
     if kind == "power":
-        return Power(cfg["problem", "m"], 1.0)
+        return Power(cfg["problem"]["m"], 1.0)
     if kind == "tabulated":
-        path = cfg["problem", "tabulated_file"]
+        path = cfg["problem"]["tabulated_file"]
         if not path:
             raise ConfigError("tabulated nonlinearity needs tabulated_file")
         rows = _read_csv_table(Path(path), 3, "tabulated")
@@ -177,43 +166,43 @@ def _nonlinearity(cfg: RunConfig):
     raise ConfigError(f"unknown nonlinearity kind: {kind}")
 
 
-def _problem(cfg: RunConfig) -> ProblemSpec:
-    return ProblemSpec(cfg["problem", "n"], cfg["problem", "p"], _nonlinearity(cfg))
+def _problem(cfg: dict) -> ProblemSpec:
+    return ProblemSpec(cfg["problem"]["n"], cfg["problem"]["p"], _nonlinearity(cfg))
 
 
-def _grid(cfg: RunConfig) -> RadialGrid:
-    return make_grid(cfg["grid", "r_min"], cfg["grid", "nodes"])
+def _grid(cfg: dict) -> RadialGrid:
+    return make_grid(cfg["grid"]["r_min"], cfg["grid"]["nodes"])
 
 
-def _controls(cfg: RunConfig) -> IterationControls:
+def _controls(cfg: dict) -> IterationControls:
     return IterationControls(
-        tol_abs=cfg["solver", "tol_abs"],
-        tol_rel=cfg["solver", "tol_rel"],
-        u_max=cfg["solver", "u_max"],
-        k_max=cfg["solver", "k_max"],
+        tol_abs=cfg["solver"]["tol_abs"],
+        tol_rel=cfg["solver"]["tol_rel"],
+        u_max=cfg["solver"]["u_max"],
+        k_max=cfg["solver"]["k_max"],
     )
 
 
-def _lambda_star(spec: ProblemSpec, grid: RadialGrid, cfg: RunConfig):
+def _lambda_star(spec: ProblemSpec, grid: RadialGrid, cfg: dict):
     """``lambda_star_estimate`` with the [solver] settings of cfg."""
     return lambda_star_estimate(
         spec,
         grid,
         _controls(cfg),
-        tol_lambda=cfg["solver", "tol_lambda"],
-        lam_init=cfg["solver", "lambda_init"],
-        lam_cap=cfg["solver", "lambda_cap"],
+        tol_lambda=cfg["solver"]["tol_lambda"],
+        lam_init=cfg["solver"]["lambda_init"],
+        lam_cap=cfg["solver"]["lambda_cap"],
     )
 
 
-def _stability(profile: RadialProfile, gp, cfg: RunConfig):
+def _stability(profile: RadialProfile, gp, cfg: dict):
     """``stability_report`` with the [stability] settings of cfg."""
     return stability_report(
         profile,
         gp,
-        r_trunc=cfg["stability", "r_trunc"],
-        n_eig=cfg["stability", "n_eig"],
-        tol_eig=cfg["stability", "tol_eig"],
+        r_trunc=cfg["stability"]["r_trunc"],
+        n_eig=cfg["stability"]["n_eig"],
+        tol_eig=cfg["stability"]["tol_eig"],
     )
 
 
@@ -222,11 +211,11 @@ def _stability(profile: RadialProfile, gp, cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def base_report(cfg: RunConfig, **payload) -> dict:
+def base_report(cfg: dict, **payload) -> dict:
     report = {
         "schema": 1,
         "tool": {"name": "plaplab", "version": __version__},
-        "config": cfg.as_dict(),
+        "config": cfg,
     }
     report.update(payload)
     return _jsonable(report)
@@ -327,24 +316,24 @@ def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
-def cmd_exponents(args, cfg: RunConfig) -> int:
+def cmd_exponents(args, cfg: dict) -> int:
     report = exponent_report(args.n, args.p)
     print(_dumps(base_report(cfg, exponents=report.as_dict())))
     return 0
 
 
-def cmd_solve(args, cfg: RunConfig) -> int:
-    out = Path(args.out or cfg["output", "directory"])
+def cmd_solve(args, cfg: dict) -> int:
+    out = Path(args.out or cfg["output"]["directory"])
     spec = _problem(cfg)
     grid = _grid(cfg)
-    lam = cfg["problem", "lambda"]
+    lam = cfg["problem"]["lambda"]
     result = minimal_iterate(spec, lam, grid, _controls(cfg))
     if isinstance(result, Divergence):
         _emit(out / "report.json", base_report(cfg, outcome="divergence", record=result))
         return 3
     gp = lambda u: lam * np.asarray(spec.nonlinearity.derivative(u), dtype=float)
     stab = _stability(result, gp, cfg)
-    q_values = _float_list(cfg["estimates", "q_values"])
+    q_values = _float_list(cfg["estimates"]["q_values"])
     scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
     est = check_regularity_bounds(result, scaled, stab, q_values=q_values)
     report = base_report(
@@ -359,8 +348,8 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_lambda_star(args, cfg: RunConfig) -> int:
-    out = Path(args.out or cfg["output", "directory"])
+def cmd_lambda_star(args, cfg: dict) -> int:
+    out = Path(args.out or cfg["output"]["directory"])
     spec = _problem(cfg)
     try:
         result = _lambda_star(spec, _grid(cfg), cfg)
@@ -380,8 +369,8 @@ def cmd_lambda_star(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bifurcate(args, cfg: RunConfig) -> int:
-    out = Path(args.out or cfg["output", "directory"])
+def cmd_bifurcate(args, cfg: dict) -> int:
+    out = Path(args.out or cfg["output"]["directory"])
     spec = _problem(cfg)
     grid = _grid(cfg)
     centers = _float_list(args.centers)
@@ -393,20 +382,20 @@ def cmd_bifurcate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stability(args, cfg: RunConfig) -> int:
-    out = Path(args.out or cfg["output", "directory"])
-    n, p = cfg["problem", "n"], cfg["problem", "p"]
+def cmd_stability(args, cfg: dict) -> int:
+    out = Path(args.out or cfg["output"]["directory"])
+    n, p = cfg["problem"]["n"], cfg["problem"]["p"]
     grid = _grid(cfg)
     if args.profile:
         profile = read_profile_csv(Path(args.profile), n, p)
-        lam = cfg["problem", "lambda"]
+        lam = cfg["problem"]["lambda"]
         f = _nonlinearity(cfg)
         gp = lambda u: lam * np.asarray(f.derivative(u), dtype=float)
     elif args.exact:
         if args.exact == "exponential":
             sol = exact_exponential(n, p)
         else:
-            sol = exact_power(n, p, cfg["problem", "m"])
+            sol = exact_power(n, p, cfg["problem"]["m"])
         profile = sol.sample(grid)
         gp = sol.g_prime()
     else:
@@ -421,15 +410,15 @@ def cmd_stability(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _residual_check(cfg: RunConfig, sol) -> tuple:
+def _residual_check(cfg: dict, sol) -> tuple:
     """The check of a closed form's flux-form residual on a grid of at
     least 4000 nodes."""
-    fine = make_grid(cfg["grid", "r_min"], max(4000, cfg["grid", "nodes"]))
+    fine = make_grid(cfg["grid"]["r_min"], max(4000, cfg["grid"]["nodes"]))
     resid = ode_residual(sol.sample(fine), sol.nonlinearity())
     return "closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"
 
 
-def _scenario_gelfand_disk(cfg: RunConfig, checks: list) -> None:
+def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
@@ -450,14 +439,14 @@ def _scenario_gelfand_disk(cfg: RunConfig, checks: list) -> None:
     res_ode = ode_residual(prof, Exponential(1.0))
     lhs, rhs, rel = reaction_free_identity(prof, gp, SineModes(1, 1e-3), residual=res_ode)
     checks.append(("reaction-free identity < 1e-4", rel < 1e-4, f"rel={rel:.3e}"))
-    fam = random_eta_family(np.random.default_rng(2024), cfg["stability", "r_trunc"], 20)
+    fam = random_eta_family(np.random.default_rng(2024), cfg["stability"]["r_trunc"], 20)
     hardy = hardy_inequality_check(prof, fam)
     checks.append(
         ("weighted inequality holds for 20 test functions", all(c.satisfied for c in hardy), "")
     )
 
 
-def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
+def _scenario_supercritical(cfg: dict, checks: list) -> None:
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
@@ -477,7 +466,7 @@ def _scenario_supercritical(cfg: RunConfig, checks: list) -> None:
         )
 
 
-def _scenario_power_critical(cfg: RunConfig, checks: list) -> None:
+def _scenario_power_critical(cfg: dict, checks: list) -> None:
     mc = m_cs(15.0, 2.0)
     sol = exact_power(15.0, 2.0, mc)
     checks.append(_residual_check(cfg, sol))
@@ -506,7 +495,7 @@ _SCENARIOS = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args, cfg: dict) -> int:
     if args.scenario not in _SCENARIOS:
         raise ConfigError(
             f"unknown scenario '{args.scenario}'; choose from {sorted(_SCENARIOS)}"
@@ -519,8 +508,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         all_ok &= ok
         suffix = f" ({detail})" if detail else ""
         print(f"{status} {args.scenario}: {name}{suffix}")
-    if args.out or cfg["output", "directory"]:
-        out = Path(args.out or cfg["output", "directory"])
+    if args.out or cfg["output"]["directory"]:
+        out = Path(args.out or cfg["output"]["directory"])
         report = base_report(
             cfg,
             scenario=args.scenario,
@@ -537,8 +526,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def _sweep_point(payload):
-    cfg_values, n_val, p_val, out_dir = payload
-    cfg = RunConfig(cfg_values)
+    cfg, n_val, p_val, out_dir = payload
     spec = ProblemSpec(n_val, p_val, _nonlinearity(cfg))
     grid = _grid(cfg)
     try:
@@ -566,19 +554,19 @@ def _point_setting(config: dict) -> dict:
     return {s: kv for s, kv in config.items() if s not in ("sweep", "output")}
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
-    out = Path(args.out or cfg["output", "directory"])
-    p_values = _float_list(cfg["sweep", "p_values"])
-    n_values = _float_list(cfg["sweep", "n_values"])
+def cmd_sweep(args, cfg: dict) -> int:
+    out = Path(args.out or cfg["output"]["directory"])
+    p_values = _float_list(cfg["sweep"]["p_values"])
+    n_values = _float_list(cfg["sweep"]["n_values"])
     if not p_values and not n_values:
         raise ConfigError("sweep grid is empty: set p_values and/or n_values")
     points = [
         (f"n{n_val:g}_p{p_val:g}", n_val, p_val)
-        for n_val in n_values or [cfg["problem", "n"]]
-        for p_val in p_values or [cfg["problem", "p"]]
+        for n_val in n_values or [cfg["problem"]["n"]]
+        for p_val in p_values or [cfg["problem"]["p"]]
     ]
     rows = {}
-    setting = _point_setting(_jsonable(cfg.as_dict()))
+    setting = _point_setting(_jsonable(cfg))
     for name, _n, _p in points:
         report_path = out / name / "report.json"
         if report_path.exists() and not args.force:
@@ -586,7 +574,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
             if _point_setting(cached.get("config", {})) == setting:
                 rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
     todo = [(name, n_val, p_val) for name, n_val, p_val in points if name not in rows]
-    jobs = [(cfg.values, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
+    jobs = [(cfg, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
     if args.jobs > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -622,32 +610,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--force", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    problem = argparse.ArgumentParser(add_help=False)  # overrides of [problem] n and p
+    problem.add_argument("--n", type=float)
+    problem.add_argument("--p", type=float)
 
     s = sub.add_parser("exponents", help="closed-form exponents and regime")
     s.add_argument("--n", type=float, required=True)
     s.add_argument("--p", type=float, required=True)
     s.set_defaults(func=cmd_exponents)
 
-    s = sub.add_parser("solve", help="minimal solution at fixed lambda")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    s = sub.add_parser("solve", help="minimal solution at fixed lambda", parents=[problem])
     s.add_argument("--lam", type=float, default=None, dest="lam")
     s.set_defaults(func=cmd_solve)
 
-    s = sub.add_parser("lambda-star", help="bracket the extremal parameter")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    s = sub.add_parser("lambda-star", help="bracket the extremal parameter", parents=[problem])
     s.set_defaults(func=cmd_lambda_star)
 
-    s = sub.add_parser("bifurcate", help="parameter vs center-value curve")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    s = sub.add_parser("bifurcate", help="parameter vs center-value curve", parents=[problem])
     s.add_argument("--centers", default="", metavar="M1,M2,...")
     s.set_defaults(func=cmd_bifurcate)
 
-    s = sub.add_parser("stability", help="semi-stability report for a profile")
-    s.add_argument("--n", type=float, default=None)
-    s.add_argument("--p", type=float, default=None)
+    s = sub.add_parser("stability", help="semi-stability report for a profile", parents=[problem])
     s.add_argument("--profile", default=None, metavar="CSV")
     s.add_argument("--exact", default=None, choices=["exponential", "power"])
     s.set_defaults(func=cmd_stability)

@@ -437,22 +437,20 @@ def make_rule(grid: RadialGrid, n: float) -> QuadratureRule:
     head = math.exp(n * grid.t[0]) / n
 
     for stencil in (4, 2):
-        if stencil == 4:
-            cw_first = _exp_moments(np.array([0.0, 1.0, 2.0, 3.0]) * dt, n, dt)
-            cw_interior = _exp_moments(np.array([-1.0, 0.0, 1.0, 2.0]) * dt, n, dt)
-            cw_last = _exp_moments(np.array([-2.0, -1.0, 0.0, 1.0]) * dt, n, dt)
-            weights = np.zeros(m)
-            weights[:4] += cw_first * rn_cells[0]
-            for j in range(4):
-                weights[j : j + m - 3] += cw_interior[j] * rn_cells[1:-1]
-            weights[-4:] += cw_last * rn_cells[-1]
-        else:
-            cw_first = cw_interior = cw_last = _exp_moments(
-                np.array([0.0, 1.0]) * dt, n, dt
-            )
-            weights = np.zeros(m)
-            for j in range(2):
-                weights[j : j + m - 1] += cw_interior[j] * rn_cells
+        # a cell's stencil starts `lead` nodes before it; the first and last
+        # cells shift it inward by `lead`, which is 0 for the 2-point stencil
+        lead = stencil // 2 - 1
+        cw_first, cw_interior, cw_last = (
+            _exp_moments((np.arange(stencil) - shift) * dt, n, dt)
+            for shift in (0, lead, 2 * lead)
+        )
+        weights = np.zeros(m)
+        if lead:
+            weights[:stencil] += cw_first * rn_cells[0]
+        for j in range(stencil):
+            weights[j : j + m - stencil + 1] += cw_interior[j] * rn_cells[lead : m - 1 - lead]
+        if lead:
+            weights[-stencil:] += cw_last * rn_cells[-1]
         weights[0] += head
         if np.all(weights > 0):
             return QuadratureRule(

@@ -202,13 +202,17 @@ def flux_monotonicity_check(profile: RadialProfile, slack: float = 1e-10) -> Flu
     )
 
 
+class _NegativeReaction(ParameterError):
+    """The reaction is negative (or nan) somewhere on the profile."""
+
+
 def gradient_L1_bound(profile: RadialProfile, g: Nonlinearity):
     """Gradient energy against the two L^1 quantities that bound it:
     returns (|grad u|_p, (term_u, term_g), implied constant)."""
     rule = profile.rule
     gu = np.asarray(g.value(profile.u), dtype=float)
-    if np.min(gu) < 0:
-        raise ParameterError("reaction term must be nonnegative on the range of u")
+    if not np.min(gu) >= 0:  # a nan value fails too
+        raise _NegativeReaction("reaction term must be nonnegative on the range of u")
     p = profile.p
     lhs = rule.integrate(np.abs(profile.u_r) ** p) ** (1.0 / p)
     us = _shifted(profile)
@@ -319,9 +323,11 @@ def check_regularity_bounds(
         checks["lq_below_q0"] = math.isfinite(value)
         implied["lq_over_w1p"] = value / w1p if math.isfinite(value) and w1p > 0 else math.inf
 
-    gu = np.asarray(spec.nonlinearity.value(profile.u), dtype=float)
-    if np.min(gu) >= 0.0:
+    try:
         const = gradient_L1_bound(profile, spec.nonlinearity)[2]
+    except _NegativeReaction:  # any other error is the profile's and propagates
+        notes.append("reaction changes sign; gradient bounds skipped")
+    else:
         implied["gradient_bound"] = const
         checks["gradient_bound_finite"] = math.isfinite(const)
         flux = flux_monotonicity_check(profile)
@@ -332,8 +338,6 @@ def check_regularity_bounds(
             target_d3 = _pointwise_exponent(n, p, 1)
             checks["gradient_slope"] = slope_ur >= -(target_d3 + SLOPE_SLACK)
             implied["gradient_slope"] = slope_ur
-    else:
-        notes.append("reaction changes sign; gradient bounds skipped")
 
     return EstimateReport(
         regime=regime,

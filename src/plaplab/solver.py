@@ -233,13 +233,6 @@ def shoot(
 # ---------------------------------------------------------------------------
 
 
-def _require_admissible_reaction(f: Nonlinearity) -> None:
-    if not f.increasing:
-        raise ParameterError("minimal-solution iteration requires increasing f")
-    if not f.positive_at_zero():
-        raise ParameterError("minimal-solution iteration requires f(0) > 0")
-
-
 class _SweepKernel:
     """What every sweep of one lambda* search reuses: the source rule (weight
     r^(n-1)) and the unweighted outer rule, each with its ``_CellSums`` over
@@ -287,9 +280,15 @@ def _iteration_step(u, lam, f, kernel: _SweepKernel):
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration from u = 0 as a function of lambda, returning
     (outcome, LambdaRecord); one ``_SweepKernel`` serves every lambda it is
-    called with.  A returned profile owns its arrays; a converged u that
-    rises in r means the grid is too coarse for order preservation."""
+    called with, after the admission checks that every caller needs.  A
+    returned profile owns its arrays; a converged u that rises in r means the
+    grid is too coarse for order preservation."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
+    _check_solver_dimension(n)
+    if not f.increasing:
+        raise ParameterError("minimal-solution iteration requires increasing f")
+    if not f.positive_at_zero():
+        raise ParameterError("minimal-solution iteration requires f(0) > 0")
     kernel = _SweepKernel(grid, n, p)
     sup_of, min_of, subtract = np.maximum.reduce, np.minimum.reduce, np.subtract
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
@@ -346,10 +345,8 @@ def minimal_iterate(
 ):
     """Monotone iteration from u = 0: returns the fixed-point RadialProfile,
     or a Divergence record when iterates pass u_max / the iteration cap."""
-    _check_solver_dimension(spec.n)
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
-    _require_admissible_reaction(spec.nonlinearity)
     outcome, _record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
     return outcome
 
@@ -376,60 +373,41 @@ def lambda_star_estimate(
     """Bracket the extremal parameter by bisection between the largest
     convergent and smallest divergent iteration outcome.
 
-    Every probe is recorded with its norms so the uniform-bound behavior of
-    the minimal branch can be audited from the result alone.
+    Each pass probes lam and makes it lo (converged) or hi (not converged),
+    then picks the next lam: 2 lo while there is no hi, hi / 2 while there
+    is no lo, and otherwise the midpoint, until the bracket passes the width
+    test or max_bisect midpoints have run.  Every probe is recorded with its norms
+    so the uniform-bound behavior of the minimal branch can be audited from
+    the result alone.
     """
-    _check_solver_dimension(spec.n)
-    f = spec.nonlinearity
-    _require_admissible_reaction(f)
-    controls = controls or IterationControls()
-    iterate = _monotone_iteration(spec, grid, controls)
+    iterate = _monotone_iteration(spec, grid, controls or IterationControls())
     records: list[LambdaRecord] = []
-    profile_lo = None  # the last converged probe's profile, which is always lo's
-
-    def probe(lam: float) -> bool:
-        nonlocal profile_lo
+    lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's
+    lam, midpoints = lam_init, 0
+    while True:
         out, record = iterate(lam)
         records.append(record)
         if record.converged:
-            profile_lo = out
-        return record.converged
-
-    lam = lam_init
-    if probe(lam):
-        lo = lam
-        while True:
-            lam *= 2.0
+            lo, profile_lo = lam, out
+        else:
+            hi = lam
+        if hi is None:
+            lam = 2.0 * lo
             if lam > lam_cap:
                 raise BracketingError(
                     f"no divergence found below the cap {lam_cap:g}; "
                     "the reaction appears effectively sublinear on this range"
                 )
-            if not probe(lam):
-                hi = lam
-                break
-            lo = lam
-    else:
-        hi = lam
-        while True:
-            lam *= 0.5
+        elif lo is None:
+            lam = 0.5 * hi
             if lam < 1e-12 * lam_init:
                 raise BracketingError(
                     "no convergent parameter found; check f(0) > 0 and the grid"
                 )
-            if probe(lam):
-                lo = lam
-                break
-            hi = lam
-
-    for _ in range(max_bisect):
-        if hi - lo <= tol_lambda * lo or (hi - lo) <= 8 * math.ulp(hi):
+        elif midpoints >= max_bisect or hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi):
             break
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
         else:
-            hi = mid
+            lam, midpoints = 0.5 * (lo + hi), midpoints + 1
 
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
     return ContinuationResult(

@@ -289,6 +289,34 @@ def test_check_singular_regime_saturated(grid2000):
     assert abs(est.fitted_exponent + est.exponent_target) < 1e-3
 
 
+def test_check_evaluates_the_reaction_once(grid2000, monkeypatch):
+    sol = exact_exponential(12.0, 2.0)
+    prof = sol.sample(grid2000)
+    rep = stability_report(prof, sol.g_prime())
+    spec = ProblemSpec(12.0, 2.0, Exponential(sol.lambda_star))
+    calls = []
+    real = Exponential.value
+
+    def counting(self, u):
+        calls.append(self)
+        return real(self, u)
+
+    monkeypatch.setattr(Exponential, "value", counting)
+    assert check_regularity_bounds(prof, spec, rep).checks["gradient_bound_finite"]
+    assert len(calls) == 1
+
+
+def test_check_skips_gradient_bounds_for_a_nan_reaction(grid2000):
+    sol = exact_exponential(12.0, 2.0)
+    prof = sol.sample(grid2000)
+    rep = stability_report(prof, sol.g_prime())
+    with pytest.raises(ParameterError, match="nonnegative"):
+        gradient_L1_bound(prof, Exponential(math.nan))
+    est = check_regularity_bounds(prof, ProblemSpec(12.0, 2.0, Exponential(math.nan)), rep)
+    assert est.notes == ("reaction changes sign; gradient bounds skipped",)
+    assert "gradient_bound_finite" not in est.checks
+
+
 def test_check_mismatched_problem(grid2000, minimal_disk_lam1):
     spec = ProblemSpec(3.0, 2.0, Exponential(1.0))
     rep = stability_report(minimal_disk_lam1, Exponential(1.0).derivative)

@@ -7,6 +7,7 @@ import pytest
 from plaplab import solver
 from plaplab import (
     BlowUpError,
+    BracketingError,
     ConsistencyError,
     Divergence,
     Exponential,
@@ -444,3 +445,60 @@ def test_coarse_grid_order_loss_blames_the_grid():
         with pytest.raises(ParameterError, match="order preservation on this 16-node grid; refine the grid"):
             run()
     assert isinstance(minimal_iterate(spec, 0.5, make_grid(1e-2, 200)), RadialProfile)
+
+
+def logged_probes(monkeypatch):
+    """The (lambda, converged) pairs of every probe that the lambda* searches
+    run from here on, in order."""
+    probes = []
+    real = solver._monotone_iteration
+
+    def logged(*args):
+        iterate = real(*args)
+
+        def run(lam):
+            out, record = iterate(lam)
+            probes.append((lam, record.converged))
+            return out, record
+
+        return run
+
+    monkeypatch.setattr(solver, "_monotone_iteration", logged)
+    return probes
+
+
+@pytest.mark.parametrize("lam_init", [1.0, 50.0, 1e-3])
+@pytest.mark.parametrize("max_bisect", [0, 3, 200])
+def test_lambda_star_search_order(lam_init, max_bisect, gelfand_disk_spec, monkeypatch):
+    """lam_init doubles (or halves) until the outcome flips; every later probe
+    is the midpoint of the bracket of probe outcomes so far, and the midpoints
+    stop at max_bisect or at the width test, whichever comes first."""
+    probes = logged_probes(monkeypatch)
+    grid, tol = make_grid(1e-6, 400), 1e-3
+    res = lambda_star_estimate(gelfand_disk_spec, grid, lam_init=lam_init, max_bisect=max_bisect)
+    first = probes[0][1]
+    flip = next(k for k, (_, converged) in enumerate(probes) if converged != first)
+    factor = 2.0 if first else 0.5
+    assert [lam for lam, _ in probes[: flip + 1]] == [lam_init * factor**k for k in range(flip + 1)]
+    lo, hi = sorted((probes[flip - 1][0], probes[flip][0]))
+    for lam, converged in probes[flip + 1 :]:
+        assert lam == 0.5 * (lo + hi)
+        lo, hi = (lam, hi) if converged else (lo, lam)
+    assert (res.lambda_lo, res.lambda_hi) == (lo, hi)
+    midpoints = len(probes) - flip - 1
+    narrow = hi - lo <= tol * lo or hi - lo <= 8 * math.ulp(hi)
+    # 0 and 3 midpoints never reach the width test on this problem
+    assert midpoints == max_bisect if max_bisect < 200 else (midpoints < 200 and narrow)
+
+
+def test_lambda_star_bracketing_errors(gelfand_disk_spec, monkeypatch):
+    probes = logged_probes(monkeypatch)
+    grid = make_grid(1e-6, 400)
+    with pytest.raises(BracketingError, match="no divergence found below the cap 1.5"):
+        lambda_star_estimate(gelfand_disk_spec, grid, lam_cap=1.5)
+    assert probes == [(1.0, True)]  # 2.0 lies above the cap and is never probed
+    probes.clear()
+    with pytest.raises(BracketingError, match="no convergent parameter found"):
+        lambda_star_estimate(gelfand_disk_spec, grid, IterationControls(u_max=1e-30))
+    # every probe exceeds u_max; halving stops below 1e-12 * lam_init
+    assert probes == [(0.5**k, False) for k in range(40)]
