@@ -331,10 +331,9 @@ def cmd_solve(args, cfg: dict) -> int:
     if isinstance(result, Divergence):
         _emit(out / "report.json", base_report(cfg, outcome="divergence", record=result))
         return 3
-    gp = lambda u: lam * np.asarray(spec.nonlinearity.derivative(u), dtype=float)
-    stab = _stability(result, gp, cfg)
-    q_values = _float_list(cfg["estimates"]["q_values"])
     scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
+    stab = _stability(result, scaled.nonlinearity.derivative, cfg)
+    q_values = _float_list(cfg["estimates"]["q_values"])
     est = check_regularity_bounds(result, scaled, stab, q_values=q_values)
     report = base_report(
         cfg,
@@ -388,9 +387,7 @@ def cmd_stability(args, cfg: dict) -> int:
     grid = _grid(cfg)
     if args.profile:
         profile = read_profile_csv(Path(args.profile), n, p)
-        lam = cfg["problem"]["lambda"]
-        f = _nonlinearity(cfg)
-        gp = lambda u: lam * np.asarray(f.derivative(u), dtype=float)
+        gp = _nonlinearity(cfg).with_scale(cfg["problem"]["lambda"]).derivative
     elif args.exact:
         if args.exact == "exponential":
             sol = exact_exponential(n, p)
@@ -421,7 +418,7 @@ def _residual_check(cfg: dict, sol) -> tuple:
 def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
-    res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
+    res = _lambda_star(spec, grid, cfg)
     checks.append(
         (
             "lambda-star brackets 2.0 within 1%",
@@ -449,7 +446,7 @@ def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
 def _scenario_supercritical(cfg: dict, checks: list) -> None:
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
-    res = lambda_star_estimate(spec, grid, _controls(cfg), tol_lambda=1e-3)
+    res = _lambda_star(spec, grid, cfg)
     checks.append(
         (
             "lambda-star brackets 20.0 within 1%",

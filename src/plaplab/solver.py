@@ -380,6 +380,8 @@ def lambda_star_estimate(
     so the uniform-bound behavior of the minimal branch can be audited from
     the result alone.
     """
+    if not (math.isfinite(lam_init) and lam_init > 0.0):
+        raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")
     iterate = _monotone_iteration(spec, grid, controls or IterationControls())
     records: list[LambdaRecord] = []
     lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's

@@ -200,11 +200,18 @@ def _gauss_points(bounds: np.ndarray, n: float):
     return tg, (half[:, None] * _GL4_WEIGHTS).ravel()
 
 
+def _volume_points(bounds: np.ndarray, n: float):
+    """Gauss radii and volume weights (r^n dt) of ``_gauss_points`` on the
+    log-radius cell bounds."""
+    tg, wg = _gauss_points(bounds, n)
+    return np.exp(tg), wg * np.exp(n * tg)
+
+
 def _samples(profile: RadialProfile, xi):
-    """Gauss radii and volume weights (r^n dt) for integrals against xi over
-    its support in [r_min, 1]: the profile's log cells, clipped to the
-    support and split at the family's kink radii.  Families with their own
-    exact cell decomposition (nodal hats) use it."""
+    """``_volume_points`` for integrals against xi over its support in
+    [r_min, 1]: the profile's log cells, clipped to the support and split at
+    the family's kink radii.  Families with their own exact cell
+    decomposition (nodal hats) use it."""
     own = getattr(xi, "exact_cells", None)
     if own is not None:
         bounds = np.log(np.asarray(own, dtype=float))
@@ -214,42 +221,43 @@ def _samples(profile: RadialProfile, xi):
         t_lo = math.log(lo)
         kinks = [math.log(kink) for kink in xi.kinks if lo <= kink <= 1.0]
         bounds = np.unique(np.concatenate([t[t >= t_lo - 1e-12], [t_lo], kinks]))
-    tg, wg = _gauss_points(bounds, profile.n)
-    return np.exp(tg), wg * np.exp(profile.n * tg)
+    return _volume_points(bounds, profile.n)
+
+
+def _coefficients(profile: RadialProfile, g_prime, r: np.ndarray):
+    """(u_r, (p-1)|u_r|^(p-2), g'(u)) at the radii r: the slope and the two
+    coefficients of the second-variation form.  ParameterError where u_r or
+    g'(u) is not finite, or where u_r = 0 with p < 2 (the coefficient
+    |u_r|^(p-2) blows up there)."""
+    p = profile.p
+    ur = np.asarray(profile.u_r_at(r), dtype=float)
+    gp = np.asarray(g_prime(np.asarray(profile.u_at(r), dtype=float)), dtype=float)
+    if not (np.all(np.isfinite(ur)) and np.all(np.isfinite(gp))) or (
+        p < 2.0 and np.any(np.abs(ur) < 1e-300)
+    ):
+        raise ParameterError(
+            "second-variation coefficients are degenerate on the samples: "
+            "u_r or g'(u) is not finite, or u_r = 0 with p < 2"
+        )
+    return ur, (p - 1.0) * np.abs(ur) ** (p - 2.0), gp
 
 
 def q_apply(profile: RadialProfile, g_prime, xi) -> float:
     """Quadrature value of the second-variation form at the profile for one
-    test function (values and derivatives supplied by the family).
-
-    For p < 2 the coefficient |u_r|^(p-2) blows up where u_r = 0; supports
-    reaching such radii are rejected.
-    """
-    n, p = profile.n, profile.p
+    test function (values and derivatives supplied by the family), with a
+    head term over [0, r_min] for families that do not vanish there."""
+    n = profile.n
     rg, wvol = _samples(profile, xi)
-    ur = np.asarray(profile.u_r_at(rg), dtype=float)
-    if p < 2.0 and np.any(np.abs(ur) < 1e-300):
-        raise ParameterError(
-            "test function supported where u_r = 0 with p < 2 "
-            "(degenerate coefficient)"
-        )
-    with np.errstate(divide="ignore"):
-        coeff = (p - 1.0) * np.abs(ur) ** (p - 2.0)
-    uu = np.asarray(profile.u_at(rg), dtype=float)
+    _, coeff, gp = _coefficients(profile, g_prime, rg)
     xv = np.asarray(xi.value(rg), dtype=float)
     xd = np.asarray(xi.derivative(rg), dtype=float)
-    gp = np.asarray(g_prime(uu), dtype=float)
-    integrand = coeff * xd**2 - gp * xv**2
-    value = float(np.dot(wvol, integrand))
-    # head term over [0, r_min] for families that do not vanish there
+    value = float(np.dot(wvol, coeff * xd**2 - gp * xv**2))
     if xi.support_lo < profile.grid.r_min:
         r0 = profile.grid.r_min
-        ur0 = float(profile.u_r_at(r0))
+        _, coeff0, gp0 = _coefficients(profile, g_prime, np.array([r0]))
         x0 = float(xi.value(r0))
         xd0 = float(xi.derivative(r0))
-        gp0 = float(g_prime(float(profile.u_at(r0))))
-        head = ((p - 1.0) * abs(ur0) ** (p - 2.0) * xd0**2 - gp0 * x0**2) * r0**n / n
-        value += head
+        value += (float(coeff0[0]) * xd0**2 - float(gp0[0]) * x0**2) * r0**n / n
     if not math.isfinite(value):
         raise ConsistencyError("quadratic form evaluated to a non-finite value")
     return value
@@ -292,24 +300,16 @@ def assemble_q(profile: RadialProfile, g_prime, r_trunc: float, n_eig: int) -> Q
         raise ParameterError(f"need at least 32 eigen nodes, got {n_eig}")
     if r_trunc < profile.grid.r_min:
         raise ParameterError("r_trunc must not undercut the profile grid")
-    n, p = profile.n, profile.p
     eigen_grid = make_grid(r_trunc, n_eig + 2)
     s = eigen_grid.r
     k = n_eig  # interior unknowns
 
-    tg, wg = _gauss_points(eigen_grid.t, n)
-    per_cell = len(tg) // (k + 1)
-    if per_cell * (k + 1) != len(tg):
+    rg, weight = _volume_points(eigen_grid.t, profile.n)
+    per_cell = len(rg) // (k + 1)
+    if per_cell * (k + 1) != len(rg):
         raise ConsistencyError("uneven Gauss panels on a uniform eigen grid")
-    tg = tg.reshape(k + 1, per_cell)
-    rg = np.exp(tg)
-    weight = wg.reshape(k + 1, per_cell) * np.exp(n * tg)
-    ur = np.asarray(profile.u_r_at(rg.ravel()), dtype=float).reshape(k + 1, per_cell)
-    uu = np.asarray(profile.u_at(rg.ravel()), dtype=float).reshape(k + 1, per_cell)
-    gp = np.asarray(g_prime(uu.ravel()), dtype=float).reshape(k + 1, per_cell)
-    if not (np.all(np.isfinite(ur)) and np.all(np.isfinite(gp))):
-        raise ParameterError("coefficient non-finite on an eigen cell")
-    coeff = (p - 1.0) * np.abs(ur) ** (p - 2.0)
+    _, coeff, gp = _coefficients(profile, g_prime, rg)
+    rg, weight, coeff, gp = (v.reshape(k + 1, per_cell) for v in (rg, weight, coeff, gp))
 
     # cell c carries the falling hat of node c and the rising hat of node
     # c+1; the interior unknowns are nodes 1..k, so matrix index = node - 1
@@ -370,6 +370,8 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
     tridiagonal pencil; the returned midpoint carries a certified bracket of
     width below 1e-10 of the Rayleigh scale (or a few ulps)."""
     t = a - b
+    if not np.all(np.isfinite(np.concatenate([t.diag, t.off, m.diag, m.off]))):
+        raise ParameterError("pencil has a non-finite entry")
     if np.any(m.diag <= 0):
         raise ParameterError("mass form is singular on a cell")
     hi = float(np.min(t.diag / m.diag))  # basis-vector Rayleigh quotient
@@ -410,9 +412,7 @@ def _min_mode_vector(pencil: QPencil, mu: float) -> np.ndarray:
     b = t.off - mu * pencil.m.off
     k = len(a)
     d, off = a.tolist(), b.tolist()
-    # squared by libm pow (``**``), which can differ from np.square's exact
-    # product in the last bit, so the witness keeps the bits it always had
-    e2 = [v**2 for v in off]
+    e2 = np.square(b).tolist()
     fwd, bwd = [], []
     _ldl(d, e2, fwd)
     _ldl(d[::-1], e2[::-1], bwd)
@@ -535,23 +535,19 @@ def reaction_free_identity(
         )
     n, p = profile.n, profile.p
     rg, wvol = _samples(profile, eta)
-    ur = np.asarray(profile.u_r_at(rg), dtype=float)
+    ur, coeff, gp = _coefficients(profile, g_prime, rg)
     urr = np.asarray(profile.u_rr_at(rg), dtype=float)
-    uu = np.asarray(profile.u_at(rg), dtype=float)
     ev = np.asarray(eta.value(rg), dtype=float)
     ed = np.asarray(eta.derivative(rg), dtype=float)
-    gp = np.asarray(g_prime(uu), dtype=float)
 
     xi_r = urr * ev + ur * ed
-    with np.errstate(divide="ignore"):
-        coeff = (p - 1.0) * np.abs(ur) ** (p - 2.0)
     lhs = float(np.dot(wvol, coeff * xi_r**2 - gp * (ur * ev) ** 2))
     rhs = float(
         np.dot(wvol, np.abs(ur) ** p * ((p - 1.0) * ed**2 - (n - 1.0) * ev**2 / rg**2))
     )
-    floor = 1e-300
-    denom = max(abs(lhs), abs(rhs), floor)
-    rel = abs(lhs - rhs) / denom if max(abs(lhs), abs(rhs)) > 0 else 0.0
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    if not math.isfinite(rel):
+        raise ConsistencyError("reaction-free identity evaluated to a non-finite value")
     return lhs, rhs, rel
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from plaplab import (
@@ -41,3 +44,29 @@ def continuation_12_2(grid2000):
 def continuation_10_3(grid2000):
     spec = ProblemSpec(10.0, 3.0, Exponential(1.0))
     return lambda_star_estimate(spec, grid2000)
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(seconds):`` raises TimeoutError in a block still
+    running after that many seconds, so a call that loops forever fails
+    instead of hanging the suite."""
+
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        except TimeoutError as exc:
+            # a fresh exception: the interrupted frame's traceback entry can
+            # lack a line number, which pytest cannot format
+            raise TimeoutError(str(exc)) from None
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

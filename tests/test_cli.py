@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaplab import cli
+from plaplab import cli, make_grid
 from plaplab.cli import main, read_profile_csv
 
 
@@ -290,6 +290,45 @@ def test_bad_input_file_exit2(tmp_path, capsys, command, text, message):
         argv = ["--config", str(cfg), "lambda-star"]
     out = run_cli(capsys, "--out", str(tmp_path / "out"), *argv, expect=2)
     assert message in out.err
+
+
+def test_stability_zero_flux_profile_exit2(tmp_path, capsys, time_limit):
+    # u_r = 0 makes |u_r|^(p-2) infinite for p < 2: rejected before any pencil
+    grid = make_grid(1e-8, 200)
+    rows = "".join(f"{r!r},{1.0 - i / 199.0!r},0,0\n" for i, r in enumerate(grid.r.tolist()))
+    data = tmp_path / "flat.csv"
+    data.write_text("r,u,u_r,w\n" + rows)
+    with time_limit(10):
+        out = run_cli(capsys, "--out", str(tmp_path / "out"), "stability",
+                      "--n", "2", "--p", "1.5", "--profile", str(data), expect=2)
+    assert "degenerate" in out.err
+
+
+def test_lambda_init_zero_exit2(tmp_path, capsys, time_limit):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[grid]\nnodes = 100\n[solver]\nlambda_init = 0\n")
+    with time_limit(10):
+        out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "o"), "lambda-star", expect=2)
+    assert "lam_init must be a positive finite number" in out.err
+
+
+@pytest.mark.parametrize("scenario", ["gelfand-disk", "supercritical-exp"])
+def test_verify_brackets_with_solver_settings(tmp_path, capsys, monkeypatch, scenario):
+    real = cli.lambda_star_estimate
+    calls = []
+
+    def recorded(spec, grid, controls, **kwargs):
+        calls.append(kwargs)
+        return real(spec, grid, controls, **kwargs)
+
+    monkeypatch.setattr(cli, "lambda_star_estimate", recorded)
+    cfg = tmp_path / "solver.ini"
+    cfg.write_text(
+        "[grid]\nnodes = 600\nr_min = 1e-7\n[stability]\nn_eig = 150\n"
+        "[solver]\nlambda_init = 1.5\ntol_lambda = 2e-3\nlambda_cap = 1e6\n"
+    )
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), "verify", "--scenario", scenario)
+    assert calls == [{"tol_lambda": 2e-3, "lam_init": 1.5, "lam_cap": 1e6}]
 
 
 def test_stability_command_needs_source(capsys):

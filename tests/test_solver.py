@@ -502,3 +502,12 @@ def test_lambda_star_bracketing_errors(gelfand_disk_spec, monkeypatch):
         lambda_star_estimate(gelfand_disk_spec, grid, IterationControls(u_max=1e-30))
     # every probe exceeds u_max; halving stops below 1e-12 * lam_init
     assert probes == [(0.5**k, False) for k in range(40)]
+
+
+@pytest.mark.parametrize("lam_init", [0.0, -1.0, math.nan, math.inf])
+def test_lambda_star_rejects_bad_lam_init(lam_init, gelfand_disk_spec, monkeypatch, time_limit):
+    # 0 used to probe 0 forever and -1 to fail a sweep as a "quadrature bug"
+    probes = logged_probes(monkeypatch)
+    with time_limit(10), pytest.raises(ParameterError, match="lam_init must be a positive finite"):
+        lambda_star_estimate(gelfand_disk_spec, make_grid(1e-6, 400), lam_init=lam_init)
+    assert probes == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plaplab import (
+    ConsistencyError,
     Exponential,
     Nodal,
     ParameterError,
@@ -25,7 +26,12 @@ from plaplab import (
     stability_report,
 )
 from plaplab.core import RadialProfile
-from plaplab.stability import nodal_family, quadratic_form_value, random_eta_family
+from plaplab.stability import (
+    Tridiagonal,
+    nodal_family,
+    quadratic_form_value,
+    random_eta_family,
+)
 
 
 class ZeroEta:
@@ -80,12 +86,37 @@ def test_q_apply_matches_dense_reference(grid2000):
     assert abs(val - ref) < 1e-8 * max(abs(val), abs(ref))
 
 
-def test_q_apply_rejects_degenerate_support():
+def zero_flux_profile():
+    """A p = 1.5 profile with u_r = 0 everywhere, where |u_r|^(p-2) blows up."""
     grid = make_grid(1e-8, 1000)
     u = np.linspace(1.0, 0.0, grid.size)
-    prof = RadialProfile(grid=grid, n=2.0, p=1.5, u=u, w=np.zeros(grid.size))
+    return RadialProfile(grid=grid, n=2.0, p=1.5, u=u, w=np.zeros(grid.size))
+
+
+def test_q_apply_rejects_degenerate_support():
+    prof = zero_flux_profile()
     with pytest.raises(ParameterError):
         q_apply(prof, lambda v: 0.0 * np.asarray(v), SineModes(1, 1e-3))
+
+
+def test_every_second_variation_path_rejects_degenerate_support(time_limit):
+    prof = zero_flux_profile()
+    zero = lambda v: 0.0 * np.asarray(v)
+    with time_limit(10):
+        with pytest.raises(ParameterError, match="degenerate"):
+            assemble_q(prof, zero, 1e-6, 64)
+        with pytest.raises(ParameterError, match="degenerate"):
+            stability_report(prof, zero)
+        with pytest.raises(ParameterError, match="degenerate"):
+            reaction_free_identity(prof, zero, SineModes(1, 1e-3))
+
+
+@pytest.mark.parametrize("evaluate", [q_apply, reaction_free_identity], ids=["q_apply", "identity"])
+def test_nan_reaction_derivative_rejected(grid2000, evaluate):
+    prof = exact_exponential(10.0, 2.0).sample(grid2000)
+    nan = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
+    with pytest.raises(ParameterError, match="degenerate"):
+        evaluate(prof, nan, SineModes(1, 1e-3))
 
 
 # --- assembly and eigenvalues ------------------------------------------------
@@ -122,6 +153,15 @@ def test_pure_stiffness_eigenvalue_positive(grid2000):
     pencil = assemble_q(prof, lambda u: 0.0 * np.asarray(u), 1e-4, 128)
     mu = min_eigenvalue(pencil.a, pencil.b, pencil.m)
     assert mu > 0.0
+
+
+def test_min_eigenvalue_rejects_non_finite_pencil(time_limit):
+    k = 8
+    a = Tridiagonal(np.where(np.arange(k) == 3, np.nan, 2.0), np.full(k - 1, -1.0))
+    zero = Tridiagonal(np.zeros(k), np.zeros(k - 1))
+    m = Tridiagonal(np.ones(k), np.zeros(k - 1))
+    with time_limit(10), pytest.raises(ParameterError, match="non-finite"):
+        min_eigenvalue(a, zero, m)
 
 
 def test_eigenvalue_refinement_order(grid2000):
@@ -235,6 +275,17 @@ def test_identity_refinement_order():
         errs.append(rel)
     assert math.log2(errs[0] / errs[1]) > 1.8
     assert math.log2(errs[1] / errs[2]) > 1.8
+
+
+class InfiniteEta(ZeroEta):
+    def value(self, r):
+        return np.full_like(np.asarray(r, dtype=float), np.inf)
+
+
+def test_identity_non_finite_is_an_error(grid2000):
+    sol = exact_exponential(12.0, 2.0)
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        reaction_free_identity(sol.sample(grid2000), sol.g_prime(), InfiniteEta())
 
 
 def test_identity_rhs_needs_no_reaction(grid2000):

@@ -56,12 +56,12 @@ def mode_reference(pencil, mu):
     d_fwd[0] = a[0]
     for i in range(1, k):
         prev = d_fwd[i - 1]
-        d_fwd[i] = a[i] - b[i - 1] ** 2 / (prev if prev != 0 else tiny)
+        d_fwd[i] = a[i] - np.square(b[i - 1]) / (prev if prev != 0 else tiny)
     d_bwd = np.empty(k)
     d_bwd[-1] = a[-1]
     for i in range(k - 2, -1, -1):
         nxt = d_bwd[i + 1]
-        d_bwd[i] = a[i] - b[i] ** 2 / (nxt if nxt != 0 else tiny)
+        d_bwd[i] = a[i] - np.square(b[i]) / (nxt if nxt != 0 else tiny)
     gamma = d_fwd + d_bwd - a
     row_scale = np.abs(a)
     row_scale[:-1] += np.abs(b)
