@@ -12,8 +12,8 @@ alone.  Profile CSVs use 17-significant-digit decimals: lossless binary64
 round-trips without committing to a binary format.
 
 Exit codes: 0 success; 2 usage/config errors; 3 mathematical outcomes
-(divergence or failed verification where success was required); 4 internal
-assertion failures.
+(divergence, an undecided probe, or failed verification where success was
+required); 4 internal assertion failures.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .estimates import (
 from .exponents import _pointwise_exponent, exponent_report, m_cs, q_exponent
 from .oracle import exact_exponential, exact_power, ode_residual
 from .solver import (
+    UNDECIDED,
     BifurcationPoint,
     BracketingError,
     Divergence,
@@ -329,7 +330,8 @@ def cmd_solve(args, cfg: dict) -> int:
     lam = cfg["problem"]["lambda"]
     result = minimal_iterate(spec, lam, grid, _controls(cfg))
     if isinstance(result, Divergence):
-        _emit(out / "report.json", base_report(cfg, outcome="divergence", record=result))
+        outcome = "undecided" if result.reason in UNDECIDED else "divergence"
+        _emit(out / "report.json", base_report(cfg, outcome=outcome, record=result))
         return 3
     scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
     stab = _stability(result, scaled.nonlinearity.derivative, cfg)
@@ -361,6 +363,7 @@ def cmd_lambda_star(args, cfg: dict) -> int:
         outcome="bracketed",
         lambda_lo=result.lambda_lo,
         lambda_hi=result.lambda_hi,
+        undecided=[rec.lam for rec in result.records if rec.reason in UNDECIDED],
         records=result.records,
     )
     _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))

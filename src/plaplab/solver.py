@@ -49,6 +49,19 @@ from .core import (
 #: flux scaling r^(n-1) underflows double precision headroom past this
 SOLVER_MAX_DIMENSION = 30.0
 
+#: Fold-ghost stop of the monotone iteration.  Near a saddle-node the sweeps
+#: pass a bottleneck where the sup-norm step falls like k^-2, so with
+#: rho_k = delta_k / delta_(k-1) the product k (1 - rho_k) tends to 2; on a
+#: convergent probe 1 - rho_k levels off at the linear rate and the product
+#: climbs, on a divergent one rho_k passes 1 and it turns negative.  From
+#: sweep FOLD_GHOST_SWEEPS on, a probe with 0 < k (1 - rho_k) < FOLD_GHOST_RATE
+#: stops as "fold ghost", which leaves it undecided and never decides it.
+FOLD_GHOST_SWEEPS = 500
+FOLD_GHOST_RATE = 3.0
+
+#: probe outcomes that neither converged nor diverged; never a bracket end
+UNDECIDED = ("iteration cap", "fold ghost")
+
 
 class BlowUpError(RuntimeError):
     """Shooting trajectory exceeded the overflow guard before r = 1."""
@@ -90,6 +103,7 @@ class LambdaRecord:
     w1p_norm: float
     f_l1_norm: float
     reason: str  # "converged", or the Divergence reason
+    contraction: float = math.nan  # rho_k of the last sweep; nan before two sweeps
 
 
 @dataclass(frozen=True)
@@ -294,11 +308,11 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
     tol_abs, tol_rel = controls.tol_abs, controls.tol_rel
 
-    def diverged(lam: float, k: int, sup: float, reason: str):
-        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason)
+    def diverged(lam: float, k: int, sup: float, reason: str, rho: float):
+        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho)
         return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
 
-    def converged(lam: float, k: int, u_final, F_final):
+    def converged(lam: float, k: int, rho: float, u_final, F_final):
         try:
             profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
         except ParameterError as exc:
@@ -307,12 +321,13 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 f"lost order preservation on this {grid.size}-node grid; refine the grid"
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged")
+        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho)
         return profile, record
 
     def iterate(lam: float):
         step_of, diff = _iteration_step, kernel.diff
         u = np.zeros(grid.size)
+        prev = rho = math.nan  # delta and rho of the sweep before
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max + 1):
                 u_next, F = step_of(u, lam, f, kernel)
@@ -320,19 +335,24 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 step = subtract(u_next, u, out=diff)
                 drop = float(min_of(step))
                 if not (isfinite(sup) and isfinite(drop)):
-                    return diverged(lam, k, math.inf, "overflow")
+                    # a non-finite step is an unbounded multiple of the last
+                    return diverged(lam, k, math.inf, "overflow", math.inf if k > 1 else math.nan)
+                delta = max(float(sup_of(step)), -drop)
+                rho = delta / prev if prev > 0.0 else math.nan
                 if drop < -1e-12 * (1.0 + sup):
                     raise ConsistencyError(
                         "monotone iteration decreased somewhere; quadrature bug"
                     )
                 if sup > u_max:
-                    return diverged(lam, k, sup, "exceeded u_max")
-                delta = max(float(sup_of(step)), -drop)
+                    return diverged(lam, k, sup, "exceeded u_max", rho)
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
                     # one more sweep makes (u, w) an exactly consistent pair
-                    return converged(lam, k, *step_of(u, lam, f, kernel))
-        return diverged(lam, k_max, float(np.max(u)), "iteration cap")
+                    return converged(lam, k, rho, *step_of(u, lam, f, kernel))
+                if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
+                    return diverged(lam, k, sup, "fold ghost", rho)
+                prev = delta
+        return diverged(lam, k_max, float(np.max(u)), "iteration cap", rho)
 
     return iterate
 
@@ -344,7 +364,8 @@ def minimal_iterate(
     controls: IterationControls | None = None,
 ):
     """Monotone iteration from u = 0: returns the fixed-point RadialProfile,
-    or a Divergence record when iterates pass u_max / the iteration cap."""
+    or a Divergence record when iterates pass u_max or overflow (diverged)
+    or stop at the iteration cap or as a fold ghost (undecided)."""
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
     outcome, _record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
@@ -373,17 +394,24 @@ def lambda_star_estimate(
     """Bracket the extremal parameter by bisection between the largest
     convergent and smallest divergent iteration outcome.
 
-    Each pass probes lam and makes it lo (converged) or hi (not converged),
-    then picks the next lam: 2 lo while there is no hi, hi / 2 while there
-    is no lo, and otherwise the midpoint, until the bracket passes the width
-    test or max_bisect midpoints have run.  Every probe is recorded with its norms
-    so the uniform-bound behavior of the minimal branch can be audited from
-    the result alone.
+    Each probe is converged (it sets lo), diverged ("exceeded u_max" or
+    "overflow"; it sets hi) or undecided ("iteration cap" or "fold ghost"),
+    and an undecided probe is never a bracket end.  The undecided probes
+    strictly inside (lo, hi) form a hole [a, b]; with
+    step = max(tol_lambda b / 4, b - a, 4 ulp(b)) the next lam is b + step
+    while hi is None or above it, else a - step while lo is None or below
+    it, else the search stops; a bracket then left wider than tol_lambda has
+    undecided probes inside.  Without a hole the next lam is 2 lo while
+    there is no hi, hi / 2 while there is no lo, and otherwise the midpoint,
+    until the bracket passes the width test or max_bisect midpoints have
+    run.  Every probe is recorded with its norms so the uniform-bound
+    behavior of the minimal branch can be audited from the result alone.
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")
     iterate = _monotone_iteration(spec, grid, controls or IterationControls())
     records: list[LambdaRecord] = []
+    undecided: list[float] = []
     lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's
     lam, midpoints = lam_init, 0
     while True:
@@ -391,25 +419,38 @@ def lambda_star_estimate(
         records.append(record)
         if record.converged:
             lo, profile_lo = lam, out
+        elif record.reason in UNDECIDED:
+            undecided.append(lam)
         else:
             hi = lam
-        if hi is None:
+        hole = [x for x in undecided if (lo is None or lo < x) and (hi is None or x < hi)]
+        if hole:
+            a, b = min(hole), max(hole)
+            step = max(0.25 * tol_lambda * b, b - a, 4 * math.ulp(b))
+            if hi is None or hi > b + step:
+                lam = b + step
+            elif lo is None or lo < a - step:
+                lam = a - step
+            else:
+                break
+        elif hi is None:
             lam = 2.0 * lo
-            if lam > lam_cap:
-                raise BracketingError(
-                    f"no divergence found below the cap {lam_cap:g}; "
-                    "the reaction appears effectively sublinear on this range"
-                )
         elif lo is None:
             lam = 0.5 * hi
-            if lam < 1e-12 * lam_init:
-                raise BracketingError(
-                    "no convergent parameter found; check f(0) > 0 and the grid"
-                )
         elif midpoints >= max_bisect or hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi):
             break
         else:
             lam, midpoints = 0.5 * (lo + hi), midpoints + 1
+        why = f"; undecided probes at lambda = {undecided}" if undecided else ""
+        if hi is None and lam > lam_cap:
+            raise BracketingError(
+                f"no divergence found below the cap {lam_cap:g}"
+                + (why or "; the reaction appears effectively sublinear on this range")
+            )
+        if lo is None and lam < 1e-12 * lam_init:
+            raise BracketingError(
+                "no convergent parameter found" + (why or "; check f(0) > 0 and the grid")
+            )
 
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
     return ContinuationResult(

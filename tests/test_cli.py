@@ -96,6 +96,22 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     assert report["record"]["reason"] in ("exceeded u_max", "overflow")
 
 
+def test_undecided_outcomes_are_labelled(tmp_path, capsys):
+    """The disk probe at lambda = 2 stops as a fold ghost far below u_max: solve
+    calls it undecided (exit 3), and lambda-star lists it next to a bracket
+    whose ends both come from decided probes."""
+    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
+    report = json.loads((tmp_path / "sg" / "report.json").read_text())
+    assert report["outcome"] == "undecided"
+    assert report["record"]["reason"] == "fold ghost" and report["record"]["sup_u"] < 2.0
+    run_cli(capsys, "--out", str(tmp_path / "ld"), "lambda-star", "--n", "2", "--p", "2")
+    report = json.loads((tmp_path / "ld" / "report.json").read_text())
+    assert report["undecided"] == [2.0]
+    assert (report["lambda_lo"], report["lambda_hi"]) == (1.9995, 2.0005)
+    reasons = {rec["lambda"]: rec["reason"] for rec in report["records"]}
+    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "exceeded u_max")
+
+
 def test_unknown_config_key_names_it(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[problem]\nnn = 3\n")
@@ -131,7 +147,7 @@ def test_lambda_star_command(tmp_path, capsys):
     assert report["outcome"] == "bracketed"
     assert 1.9 < report["lambda_lo"] <= report["lambda_hi"] < 2.1
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
-    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason"
+    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction"
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])

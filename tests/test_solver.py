@@ -447,8 +447,8 @@ def test_coarse_grid_order_loss_blames_the_grid():
     assert isinstance(minimal_iterate(spec, 0.5, make_grid(1e-2, 200)), RadialProfile)
 
 
-def logged_probes(monkeypatch):
-    """The (lambda, converged) pairs of every probe that the lambda* searches
+def logged_probes(monkeypatch, key=lambda record: record.converged):
+    """The (lambda, key(record)) pairs of every probe that the lambda* searches
     run from here on, in order."""
     probes = []
     real = solver._monotone_iteration
@@ -458,7 +458,7 @@ def logged_probes(monkeypatch):
 
         def run(lam):
             out, record = iterate(lam)
-            probes.append((lam, record.converged))
+            probes.append((lam, key(record)))
             return out, record
 
         return run
@@ -467,28 +467,168 @@ def logged_probes(monkeypatch):
     return probes
 
 
+def state(record):
+    """A probe's part in the search: it converged, it diverged, or neither."""
+    if record.converged:
+        return "converged"
+    return "undecided" if record.reason in ("iteration cap", "fold ghost") else "diverged"
+
+
+def forced_cap(monkeypatch, lams):
+    """Every probe at a lambda in ``lams`` ends at the iteration cap."""
+    real = solver._monotone_iteration
+
+    def forced(spec, grid, controls):
+        iterate = real(spec, grid, controls)
+
+        def run(lam):
+            if lam not in lams:
+                return iterate(lam)
+            record = solver.LambdaRecord(lam, False, controls.k_max, 1.0, math.inf, math.inf, "iteration cap")
+            return Divergence(lam, controls.k_max, 1.0, "iteration cap"), record
+
+        return run
+
+    monkeypatch.setattr(solver, "_monotone_iteration", forced)
+
+
+def replay(probes, lam_init, tol, max_bisect):
+    """Checks that each probe's lambda is the one the three-state rule picks
+    after the probes before it, and that the rule stops after the last;
+    returns (lo, hi, midpoints)."""
+    lo = hi = None
+    undecided, midpoints, expected = [], 0, lam_init
+    for lam, outcome in probes:
+        assert lam == expected
+        if outcome == "converged":
+            lo = lam
+        elif outcome == "diverged":
+            hi = lam
+        else:
+            undecided.append(lam)
+        hole = [x for x in undecided if (lo is None or lo < x) and (hi is None or x < hi)]
+        if hole:
+            a, b = min(hole), max(hole)
+            step = max(tol / 4 * b, b - a, 4 * math.ulp(b))
+            if hi is None or hi > b + step:
+                expected = b + step
+            elif lo is None or lo < a - step:
+                expected = a - step
+            else:
+                expected = None
+        elif hi is None:
+            expected = 2.0 * lo
+        elif lo is None:
+            expected = 0.5 * hi
+        elif midpoints >= max_bisect or hi - lo <= tol * lo or hi - lo <= 8 * math.ulp(hi):
+            expected = None
+        else:
+            expected, midpoints = 0.5 * (lo + hi), midpoints + 1
+    assert expected is None
+    return lo, hi, midpoints
+
+
 @pytest.mark.parametrize("lam_init", [1.0, 50.0, 1e-3])
 @pytest.mark.parametrize("max_bisect", [0, 3, 200])
 def test_lambda_star_search_order(lam_init, max_bisect, gelfand_disk_spec, monkeypatch):
-    """lam_init doubles (or halves) until the outcome flips; every later probe
-    is the midpoint of the bracket of probe outcomes so far, and the midpoints
-    stop at max_bisect or at the width test, whichever comes first."""
-    probes = logged_probes(monkeypatch)
+    """Converged probes set lo and diverged ones hi; undecided ones set
+    neither, and those inside (lo, hi) form a hole [a, b].  With a hole the
+    next probe is b + step while hi lies above it, else a - step while lo lies
+    below it, else the search stops.  Without one, lam_init doubles (or
+    halves) until the outcome flips, every later probe is the midpoint of the
+    bracket so far, and the midpoints stop at max_bisect or at the width
+    test, whichever comes first."""
+    probes = logged_probes(monkeypatch, state)
     grid, tol = make_grid(1e-6, 400), 1e-3
     res = lambda_star_estimate(gelfand_disk_spec, grid, lam_init=lam_init, max_bisect=max_bisect)
-    first = probes[0][1]
-    flip = next(k for k, (_, converged) in enumerate(probes) if converged != first)
+    lo, hi, midpoints = replay(probes, lam_init, tol, max_bisect)
+    assert (res.lambda_lo, res.lambda_hi) == (lo, hi)
+    if any(outcome == "undecided" for _, outcome in probes):
+        # the ghost at 2.0 stops the search next to it, midpoints or not
+        assert 2.0 in [lam for lam, outcome in probes if outcome == "undecided"]
+        return
+    converged = [outcome == "converged" for _, outcome in probes]
+    first = converged[0]
+    flip = next(k for k, c in enumerate(converged) if c != first)
     factor = 2.0 if first else 0.5
     assert [lam for lam, _ in probes[: flip + 1]] == [lam_init * factor**k for k in range(flip + 1)]
     lo, hi = sorted((probes[flip - 1][0], probes[flip][0]))
-    for lam, converged in probes[flip + 1 :]:
+    for (lam, _), c in zip(probes[flip + 1 :], converged[flip + 1 :]):
         assert lam == 0.5 * (lo + hi)
-        lo, hi = (lam, hi) if converged else (lo, lam)
+        lo, hi = (lam, hi) if c else (lo, lam)
     assert (res.lambda_lo, res.lambda_hi) == (lo, hi)
-    midpoints = len(probes) - flip - 1
     narrow = hi - lo <= tol * lo or hi - lo <= 8 * math.ulp(hi)
     # 0 and 3 midpoints never reach the width test on this problem
     assert midpoints == max_bisect if max_bisect < 200 else (midpoints < 200 and narrow)
+
+
+def assert_decided_ends(res):
+    """lambda_lo's probe converged and lambda_hi's diverged."""
+    by_lam = {rec.lam: rec for rec in res.records}
+    assert by_lam[res.lambda_lo].converged
+    assert by_lam[res.lambda_hi].reason in ("exceeded u_max", "overflow")
+
+
+def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, monkeypatch):
+    """At lambda = 2 the disk iteration passes the saddle-node bottleneck,
+    where k (1 - rho_k) stays near 2: it stops as a fold ghost at sweep 500.
+    The slowest convergent probe, 1.99995, still converges, and does so bit
+    for bit as the iteration without the stop."""
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
+    out, record = iterate(2.0)
+    assert isinstance(out, Divergence) and not record.converged
+    assert (record.reason, record.iterations) == ("fold ghost", 500)
+    assert 0.0 < 500 * (1.0 - record.contraction) < solver.FOLD_GHOST_RATE
+    profile, record = iterate(1.99995)
+    assert (record.reason, record.iterations) == ("converged", 1841)
+    monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
+    plain, plain_record = iterate(1.99995)
+    assert plain_record == record
+    for name in ("u", "w", "u_r"):
+        assert np.array_equal(getattr(profile, name), getattr(plain, name))
+
+
+def test_no_bracket_end_is_undecided(gelfand_disk_spec, grid2000, continuation_disk):
+    res = continuation_disk
+    assert [(rec.lam, rec.reason) for rec in res.records if state(rec) == "undecided"] == [
+        (2.0, "fold ghost")
+    ]
+    assert_decided_ends(res)
+    assert (res.lambda_lo, res.lambda_hi) == (1.9995, 2.0005)
+
+
+@pytest.mark.parametrize("lam_init, capped", [(1.0, {1.0}), (1e-3, {1.536}), (1e-3, {1.536, 1.536384})])
+def test_no_bracket_end_from_the_iteration_cap(lam_init, capped, gelfand_disk_spec, monkeypatch):
+    """An iteration cap forced at chosen probes never becomes a bracket end:
+    the first probe, a midpoint, and that midpoint with its upper neighbour."""
+    forced_cap(monkeypatch, capped)
+    probes = logged_probes(monkeypatch, state)
+    res = lambda_star_estimate(gelfand_disk_spec, make_grid(1e-6, 400), lam_init=lam_init)
+    assert capped <= {lam for lam, outcome in probes if outcome == "undecided"}
+    assert_decided_ends(res)
+    assert len({lam for lam, _ in probes}) == len(probes)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 2e-5, 1e-15])
+def test_no_lambda_is_probed_twice(tol, gelfand_disk_spec, grid2000, monkeypatch, time_limit):
+    # doubling from lo = 1 used to probe the ghost at 2.0 again and again
+    probes = logged_probes(monkeypatch)
+    with time_limit(30):
+        res = lambda_star_estimate(gelfand_disk_spec, grid2000, tol_lambda=tol)
+    lams = [lam for lam, _ in probes]
+    assert len(set(lams)) == len(lams)
+    assert_decided_ends(res)
+
+
+def test_every_probe_undecided_raises(gelfand_disk_spec, grid2000, monkeypatch, time_limit):
+    """With k_max = 5 no probe converges: those below about 5 stop at the cap,
+    the hole they form grows, and the search ends in a BracketingError that
+    names them rather than in a bracket."""
+    probes = logged_probes(monkeypatch, state)
+    with time_limit(10), pytest.raises(BracketingError, match="undecided probes at lambda = \\[1.0, 1.00025, "):
+        lambda_star_estimate(gelfand_disk_spec, grid2000, IterationControls(k_max=5))
+    outcomes = [outcome for _, outcome in probes]
+    assert "converged" not in outcomes and outcomes.count("undecided") >= 10
 
 
 def test_lambda_star_bracketing_errors(gelfand_disk_spec, monkeypatch):
