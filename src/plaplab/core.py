@@ -103,6 +103,10 @@ class Exponential:
     def increasing(self) -> bool:
         return self.scale > 0
 
+    @property
+    def convex(self) -> bool:
+        return self.scale >= 0
+
     def positive_at_zero(self) -> bool:
         return self.scale > 0
 
@@ -135,6 +139,11 @@ class Power:
     @property
     def increasing(self) -> bool:
         return self.scale > 0 and self.m > 0
+
+    @property
+    def convex(self) -> bool:
+        """On u > -1; (1 + u)^m with 0 < m < 1 is concave."""
+        return self.scale >= 0 and self.m >= 1.0
 
     def positive_at_zero(self) -> bool:
         return self.scale > 0
@@ -247,6 +256,15 @@ class Tabulated:
         gp = np.asarray(self.gp)
         mono = np.all(np.diff(g) >= 0) and np.all(gp >= 0)
         return bool(mono if self.scale > 0 else False)
+
+    @property
+    def convex(self) -> bool:
+        """The interpolant is C^1, so it is convex iff g' rises on every cell,
+        where g'' = 2 c2 + 6 c3 x is linear: iff 2 c2 >= 0 and
+        2 c2 + 6 c3 h >= 0 on every cell of width h."""
+        c2, c3 = self._table[1][:, 3:].T
+        right = 2.0 * c2 + 6.0 * c3 * np.diff(self.t)
+        return bool(self.scale >= 0 and c2.min() >= 0 and right.min() >= 0)
 
     def positive_at_zero(self) -> bool:
         if not (self.t[0] <= 0.0 <= self.t[-1]):

@@ -19,10 +19,14 @@ Four routes to solutions:
   * ``minimal_iterate`` runs the monotone iteration from u = 0, inverting
     the radial p-Laplacian by nested quadrature; iterates increase
     pointwise, and the limit is the minimal solution when one exists.  Its
-    sweeps write into the work arrays of one ``_SweepKernel`` per search;
+    sweeps write into the work arrays of one ``_SweepKernel`` per search.
+    On a convex reaction, once the sweeps contract at a settled rate, Anderson
+    mixing may finish the iteration; its answer counts only when one more
+    sweep certifies a supersolution just above it;
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
-    never a point value.
+    never a point value.  Each probe above the last convergent one starts
+    from that probe's solution, a subsolution there.
 """
 
 from __future__ import annotations
@@ -61,6 +65,23 @@ FOLD_GHOST_RATE = 3.0
 
 #: probe outcomes that neither converged nor diverged; never a bracket end
 UNDECIDED = ("iteration cap", "fold ghost")
+
+#: The quadrature's cumulative weights are not all positive, so a sweep may
+#: lower u by rounding: up to ORDER_SLACK (1 + sup u) passes, more raises.
+ORDER_SLACK = 1e-12
+
+#: Accelerated convergent probes.  On a convex reaction, once the plain
+#: iteration's rho_k has settled (from sweep ACCEL_SWEEPS on, rho_k < 1 and
+#: |rho_k - rho_(k-1)| < ACCEL_SETTLE (1 - rho_k)) with more than
+#: ACCEL_SWEEPS plain sweeps to go at that rate, Anderson mixing of depth
+#: ACCEL_DEPTH runs on a copy of the iterate for at most ACCEL_MAX_SWEEPS
+#: sweeps, once per probe.  Its answer counts only with a supersolution
+#: certificate, T(u_A + eps phi) <= u_A + eps phi - ORDER_SLACK (1 + sup) on
+#: every node but r = 1.  ACCEL_SWEEPS = 10**9 switches it off.
+ACCEL_SWEEPS = 10
+ACCEL_SETTLE = 0.01
+ACCEL_DEPTH = 4
+ACCEL_MAX_SWEEPS = 40
 
 
 class BlowUpError(RuntimeError):
@@ -103,7 +124,8 @@ class LambdaRecord:
     w1p_norm: float
     f_l1_norm: float
     reason: str  # "converged", or the Divergence reason
-    contraction: float = math.nan  # rho_k of the last sweep; nan before two sweeps
+    contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
+    certificate: float = math.nan  # eps of the accepted supersolution; nan for a plain probe
 
 
 @dataclass(frozen=True)
@@ -291,12 +313,58 @@ def _iteration_step(u, lam, f, kernel: _SweepKernel):
     return kernel.outer.to_one(u1 if u is u0 else u0), F
 
 
+def _anderson(u, lam: float, f, kernel: _SweepKernel, controls: IterationControls, delta0: float):
+    """Anderson mixing (type II, depth ACCEL_DEPTH; Walker & Ni 2011) from u
+    under the plain stopping test: (sweeps, u_A, residual), where u_A = T(x)
+    at the mixed iterate x that passed the test, or (sweeps, None, nan).  The
+    mixing weights solve their least-squares problem through its normal
+    equations, and mixed iterates are kept at or above u, which lies below
+    the minimal solution when it is a plain iterate.  A residual above
+    ``delta0``, a non-finite sweep, sup > u_max or a reaction evaluated
+    outside its domain ends the attempt; none of them decides anything."""
+    dx, dg = np.empty((ACCEL_DEPTH, u.size)), np.empty((ACCEL_DEPTH, u.size))
+    x, x_old, g_old = u.copy(), None, None
+    for j in range(1, ACCEL_MAX_SWEEPS + 1):
+        try:
+            tx = _iteration_step(x, lam, f, kernel)[0]
+        except EvaluationError:
+            return j, None, math.nan
+        g = tx - x
+        sup, delta = float(np.max(tx)), float(np.max(np.abs(g)))
+        if not (math.isfinite(sup) and delta <= delta0) or sup > controls.u_max:
+            return j, None, math.nan
+        if delta < controls.tol_abs + controls.tol_rel * sup:
+            return j, tx.copy(), delta
+        if x_old is not None:  # the oldest difference pair gives way
+            row, used = (j - 2) % ACCEL_DEPTH, min(j - 1, ACCEL_DEPTH)
+            np.subtract(x, x_old, out=dx[row])
+            np.subtract(g, g_old, out=dg[row])
+        x_old, g_old, x = x, g, x + g
+        if j > 1:
+            G = dg[:used]
+            x -= np.linalg.lstsq(G @ G.T, G @ g, rcond=None)[0] @ (dx[:used] + G)
+        np.maximum(x, u, out=x)
+    return ACCEL_MAX_SWEEPS, None, math.nan
+
+
+def _supersolution(u_bar, lam: float, f, kernel: _SweepKernel) -> bool:
+    """One sweep: whether T(u_bar) <= u_bar - ORDER_SLACK (1 + sup u_bar) on
+    every node but r = 1, where both sides are 0.  The slack covers the
+    order defect that the sweeps' guard lets pass, so the iterates from 0
+    stay below u_bar, and rounding can only reject."""
+    gap = u_bar - _iteration_step(u_bar, lam, f, kernel)[0]
+    return bool(np.all(gap[:-1] >= ORDER_SLACK * (1.0 + float(np.max(u_bar)))))
+
+
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
-    """The monotone iteration from u = 0 as a function of lambda, returning
-    (outcome, LambdaRecord); one ``_SweepKernel`` serves every lambda it is
-    called with, after the admission checks that every caller needs.  A
-    returned profile owns its arrays; a converged u that rises in r means the
-    grid is too coarse for order preservation."""
+    """The monotone iteration as a function of lambda, returning (outcome,
+    LambdaRecord); one ``_SweepKernel`` serves every lambda it is called with,
+    after the admission checks that every caller needs.
+
+    The warm starts, the certified Anderson attempt and what ``iterations``
+    counts are described in ``lambda_star_estimate``.  A returned profile
+    owns its arrays; a converged u that rises in r means the grid is too
+    coarse for order preservation."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
     _check_solver_dimension(n)
     if not f.increasing:
@@ -306,13 +374,15 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     kernel = _SweepKernel(grid, n, p)
     sup_of, min_of, subtract = np.maximum.reduce, np.minimum.reduce, np.subtract
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
-    tol_abs, tol_rel = controls.tol_abs, controls.tol_rel
+    tol_abs, tol_rel, convex = controls.tol_abs, controls.tol_rel, f.convex
+    warm = None  # (lambda, u) of the last converged probe
 
     def diverged(lam: float, k: int, sup: float, reason: str, rho: float):
         record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho)
         return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
 
-    def converged(lam: float, k: int, rho: float, u_final, F_final):
+    def converged(lam: float, k: int, rho: float, u_final, F_final, eps: float = math.nan):
+        nonlocal warm
         try:
             profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
         except ParameterError as exc:
@@ -321,38 +391,69 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 f"lost order preservation on this {grid.size}-node grid; refine the grid"
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho)
+        record = LambdaRecord(
+            lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps
+        )
+        warm = (lam, profile.u)
         return profile, record
 
     def iterate(lam: float):
         step_of, diff = _iteration_step, kernel.diff
-        u = np.zeros(grid.size)
-        prev = rho = math.nan  # delta and rho of the sweep before
+        start = warm[1] if warm is not None and lam > warm[0] else None
+        u = np.zeros(grid.size) if start is None else start
+        k = sweeps = 0  # plain sweeps since u's start; every sweep of the probe
+        prev = rho = rho_old = math.nan  # delta and rho of the sweep before
+        tried = not convex
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, k_max + 1):
+            while k < k_max:
+                k, sweeps = k + 1, sweeps + 1
                 u_next, F = step_of(u, lam, f, kernel)
                 sup = float(sup_of(u_next))
                 step = subtract(u_next, u, out=diff)
                 drop = float(min_of(step))
                 if not (isfinite(sup) and isfinite(drop)):
                     # a non-finite step is an unbounded multiple of the last
-                    return diverged(lam, k, math.inf, "overflow", math.inf if k > 1 else math.nan)
+                    rho = math.inf if k > 1 else math.nan
+                    return diverged(lam, sweeps, math.inf, "overflow", rho)
                 delta = max(float(sup_of(step)), -drop)
-                rho = delta / prev if prev > 0.0 else math.nan
-                if drop < -1e-12 * (1.0 + sup):
-                    raise ConsistencyError(
-                        "monotone iteration decreased somewhere; quadrature bug"
-                    )
+                rho_old, rho = rho, (delta / prev if prev > 0.0 else math.nan)
+                if drop < -ORDER_SLACK * (1.0 + sup):
+                    if start is None or k > 1:
+                        raise ConsistencyError(
+                            "monotone iteration decreased somewhere; quadrature bug"
+                        )
+                    # the warm start is no subsolution at this lambda
+                    u, start, k, rho = np.zeros(grid.size), None, 0, math.nan
+                    continue
                 if sup > u_max:
-                    return diverged(lam, k, sup, "exceeded u_max", rho)
+                    return diverged(lam, sweeps, sup, "exceeded u_max", rho)
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
                     # one more sweep makes (u, w) an exactly consistent pair
-                    return converged(lam, k, rho, *step_of(u, lam, f, kernel))
+                    return converged(lam, sweeps, rho, *step_of(u, lam, f, kernel))
                 if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
-                    return diverged(lam, k, sup, "fold ghost", rho)
+                    return diverged(lam, sweeps, sup, "fold ghost", rho)
+                # rho_k < 1 has settled, and plain sweeps have more than
+                # ACCEL_SWEEPS to go at that rate
+                if (
+                    not tried
+                    and k >= ACCEL_SWEEPS
+                    and abs(rho - rho_old) < ACCEL_SETTLE * (1.0 - rho)
+                    and delta * rho**ACCEL_SWEEPS > tol_abs + tol_rel * sup
+                ):
+                    tried, u = True, u.copy()  # the attempt's sweeps write into kernel.u
+                    used, u_a, residual = _anderson(u, lam, f, kernel, controls, delta)
+                    sweeps += used
+                    if u_a is not None:
+                        # phi: the last plain step, >= 0, scaled to sup 1
+                        eps, sweeps = math.sqrt(residual), sweeps + 1
+                        u_bar = u_a + eps / delta * np.maximum(step, 0.0)
+                        if _supersolution(u_bar, lam, f, kernel):
+                            # its consistency sweep counts, unlike a plain probe's
+                            u_a, F = step_of(u_a, lam, f, kernel)
+                            return converged(lam, sweeps + 1, rho, u_a, F, eps)
                 prev = delta
-        return diverged(lam, k_max, float(np.max(u)), "iteration cap", rho)
+        return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho)
 
     return iterate
 
@@ -365,7 +466,9 @@ def minimal_iterate(
 ):
     """Monotone iteration from u = 0: returns the fixed-point RadialProfile,
     or a Divergence record when iterates pass u_max or overflow (diverged)
-    or stop at the iteration cap or as a fold ghost (undecided)."""
+    or stop at the iteration cap or as a fold ghost (undecided).  On a convex
+    reaction a certified Anderson attempt may end it early, as in
+    ``lambda_star_estimate``."""
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
     outcome, _record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
@@ -406,6 +509,32 @@ def lambda_star_estimate(
     until the bracket passes the width test or max_bisect midpoints have
     run.  Every probe is recorded with its norms so the uniform-bound
     behavior of the minimal branch can be audited from the result alone.
+
+    A probe above the last converged lambda starts from that probe's u:
+    minimal solutions increase with lambda and T is order preserving, so it
+    is a subsolution, and the first sweep checks that (a sweep that lowers it
+    anywhere restarts the probe from u = 0).  On a convex reaction (the
+    ``convex`` property: for convex f a stable solution is the minimal one),
+    once rho_k has settled (k >= ACCEL_SWEEPS, rho_k < 1,
+    |rho_k - rho_(k-1)| < ACCEL_SETTLE (1 - rho_k)) and the plain sweeps
+    still have more than ACCEL_SWEEPS to go, the probe runs Anderson mixing
+    once, on a copy of its iterate, for at most ACCEL_MAX_SWEEPS sweeps under
+    the same stopping test.  Its answer u_A, at residual delta, ends the
+    probe as converged only if u_A + eps phi, with eps = sqrt(delta) and phi
+    the last plain step scaled to sup 1, is a supersolution:
+    T(u_A + eps phi) <= u_A + eps phi - ORDER_SLACK (1 + sup) on every node
+    but r = 1.  The slack is the drop the plain sweeps' order guard grants
+    the quadrature, whose cumulative weights are not all positive (the n = 1
+    rule has a -3.8e-8 entry); with it, rounding can only reject.  The
+    iteration from 0 then stays below the supersolution and converges, so
+    the probe is decided as the plain one would be.  Otherwise the plain
+    sweeps resume where they stopped, so every divergent, fold-ghost and
+    capped outcome comes from plain sweeps.  The record's ``certificate``
+    holds eps, nan for a plain probe, and ``iterations`` counts every sweep
+    of the probe: plain ones, those of an Anderson attempt, failed or not,
+    the certificate's and, after an accepted attempt, the consistency sweep.
+    A plain converged probe's count stops, as before, at the sweep that
+    passed the stopping test.
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

@@ -147,9 +147,12 @@ def test_lambda_star_command(tmp_path, capsys):
     assert report["outcome"] == "bracketed"
     assert 1.9 < report["lambda_lo"] <= report["lambda_hi"] < 2.1
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
-    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction"
+    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction,certificate"
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
+    # certified accelerated probes carry their eps, plain ones "nan"
+    certified = [rec for rec in report["records"] if rec["certificate"] != "nan"]
+    assert certified and all(rec["converged"] and rec["certificate"] > 0 for rec in certified)
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
 
 

@@ -203,3 +203,20 @@ def test_power_nonlinearity_values():
     assert f.derivative(0.0) == 10.0
     assert f.increasing and f.positive_at_zero()
     assert not Power(m=-1.5).increasing
+
+
+def test_convexity_of_each_reaction():
+    """Only convex reactions try accelerated lambda* probes.  A table is
+    convex when g'' = 2 c2 + 6 c3 x is >= 0 at both ends of every cell; for
+    (1+u)^3 both minima are g''(0) = 6 (the right end of the first cell,
+    at u = 1e-3, reads 6.006)."""
+    assert Exponential(1.0).convex and Power(m=3.0).convex and Power(m=1.0).convex
+    assert not Power(m=0.5).convex
+    u = np.concatenate([[0.0], np.geomspace(1e-3, 2e6, 399)])
+    cubic = Tabulated(tuple(u), tuple((1.0 + u) ** 3), tuple(3.0 * (1.0 + u) ** 2))
+    c2, c3 = cubic._table[1][:, 3:].T
+    assert abs(np.min(2.0 * c2) - 6.0) < 1e-6
+    assert abs(np.min(2.0 * c2 + 6.0 * c3 * np.diff(u)) - 6.0) < 1e-2
+    assert cubic.convex
+    v = np.linspace(0.0, 1e3, 400)
+    assert not Tabulated(tuple(v), tuple(np.sqrt(1.0 + v)), tuple(0.5 / np.sqrt(1.0 + v))).convex

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -569,11 +570,22 @@ def assert_decided_ends(res):
     assert by_lam[res.lambda_hi].reason in ("exceeded u_max", "overflow")
 
 
+def stopping_error(record, controls=IterationControls()):
+    """delta / (1 - rho) at the stopping test of a plain converged probe: how
+    far its u may lie from the fixed point."""
+    delta = controls.tol_abs + controls.tol_rel * record.sup_norm
+    return delta / (1.0 - record.contraction)
+
+
 def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, monkeypatch):
     """At lambda = 2 the disk iteration passes the saddle-node bottleneck,
     where k (1 - rho_k) stays near 2: it stops as a fold ghost at sweep 500.
     The slowest convergent probe, 1.99995, still converges, and does so bit
-    for bit as the iteration without the stop."""
+    for bit as the iteration without the stop.  Both on the plain path; with
+    acceleration the ghost's Anderson attempt fails its certificate and the
+    probe still stops at plain sweep 500, while 1.99995 converges certified,
+    within the plain probe's stopping error, in a fraction of its sweeps."""
+    monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
     out, record = iterate(2.0)
     assert isinstance(out, Divergence) and not record.converged
@@ -581,11 +593,23 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     assert 0.0 < 500 * (1.0 - record.contraction) < solver.FOLD_GHOST_RATE
     profile, record = iterate(1.99995)
     assert (record.reason, record.iterations) == ("converged", 1841)
+    assert math.isnan(record.certificate)
     monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
     plain, plain_record = iterate(1.99995)
     assert plain_record == record
     for name in ("u", "w", "u_r"):
         assert np.array_equal(getattr(profile, name), getattr(plain, name))
+
+    monkeypatch.undo()
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
+    _, ghost = iterate(2.0)
+    assert ghost.reason == "fold ghost" and math.isnan(ghost.certificate)
+    # the failed attempt and its certificate sweep are counted
+    assert 500 < ghost.iterations <= 500 + solver.ACCEL_MAX_SWEEPS + 1
+    fast, fast_record = iterate(1.99995)
+    assert fast_record.converged and 0.0 < fast_record.certificate < 1e-4
+    assert fast_record.iterations < 1841 / 10
+    assert np.max(np.abs(fast.u - plain.u)) <= stopping_error(plain_record)
 
 
 def test_no_bracket_end_is_undecided(gelfand_disk_spec, grid2000, continuation_disk):
@@ -651,3 +675,162 @@ def test_lambda_star_rejects_bad_lam_init(lam_init, gelfand_disk_spec, monkeypat
     with time_limit(10), pytest.raises(ParameterError, match="lam_init must be a positive finite"):
         lambda_star_estimate(gelfand_disk_spec, make_grid(1e-6, 400), lam_init=lam_init)
     assert probes == []
+
+
+def fold_cubic_table():
+    """(1+u)^3 with exact slopes on log-spaced knots over [0, 2e6]: Hermite
+    interpolation reproduces the cubic, and the table reaches past u_max."""
+    from plaplab import Tabulated
+
+    u = np.concatenate([[0.0], np.geomspace(1e-3, 2e6, 399)])
+    return Tabulated(tuple(u), tuple((1.0 + u) ** 3), tuple(3.0 * (1.0 + u) ** 2))
+
+
+@pytest.mark.parametrize(
+    "n, p, f",
+    [
+        (1.0, 2.0, Exponential(1.0)),
+        (2.0, 2.0, Exponential(1.0)),
+        (5.0, 3.0, Exponential(1.0)),
+        (3.0, 2.0, Power(m=3.0)),
+        (3.0, 2.0, fold_cubic_table()),
+    ],
+    ids=["slab", "disk", "n5-p3", "power", "table"],
+)
+def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypatch):
+    """Warm starts and certified Anderson answers change no probe's decision
+    and no bracket: the search with acceleration switched off probes the same
+    lambdas with the same outcomes.  Its profile_lo lies within the plain
+    twin's stopping error delta / (1 - rho) of the fixed point, as the plain
+    one does, and the search runs fewer sweeps."""
+    spec = ProblemSpec(n, p, f)
+    probes = logged_probes(monkeypatch, lambda record: (state(record), record.certificate))
+    fast = lambda_star_estimate(spec, grid2000)
+    fast_probes, probes[:] = probes[:], []
+    monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
+    plain = lambda_star_estimate(spec, grid2000)
+    assert (fast.lambda_lo, fast.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
+    assert [(lam, s) for lam, (s, _) in fast_probes] == [(lam, s) for lam, (s, _) in probes]
+    assert all(math.isnan(eps) for _, (_, eps) in probes)
+    assert any(eps > 0.0 for _, (_, eps) in fast_probes)
+    assert sum(rec.iterations for rec in fast.records) < sum(rec.iterations for rec in plain.records)
+
+    monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
+    tight = IterationControls(tol_abs=1e-14, tol_rel=1e-14, k_max=10**5)
+    fixed_point = minimal_iterate(spec, plain.lambda_lo, grid2000, tight)
+    lo = next(rec for rec in plain.records if rec.lam == plain.lambda_lo)
+    for res in (plain, fast):
+        assert np.max(np.abs(res.profile_lo.u - fixed_point.u)) <= stopping_error(lo)
+
+
+def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
+    """n = 5, p = 2 and lambda = 6.45, just below the fold: the minimal
+    solution (sup 2.07) is stable, rho = 0.960, and an upper-branch one
+    (sup 2.26, from a shoot refined by Anderson mixing) is not, rho = 1.042.
+    With phi the principal mode of T' at each, u + eps phi passes the
+    supersolution certificate at the minimal solution for every eps in
+    [1e-7, 1e-3] and at the upper one for none.  The accelerated probe finds
+    the minimal solution."""
+    spec = ProblemSpec(5.0, 2.0, Exponential(1.0))
+    f, lam = spec.nonlinearity, 6.45
+    kernel = solver._SweepKernel(grid2000, 5.0, 2.0)
+
+    def sweep(u):
+        return solver._iteration_step(u, lam, f, kernel)[0].copy()
+
+    def principal_mode(u, steps=30, h=1e-7):
+        base, phi = sweep(u), 1.0 - grid2000.r**2
+        for _ in range(steps):
+            d = sweep(u + h * phi) - base
+            rho, phi = np.max(d) / h, d / np.max(d)
+        return rho, phi
+
+    minimal, record = solver._monotone_iteration(spec, grid2000, IterationControls())(lam)
+    assert record.converged and record.certificate > 0.0
+    assert abs(record.sup_norm - 2.067) < 1e-3
+
+    lo, hi = 2.25, 2.3  # the curve falls from 6.4509 to 6.4472 past the fold
+    for _ in range(20):  # the mixing below refines the shoot
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bifurcation_curve(spec, [mid], grid2000)[0].lam > lam else (lo, mid)
+    shot = shoot(ProblemSpec(5.0, 2.0, Exponential(lam)), lo, grid2000).profile.u
+    start = np.maximum(shot - 1e-4, 0.0)
+    start[-1] = 0.0
+    monkeypatch.setattr(solver, "ACCEL_MAX_SWEEPS", 200)
+    _, upper, residual = solver._anderson(start, lam, f, kernel, IterationControls(), math.inf)
+    assert upper is not None and abs(np.max(upper) - 2.265) < 1e-3
+
+    rho_min, phi_min = principal_mode(minimal.u)
+    rho_up, phi_up = principal_mode(upper)
+    assert abs(rho_min - 0.960) < 1e-3 and abs(rho_up - 1.042) < 1e-3
+    for eps in np.geomspace(1e-7, 1e-3, 9):
+        assert solver._supersolution(minimal.u + eps * phi_min, lam, f, kernel)
+        assert not solver._supersolution(upper + eps * phi_up, lam, f, kernel)
+        # any nonnegative direction fails at an unstable solution
+        assert not solver._supersolution(upper + eps * (1.0 - grid2000.r**2), lam, f, kernel)
+
+
+def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec, grid2000, monkeypatch):
+    """A probe above the last converged lambda starts from its u, and ends as
+    a probe from u = 0 would, in fewer sweeps.  If that u is no subsolution
+    (here: raised by 1 on the inner half of the grid), the first sweep lowers
+    it, and the probe starts again from u = 0 instead of raising: its record
+    is the cold probe's with one more sweep, and its profile the cold one's
+    bit for bit."""
+    monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
+    controls = IterationControls()
+    cold, cold_record = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)(1.5)
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)
+    iterate(1.0)
+    warm, warm_record = iterate(1.5)
+    assert warm_record.converged and warm_record.iterations < cold_record.iterations
+    assert np.max(np.abs(warm.u - cold.u)) <= stopping_error(cold_record)
+
+    real_step = solver._iteration_step
+    sweeps = 0
+
+    def raised_consistency_sweep(u, *args):
+        nonlocal sweeps
+        sweeps += 1
+        u_next, F = real_step(u, *args)
+        if sweeps == 17:  # lambda = 1 passes the stopping test at sweep 16
+            u_next[: grid2000.size // 2] += 1.0
+        return u_next, F
+
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)
+    monkeypatch.setattr(solver, "_iteration_step", raised_consistency_sweep)
+    first, first_record = iterate(1.0)
+    assert first_record.iterations == 16 and np.max(first.u) > 1.0
+    again, again_record = iterate(1.5)
+    assert again_record == dataclasses.replace(cold_record, iterations=cold_record.iterations + 1)
+    for name in ("u", "w", "u_r"):
+        assert np.array_equal(getattr(again, name), getattr(cold, name))
+
+
+def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
+    """A concave table (sqrt(1 + u), exact slopes) never tries Anderson
+    mixing: its sublinear search runs plain up to the cap, although its
+    probes would try it if the table read as convex."""
+    from plaplab import Tabulated
+
+    calls = []
+    real = solver._anderson
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_anderson", counted)
+    probes = logged_probes(monkeypatch, lambda record: record.certificate)
+    u = np.linspace(0.0, 1e3, 400)
+    concave = Tabulated(tuple(u), tuple(np.sqrt(1.0 + u)), tuple(0.5 / np.sqrt(1.0 + u)))
+    assert not concave.convex
+    with pytest.raises(BracketingError, match="no divergence found below the cap"):
+        lambda_star_estimate(ProblemSpec(3.0, 2.0, concave), grid2000, lam_cap=64.0)
+    assert len(probes) == 7 and all(math.isnan(eps) for _, eps in probes)
+    assert calls == []
+    # the same probes would try it, were the table convex
+    monkeypatch.setattr(Tabulated, "convex", True)
+    with pytest.raises(BracketingError):
+        lambda_star_estimate(ProblemSpec(3.0, 2.0, concave), grid2000, lam_cap=64.0)
+    assert calls
