@@ -34,7 +34,6 @@ from .solver import (
     BlowUpError,
     BracketingError,
     ContinuationResult,
-    Divergence,
     IterationControls,
     LambdaRecord,
     ShootResult,

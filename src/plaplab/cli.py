@@ -57,7 +57,6 @@ from .solver import (
     UNDECIDED,
     BifurcationPoint,
     BracketingError,
-    Divergence,
     IterationControls,
     LambdaRecord,
     bifurcation_curve,
@@ -324,14 +323,13 @@ def cmd_exponents(args, cfg: dict) -> int:
 
 
 def cmd_solve(args, cfg: dict) -> int:
-    out = Path(args.out or cfg["output"]["directory"])
     spec = _problem(cfg)
     grid = _grid(cfg)
     lam = cfg["problem"]["lambda"]
     result = minimal_iterate(spec, lam, grid, _controls(cfg))
-    if isinstance(result, Divergence):
+    if isinstance(result, LambdaRecord):
         outcome = "undecided" if result.reason in UNDECIDED else "divergence"
-        _emit(out / "report.json", base_report(cfg, outcome=outcome, record=result))
+        _emit(args.out / "report.json", base_report(cfg, outcome=outcome, record=result))
         return 3
     scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
     stab = _stability(result, scaled.nonlinearity.derivative, cfg)
@@ -344,21 +342,21 @@ def cmd_solve(args, cfg: dict) -> int:
         stability=stab.as_dict(),
         estimates=est.as_dict(),
     )
-    _write_csv(out / "profile.csv", ("r", "u", "u_r", "w"), zip(grid.r, result.u, result.u_r, result.w))
-    _emit(out / "report.json", report)
+    _write_csv(args.out / "profile.csv", ("r", "u", "u_r", "w"), zip(grid.r, result.u, result.u_r, result.w))
+    _emit(args.out / "report.json", report)
     return 0
 
 
-def cmd_lambda_star(args, cfg: dict) -> int:
-    out = Path(args.out or cfg["output"]["directory"])
-    spec = _problem(cfg)
+def _lambda_star_report(cfg: dict, out: Path) -> dict:
+    """The lambda* search of cfg's problem: the "bracketed" report, after
+    writing its records to ``out``/lambda_sweep.csv, or the "no-bracket"
+    one with the search's diagnosis."""
     try:
-        result = _lambda_star(spec, _grid(cfg), cfg)
+        result = _lambda_star(_problem(cfg), _grid(cfg), cfg)
     except BracketingError as exc:
-        report = base_report(cfg, outcome="no-bracket", diagnosis=str(exc))
-        _emit(out / "report.json", report)
-        return 3
-    report = base_report(
+        return base_report(cfg, outcome="no-bracket", diagnosis=str(exc))
+    _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))
+    return base_report(
         cfg,
         outcome="bracketed",
         lambda_lo=result.lambda_lo,
@@ -366,26 +364,27 @@ def cmd_lambda_star(args, cfg: dict) -> int:
         undecided=[rec.lam for rec in result.records if rec.reason in UNDECIDED],
         records=result.records,
     )
-    _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))
-    _emit(out / "report.json", report)
-    return 0
+
+
+def cmd_lambda_star(args, cfg: dict) -> int:
+    report = _lambda_star_report(cfg, args.out)
+    _emit(args.out / "report.json", report)
+    return 0 if report["outcome"] == "bracketed" else 3
 
 
 def cmd_bifurcate(args, cfg: dict) -> int:
-    out = Path(args.out or cfg["output"]["directory"])
     spec = _problem(cfg)
     grid = _grid(cfg)
     centers = _float_list(args.centers)
     if not centers:
         raise ConfigError("no center values given (--centers)")
     points = bifurcation_curve(spec, centers, grid)
-    _write_csv(out / "bifurcation.csv", _columns(BifurcationPoint), map(astuple, points))
-    _emit(out / "report.json", base_report(cfg, outcome="curve", points=points))
+    _write_csv(args.out / "bifurcation.csv", _columns(BifurcationPoint), map(astuple, points))
+    _emit(args.out / "report.json", base_report(cfg, outcome="curve", points=points))
     return 0
 
 
 def cmd_stability(args, cfg: dict) -> int:
-    out = Path(args.out or cfg["output"]["directory"])
     n, p = cfg["problem"]["n"], cfg["problem"]["p"]
     grid = _grid(cfg)
     if args.profile:
@@ -401,7 +400,7 @@ def cmd_stability(args, cfg: dict) -> int:
     else:
         raise ConfigError("need --profile FILE or --exact {exponential,power}")
     report = base_report(cfg, stability=_stability(profile, gp, cfg).as_dict())
-    _emit(out / "stability.json", report)
+    _emit(args.out / "stability.json", report)
     return 0
 
 
@@ -508,15 +507,13 @@ def cmd_verify(args, cfg: dict) -> int:
         all_ok &= ok
         suffix = f" ({detail})" if detail else ""
         print(f"{status} {args.scenario}: {name}{suffix}")
-    if args.out or cfg["output"]["directory"]:
-        out = Path(args.out or cfg["output"]["directory"])
-        report = base_report(
-            cfg,
-            scenario=args.scenario,
-            checks=[{"name": n, "passed": bool(o), "detail": d} for n, o, d in checks],
-            passed=bool(all_ok),
-        )
-        write_json(out / f"verify_{args.scenario}.json", report)
+    report = base_report(
+        cfg,
+        scenario=args.scenario,
+        checks=[{"name": n, "passed": bool(o), "detail": d} for n, o, d in checks],
+        passed=bool(all_ok),
+    )
+    write_json(args.out / f"verify_{args.scenario}.json", report)
     return 0 if all_ok else 3
 
 
@@ -525,26 +522,18 @@ def cmd_verify(args, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(payload):
-    cfg, n_val, p_val, out_dir = payload
-    spec = ProblemSpec(n_val, p_val, _nonlinearity(cfg))
-    grid = _grid(cfg)
+def _sweep_point(job):
+    """One sweep point, (point cfg, n, p, directory): what ``lambda-star
+    --out`` writes there, or an "error" report if the point's problem is
+    inadmissible; returns (index status, report)."""
+    cfg, _n, _p, out_dir = job
+    out = Path(out_dir)
     try:
-        res = _lambda_star(spec, grid, cfg)
-        payload = {
-            "outcome": "bracketed",
-            "n": n_val,
-            "p": p_val,
-            "lambda_lo": res.lambda_lo,
-            "lambda_hi": res.lambda_hi,
-        }
-        status = "ok"
-    except (BracketingError, ParameterError) as exc:
-        payload = {"outcome": "error", "n": n_val, "p": p_val, "diagnosis": str(exc)}
-        status = "error"
-    report = base_report(cfg, **payload)
-    write_json(Path(out_dir) / "report.json", report)
-    return status, payload
+        report = _lambda_star_report(cfg, out)
+    except ParameterError as exc:
+        report = base_report(cfg, outcome="error", diagnosis=str(exc))
+    write_json(out / "report.json", report)
+    return ("ok" if report["outcome"] == "bracketed" else "error"), report
 
 
 def _point_setting(config: dict) -> dict:
@@ -555,38 +544,44 @@ def _point_setting(config: dict) -> dict:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    out = Path(args.out or cfg["output"]["directory"])
+    out = args.out
     p_values = _float_list(cfg["sweep"]["p_values"])
     n_values = _float_list(cfg["sweep"]["n_values"])
     if not p_values and not n_values:
         raise ConfigError("sweep grid is empty: set p_values and/or n_values")
+    _grid(cfg)  # a bad [grid] fails the sweep, not each point
     points = [
         (f"n{n_val:g}_p{p_val:g}", n_val, p_val)
         for n_val in n_values or [cfg["problem"]["n"]]
         for p_val in p_values or [cfg["problem"]["p"]]
     ]
-    rows = {}
-    setting = _point_setting(_jsonable(cfg))
-    for name, _n, _p in points:
+    rows, names, jobs = {}, [], []
+    for name, n_val, p_val in points:
+        point_cfg = {**cfg, "problem": {**cfg["problem"], "n": n_val, "p": p_val}}
         report_path = out / name / "report.json"
         if report_path.exists() and not args.force:
             cached = json.loads(report_path.read_text())
-            if _point_setting(cached.get("config", {})) == setting:
+            if _point_setting(cached.get("config", {})) == _point_setting(_jsonable(point_cfg)):
                 rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
-    todo = [(name, n_val, p_val) for name, n_val, p_val in points if name not in rows]
-    jobs = [(cfg, n_val, p_val, str(out / name)) for name, n_val, p_val in todo]
+                continue
+        names.append(name)
+        jobs.append((point_cfg, n_val, p_val, str(out / name)))
     if args.jobs > 1 and jobs:
-        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        import multiprocessing  # like the pool, only for --jobs N
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn, not fork: forking a process that may run BLAS threads is unsafe
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
             results = list(pool.map(_sweep_point, jobs))
     else:
         results = [_sweep_point(job) for job in jobs]
-    rows.update(zip([name for name, _n, _p in todo], results))
+    rows.update(zip(names, results))
 
     index = []
     for name, n_val, p_val in points:
-        status, payload = rows[name]
-        index.append((name, n_val, p_val, status, payload.get("lambda_lo"), payload.get("lambda_hi")))
+        status, report = rows[name]
+        index.append((name, n_val, p_val, status, report.get("lambda_lo"), report.get("lambda_hi")))
     _write_csv(out / "index.csv", ("point", "n", "p", "status", "lambda_lo", "lambda_hi"), index)
     print(f"sweep complete: {len(points)} points, index at {out / 'index.csv'}")
     return 0
@@ -655,6 +650,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
+        args.out = Path(args.out or cfg["output"]["directory"])
         return args.func(args, cfg)
     except (ConfigError, ParameterError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,14 +101,6 @@ class IterationControls:
 
 
 @dataclass(frozen=True)
-class Divergence:
-    lam: float
-    iterations: int
-    sup_u: float
-    reason: str
-
-
-@dataclass(frozen=True)
 class ShootResult:
     profile: RadialProfile
     boundary_value: float
@@ -123,7 +115,7 @@ class LambdaRecord:
     sup_norm: float
     w1p_norm: float
     f_l1_norm: float
-    reason: str  # "converged", or the Divergence reason
+    reason: str  # "converged", or why the probe diverged or stayed undecided
     contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
     certificate: float = math.nan  # eps of the accepted supersolution; nan for a plain probe
 
@@ -357,8 +349,9 @@ def _supersolution(u_bar, lam: float, f, kernel: _SweepKernel) -> bool:
 
 
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
-    """The monotone iteration as a function of lambda, returning (outcome,
-    LambdaRecord); one ``_SweepKernel`` serves every lambda it is called with,
+    """The monotone iteration as a function of lambda, returning (profile,
+    LambdaRecord), with None for the profile of a probe that did not
+    converge; one ``_SweepKernel`` serves every lambda it is called with,
     after the admission checks that every caller needs.
 
     The warm starts, the certified Anderson attempt and what ``iterations``
@@ -378,11 +371,13 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     warm = None  # (lambda, u) of the last converged probe
 
     def diverged(lam: float, k: int, sup: float, reason: str, rho: float):
-        record = LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho)
-        return Divergence(lam=lam, iterations=k, sup_u=sup, reason=reason), record
+        return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho)
 
-    def converged(lam: float, k: int, rho: float, u_final, F_final, eps: float = math.nan):
+    def converged(lam: float, k: int, rho: float, u, eps: float = math.nan):
+        """The probe's end after k sweeps and one more, which makes (u, w) an
+        exactly consistent pair."""
         nonlocal warm
+        u_final, F_final = _iteration_step(u, lam, f, kernel)
         try:
             profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
         except ParameterError as exc:
@@ -392,7 +387,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
         record = LambdaRecord(
-            lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps
+            lam, True, k + 1, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps
         )
         warm = (lam, profile.u)
         return profile, record
@@ -429,8 +424,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                     return diverged(lam, sweeps, sup, "exceeded u_max", rho)
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
-                    # one more sweep makes (u, w) an exactly consistent pair
-                    return converged(lam, sweeps, rho, *step_of(u, lam, f, kernel))
+                    return converged(lam, sweeps, rho, u)
                 if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
                     return diverged(lam, sweeps, sup, "fold ghost", rho)
                 # rho_k < 1 has settled, and plain sweeps have more than
@@ -449,9 +443,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                         eps, sweeps = math.sqrt(residual), sweeps + 1
                         u_bar = u_a + eps / delta * np.maximum(step, 0.0)
                         if _supersolution(u_bar, lam, f, kernel):
-                            # its consistency sweep counts, unlike a plain probe's
-                            u_a, F = step_of(u_a, lam, f, kernel)
-                            return converged(lam, sweeps + 1, rho, u_a, F, eps)
+                            return converged(lam, sweeps, rho, u_a, eps)
                 prev = delta
         return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho)
 
@@ -465,14 +457,14 @@ def minimal_iterate(
     controls: IterationControls | None = None,
 ):
     """Monotone iteration from u = 0: returns the fixed-point RadialProfile,
-    or a Divergence record when iterates pass u_max or overflow (diverged)
-    or stop at the iteration cap or as a fold ghost (undecided).  On a convex
-    reaction a certified Anderson attempt may end it early, as in
+    or the probe's LambdaRecord when iterates pass u_max or overflow
+    (diverged) or stop at the iteration cap or as a fold ghost (undecided).
+    On a convex reaction a certified Anderson attempt may end it early, as in
     ``lambda_star_estimate``."""
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
-    outcome, _record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
-    return outcome
+    profile, record = _monotone_iteration(spec, grid, controls or IterationControls())(lam)
+    return record if profile is None else profile
 
 
 def _profile_norms(profile: RadialProfile, f: Nonlinearity, rule: QuadratureRule):
@@ -532,9 +524,8 @@ def lambda_star_estimate(
     capped outcome comes from plain sweeps.  The record's ``certificate``
     holds eps, nan for a plain probe, and ``iterations`` counts every sweep
     of the probe: plain ones, those of an Anderson attempt, failed or not,
-    the certificate's and, after an accepted attempt, the consistency sweep.
-    A plain converged probe's count stops, as before, at the sweep that
-    passed the stopping test.
+    the certificate's and, for a converged probe, the consistency sweep that
+    builds (u, w).
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

@@ -103,7 +103,7 @@ def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
     report = json.loads((tmp_path / "sg" / "report.json").read_text())
     assert report["outcome"] == "undecided"
-    assert report["record"]["reason"] == "fold ghost" and report["record"]["sup_u"] < 2.0
+    assert report["record"]["reason"] == "fold ghost" and report["record"]["sup_norm"] < 2.0
     run_cli(capsys, "--out", str(tmp_path / "ld"), "lambda-star", "--n", "2", "--p", "2")
     report = json.loads((tmp_path / "ld" / "report.json").read_text())
     assert report["undecided"] == [2.0]
@@ -413,10 +413,49 @@ def test_sweep_reruns_points_whose_config_changed(tmp_path, capsys, monkeypatch)
     assert grown.split("\n")[1] == at30.split("\n")[1]
 
 
+def test_sweep_point_is_a_lambda_star_run(tmp_path, capsys):
+    """A sweep point's directory holds what lambda-star --out writes for the
+    point, its config naming the point's n and p."""
+    settings = "[solver]\ntol_lambda = 1e-2\n[grid]\nnodes = 400\nr_min = 1e-6\n"
+    sweep_cfg = tmp_path / "sweep.ini"
+    sweep_cfg.write_text(settings + "[sweep]\np_values = 3\nn_values = 12\n")
+    run_cli(capsys, "--config", str(sweep_cfg), "--out", str(tmp_path / "s"), "sweep")
+    point_cfg = tmp_path / "point.ini"
+    point_cfg.write_text(settings)
+    run_cli(capsys, "--config", str(point_cfg), "--out", str(tmp_path / "l"), "lambda-star", "--n", "12", "--p", "3")
+    point, run = (tmp_path / "s" / "n12_p3", tmp_path / "l")
+    swept = json.loads((point / "report.json").read_text())
+    alone = json.loads((run / "report.json").read_text())
+    assert swept["outcome"] == "bracketed" and swept["records"]
+    assert (swept["config"]["problem"]["n"], swept["config"]["problem"]["p"]) == (12.0, 3.0)
+    assert swept["config"].pop("sweep") != alone["config"].pop("sweep")
+    assert swept == alone
+    assert (point / "lambda_sweep.csv").read_bytes() == (run / "lambda_sweep.csv").read_bytes()
+
+
+def test_solve_record_is_a_lambda_sweep_row(tmp_path, capsys):
+    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
+    record = json.loads((tmp_path / "sg" / "report.json").read_text())["record"]
+    run_cli(capsys, "--out", str(tmp_path / "ls"), "--config", _tiny_config(tmp_path),
+            "lambda-star", "--n", "2", "--p", "2")
+    header = (tmp_path / "ls" / "lambda_sweep.csv").read_text().split("\n")[0]
+    assert sorted(record) == sorted(header.split(","))  # reports sort their keys
+    assert math.isfinite(record["contraction"])
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     cfg = tmp_path / "empty.ini"
     cfg.write_text("[sweep]\n")
     run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), "sweep", expect=2)
+
+
+def test_sweep_bad_grid_exit2(tmp_path, capsys):
+    # a [grid] that no point can use is a config error, not an "error" point
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text("[grid]\nnodes = 10\n[sweep]\nn_values = 3, 4\n")
+    out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), "sweep", expect=2)
+    assert "need at least 16 nodes" in out.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_scenario_unknown(capsys):

@@ -10,9 +10,9 @@ from plaplab import (
     BlowUpError,
     BracketingError,
     ConsistencyError,
-    Divergence,
     Exponential,
     IterationControls,
+    LambdaRecord,
     ParameterError,
     Power,
     ProblemSpec,
@@ -123,14 +123,14 @@ def test_minimal_iterate_matches_liouville(grid2000, minimal_disk_lam1):
 def test_minimal_iterate_diverges_above_threshold(grid2000):
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     out = minimal_iterate(spec, 3.0, grid2000)
-    assert isinstance(out, Divergence)
+    assert isinstance(out, LambdaRecord)
     assert out.reason in ("exceeded u_max", "overflow")
 
 
 def test_minimal_iterate_iteration_cap(grid2000):
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     out = minimal_iterate(spec, 1.9, grid2000, IterationControls(k_max=5))
-    assert isinstance(out, Divergence) and out.reason == "iteration cap"
+    assert isinstance(out, LambdaRecord) and out.reason == "iteration cap"
 
 
 def test_minimal_iterate_requires_admissible_reaction(grid2000):
@@ -300,8 +300,8 @@ def test_flux_monotone_on_minimal_solutions(minimal_disk_lam1):
 def test_divergence_record_fields(grid2000):
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     out = minimal_iterate(spec, 5.0, grid2000)
-    assert isinstance(out, Divergence)
-    assert out.lam == 5.0 and out.iterations > 0 and out.sup_u > 1e6
+    assert isinstance(out, LambdaRecord)
+    assert out.lam == 5.0 and out.iterations > 0 and out.sup_norm > 1e6
 
 
 @pytest.mark.parametrize("n, p", [(5.0, 1.5), (3.0, 1.3)])
@@ -337,7 +337,7 @@ def test_monotone_iteration_guard(offset, raises, grid2000, monkeypatch):
             minimal_iterate(spec, 1.0, grid2000)
         assert sweeps == 3
     else:
-        assert not isinstance(minimal_iterate(spec, 1.0, grid2000), Divergence)
+        assert not isinstance(minimal_iterate(spec, 1.0, grid2000), LambdaRecord)
 
 
 @pytest.mark.parametrize(
@@ -365,8 +365,8 @@ def test_sweep_ends_each_non_finite_source_as_overflow(
     monkeypatch.setattr(solver, "_iteration_step", recording_step)
     spec = ProblemSpec(n, p, Exponential(1.0))
     out = minimal_iterate(spec, lam, grid2000, controls)
-    assert isinstance(out, Divergence)
-    assert (out.iterations, out.sup_u, out.reason) == (sweeps, math.inf, "overflow")
+    assert isinstance(out, LambdaRecord)
+    assert (out.iterations, out.sup_norm, out.reason) == (sweeps, math.inf, "overflow")
     assert len(inputs) == sweeps
     with np.errstate(over="ignore"):
         fv = lam * np.exp(inputs[-1])
@@ -389,8 +389,7 @@ def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_d
     out, record = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)(lam)
     assert record.reason == reason
     assert record.converged == (reason == "converged")
-    if not record.converged:
-        assert (out.reason, out.iterations) == (reason, record.iterations)
+    assert (out is None) == (not record.converged)
 
 
 def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid2000):
@@ -486,7 +485,7 @@ def forced_cap(monkeypatch, lams):
             if lam not in lams:
                 return iterate(lam)
             record = solver.LambdaRecord(lam, False, controls.k_max, 1.0, math.inf, math.inf, "iteration cap")
-            return Divergence(lam, controls.k_max, 1.0, "iteration cap"), record
+            return None, record
 
         return run
 
@@ -588,11 +587,11 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
     out, record = iterate(2.0)
-    assert isinstance(out, Divergence) and not record.converged
+    assert out is None and not record.converged
     assert (record.reason, record.iterations) == ("fold ghost", 500)
     assert 0.0 < 500 * (1.0 - record.contraction) < solver.FOLD_GHOST_RATE
     profile, record = iterate(1.99995)
-    assert (record.reason, record.iterations) == ("converged", 1841)
+    assert (record.reason, record.iterations) == ("converged", 1842)
     assert math.isnan(record.certificate)
     monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
     plain, plain_record = iterate(1.99995)
@@ -608,7 +607,7 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     assert 500 < ghost.iterations <= 500 + solver.ACCEL_MAX_SWEEPS + 1
     fast, fast_record = iterate(1.99995)
     assert fast_record.converged and 0.0 < fast_record.certificate < 1e-4
-    assert fast_record.iterations < 1841 / 10
+    assert fast_record.iterations < 1842 / 10
     assert np.max(np.abs(fast.u - plain.u)) <= stopping_error(plain_record)
 
 
@@ -800,11 +799,56 @@ def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec,
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)
     monkeypatch.setattr(solver, "_iteration_step", raised_consistency_sweep)
     first, first_record = iterate(1.0)
-    assert first_record.iterations == 16 and np.max(first.u) > 1.0
+    assert first_record.iterations == 17 and np.max(first.u) > 1.0
     again, again_record = iterate(1.5)
     assert again_record == dataclasses.replace(cold_record, iterations=cold_record.iterations + 1)
     for name in ("u", "w", "u_r"):
         assert np.array_equal(getattr(again, name), getattr(cold, name))
+
+
+def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
+    """A probe's ``iterations`` is the number of sweeps it ran, however it
+    ended: converged plainly or through a certified Anderson attempt, after a
+    warm start that fell back to u = 0, past u_max, by overflow, or as a fold
+    ghost whose attempt failed its certificate."""
+    real_step = solver._iteration_step
+    calls, raised = 0, None  # raised: the call whose output gains 1 on the inner half
+
+    def counted(u, *args):
+        nonlocal calls
+        calls += 1
+        u_next, F = real_step(u, *args)
+        if calls == raised:
+            u_next[: grid2000.size // 2] += 1.0
+        return u_next, F
+
+    monkeypatch.setattr(solver, "_iteration_step", counted)
+
+    def probe(iterate, lam, reason):
+        nonlocal calls
+        calls = 0
+        _, record = iterate(lam)
+        assert (record.reason, record.iterations) == (reason, calls)
+        return record
+
+    def disk(**controls):
+        return solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls(**controls))
+
+    iterate = disk()
+    plain = probe(iterate, 1.0, "converged")
+    assert math.isnan(plain.certificate)
+    assert probe(iterate, 1.9, "converged").certificate > 0.0
+    ghost = probe(disk(), 2.0, "fold ghost")
+    assert ghost.iterations > solver.FOLD_GHOST_SWEEPS
+    probe(disk(), 5.0, "exceeded u_max")
+    probe(disk(u_max=1e300), 4.0, "overflow")
+
+    cold = probe(disk(), 1.5, "converged")
+    iterate = disk()
+    raised = plain.iterations  # the consistency sweep: 1.0's u, raised, is no subsolution at 1.5
+    probe(iterate, 1.0, "converged")
+    raised = None
+    assert probe(iterate, 1.5, "converged").iterations == cold.iterations + 1
 
 
 def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
