@@ -429,13 +429,15 @@ def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
             f"[{res.lambda_lo:.6f}, {res.lambda_hi:.6f}]",
         )
     )
-    prof = minimal_iterate(spec, 1.0, grid, _controls(cfg))
-    gp = Exponential(1.0).derivative
+    # the search's extremal profile: the minimal solution at lambda_lo, whose
+    # reaction is lambda_lo e^u
+    prof, g = res.profile_lo, Exponential(res.lambda_lo)
+    gp = g.derivative
     stab = _stability(prof, gp, cfg)
     checks.append(
-        ("minimal solution semi-stable", stab.verdict == "semi-stable", f"mu1={stab.mu_1:.4g}")
+        ("extremal profile semi-stable", stab.verdict == "semi-stable", f"mu1={stab.mu_1:.4g}")
     )
-    res_ode = ode_residual(prof, Exponential(1.0))
+    res_ode = ode_residual(prof, g)
     lhs, rhs, rel = reaction_free_identity(prof, gp, SineModes(1, 1e-3), residual=res_ode)
     checks.append(("reaction-free identity < 1e-4", rel < 1e-4, f"rel={rel:.3e}"))
     fam = random_eta_family(np.random.default_rng(2024), cfg["stability"]["r_trunc"], 20)

@@ -49,6 +49,11 @@ def _check_np(n: float | None, p: float) -> None:
         raise ParameterError(f"n must be at least 1, got {n}")
 
 
+def _non_integer(n: float) -> bool:
+    """Whether the dimension n is not an integer, up to 1e-12."""
+    return abs(n - round(n)) > 1e-12
+
+
 def _key(name: str) -> str:
     """Report key of a dataclass field; Python cannot name a field lambda."""
     return "lambda" if name == "lam" else name
@@ -288,7 +293,7 @@ class ProblemSpec:
 
     @property
     def non_integer_dimension(self) -> bool:
-        return abs(self.n - round(self.n)) > 1e-12
+        return _non_integer(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -490,46 +495,29 @@ def make_rule(grid: RadialGrid, n: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def _fornberg_weights(x0: float, nodes: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at x0 on given nodes."""
-    n = len(nodes)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            for k in range(mn, 0, -1):
-                c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-            c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
+# d/dt at the nodes t = 0..6 of their degree-6 interpolant, from barycentric
+# weights (Berrut & Trefethen, SIAM Review 46 (2004)): with
+# c_k = prod_{i != k} (k - i), D_kj = (c_k / c_j) / (k - j) for j != k, and
+# D_kk = -sum_{j != k} D_kj, so every row annihilates constants; the
+# differences k - j carry 1 on the diagonal, so a row's product is c_k
+_D7 = np.subtract.outer(np.arange(7.0), np.arange(7.0)) + np.eye(7)
+_D7 = _D7.prod(axis=1)[:, None] / _D7.prod(axis=1) / _D7
+np.fill_diagonal(_D7, 0.0)
+np.fill_diagonal(_D7, -_D7.sum(axis=1))
 
 
 def derivative_log_uniform(values, dt: float) -> np.ndarray:
-    """Sixth-order d/dt of nodal values on a uniform t-grid (7-point
-    stencils, one-sided at the edges)."""
+    """Sixth-order d/dt of nodal values on a uniform t-grid: row 3 of the
+    7-point derivative matrix on every interior window, rows 0-2 on the
+    first 7 values and rows 4-6 on the last 7."""
     v = np.asarray(values, dtype=float)
     m = len(v)
     if m < 7:
         raise ParameterError("need at least 7 nodes for the derivative stencil")
-    nodes = np.arange(7.0)
     out = np.empty(m)
-    center = _fornberg_weights(3.0, nodes, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(v, 7)
-    out[3 : m - 3] = windows @ center
-    for i in range(3):
-        out[i] = np.dot(_fornberg_weights(float(i), nodes, 1), v[:7])
-        out[m - 1 - i] = np.dot(_fornberg_weights(6.0 - i, nodes, 1), v[-7:])
+    out[3 : m - 3] = np.lib.stride_tricks.sliding_window_view(v, 7) @ _D7[3]
+    out[:3] = _D7[:3] @ v[:7]
+    out[m - 3 :] = _D7[4:] @ v[-7:]
     return out / dt
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, _check_np, _jsonable
+from .core import ParameterError, _check_np, _jsonable, _non_integer
 
 #: relative tolerance for deciding n == p + 4p/(p-1); the boundary is a
 #: genuine parameter set (any p), so exact-float comparison is not usable
@@ -152,6 +152,6 @@ def exponent_report(n: float, p: float) -> ExponentReport:
         q1=q_exponent(n, p, 1),
         m_cs=m_cs(n, p),
         regime=regime,
-        non_integer_dimension=abs(n - round(n)) > 1e-12,
+        non_integer_dimension=_non_integer(n),
         summary=summary,
     )

@@ -377,15 +377,13 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
     hi = float(np.min(t.diag / m.diag))  # basis-vector Rayleigh quotient
     while _negative_count(t, m, hi) < 1:
         hi = hi + max(1.0, abs(hi))
-    # A is positive semidefinite, so mu_1 >= -lambda_max(B, M); a pencil
-    # Gershgorin row bound on (B, M) keeps the initial bracket physical
-    pad = lambda v: np.concatenate([[0.0], np.abs(v)]) + np.concatenate([np.abs(v), [0.0]])
-    m_row = m.diag - pad(m.off)
-    m_row = np.where(m_row > 0, m_row, np.min(m.diag) * 0.1)
-    lo = -float(np.max((np.abs(b.diag) + pad(b.off)) / m_row)) - 1.0
-    lo = min(lo, hi - 1.0)
+    # step down from hi by doubling gaps until T - lo M has no negative pivot;
+    # a step that still counts one is a certified upper end, so it becomes hi
+    gap = max(1.0, abs(hi))
+    lo = hi - gap
     while _negative_count(t, m, lo) > 0:
-        lo = 2.0 * lo - 1.0
+        hi, gap = lo, 2.0 * gap
+        lo = hi - gap
     # width target follows the shrinking bracket so the certificate is
     # relative to the eigenvalue itself, not to the stiffest basis quotient
     while True:

@@ -509,6 +509,31 @@ def test_verify_gelfand_disk(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_verify_gelfand_disk_sweeps_only_in_its_search(tmp_path, capsys, monkeypatch):
+    # the semi-stability, identity and inequality checks read the search's
+    # extremal profile, so every sweep of the scenario is a recorded one
+    from plaplab import solver
+
+    real_step, real_search = solver._iteration_step, cli.lambda_star_estimate
+    steps, results = [], []
+
+    def counted_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    def recorded_search(*args, **kwargs):
+        results.append(real_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_iteration_step", counted_step)
+    monkeypatch.setattr(cli, "lambda_star_estimate", recorded_search)
+    out = run_cli(capsys, "--out", str(tmp_path), "verify", "--scenario", "gelfand-disk")
+    assert "PASS gelfand-disk: extremal profile semi-stable" in out.out
+    assert "FAIL" not in out.out
+    assert len(results) == 1
+    assert len(steps) == sum(rec.iterations for rec in results[0].records)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

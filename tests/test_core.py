@@ -13,7 +13,7 @@ from plaplab import (
     make_grid,
     make_rule,
 )
-from plaplab.core import EvaluationError
+from plaplab.core import EvaluationError, derivative_log_uniform
 from plaplab.oracle import exact_exponential
 
 
@@ -126,6 +126,17 @@ def test_profile_self_consistency(grid2000):
     w_back = -(grid2000.r ** (prof.n - 1.0)) * np.abs(prof.u_r) ** (prof.p - 1.0)
     rel = np.max(np.abs(w_back - prof.w) / np.maximum(np.abs(prof.w), 1e-300))
     assert rel < 1e-12
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_derivative_log_uniform_exact_on_degree_six(degree):
+    # every node, the three one-sided edge rows on each side included
+    grid = make_grid(1e-8, 40)
+    poly = np.polynomial.Polynomial(np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1))
+    values = poly(grid.t)
+    got = derivative_log_uniform(values, grid.dt)
+    exact = poly.deriv()(grid.t)
+    assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(values)) / grid.dt
 
 
 def test_profile_rejects_increasing_u():

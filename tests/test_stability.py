@@ -25,6 +25,7 @@ from plaplab import (
     q_apply,
     stability_report,
 )
+from plaplab import stability
 from plaplab.core import RadialProfile
 from plaplab.stability import (
     Tridiagonal,
@@ -162,6 +163,22 @@ def test_min_eigenvalue_rejects_non_finite_pencil(time_limit):
     m = Tridiagonal(np.ones(k), np.zeros(k - 1))
     with time_limit(10), pytest.raises(ParameterError, match="non-finite"):
         min_eigenvalue(a, zero, m)
+
+
+def test_stability_report_sturm_count_budget(grid2000, monkeypatch):
+    # both pencils of the n = 11 report bracket mu_1 from the basis-vector
+    # Rayleigh bound alone, in 87 counts between them
+    real, calls = stability._negative_count, []
+
+    def counted(t, m, mu):
+        calls.append(mu)
+        return real(t, m, mu)
+
+    monkeypatch.setattr(stability, "_negative_count", counted)
+    sol = exact_exponential(11.0, 2.0)
+    rep = stability_report(sol.sample(grid2000), sol.g_prime())
+    assert rep.verdict == "semi-stable"
+    assert len(calls) <= 105
 
 
 def test_eigenvalue_refinement_order(grid2000):

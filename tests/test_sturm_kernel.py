@@ -149,3 +149,26 @@ def test_witness_divides_by_minus_tiny():
     assert _negative_count(t, identity, 0.0) == 2
     assert _min_mode_vector(pencil, 0.0).tolist() == [1.0, -1e-300, -1.0]
     assert mode_reference(pencil, 0.0).tolist() == [1.0, 1e-300, -1.0]
+
+
+def dense(t):
+    return np.diag(t.diag) + np.diag(t.off, 1) + np.diag(t.off, -1)
+
+
+def test_min_eigenvalue_matches_dense_reference():
+    # the reference: M = L L^T, then the smallest eigenvalue of L^-1 T L^-T;
+    # each random pencil also runs without its reaction mass, where A is
+    # positive definite, so both signs of mu_1 are covered
+    signs = set()
+    for seed in range(8):
+        for k, decades in ((3, 0.0), (8, 1.0), (12, 2.0)):
+            pencil = random_pencil(seed, k, decades)
+            zero = Tridiagonal(0.0 * pencil.b.diag, 0.0 * pencil.b.off)
+            chol = np.linalg.cholesky(dense(pencil.m))
+            for b in (pencil.b, zero):
+                c = np.linalg.solve(chol, dense(pencil.a - b))
+                reference = np.linalg.eigvalsh(np.linalg.solve(chol, c.T).T)[0]
+                mu1 = min_eigenvalue(pencil.a, b, pencil.m)
+                assert abs(mu1 - reference) <= 1e-8 * max(abs(reference), 1.0)
+                signs.add(np.sign(reference))
+    assert signs == {-1.0, 1.0}
