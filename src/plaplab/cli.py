@@ -430,13 +430,12 @@ def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
         )
     )
     # the search's extremal profile: the minimal solution at lambda_lo, whose
-    # reaction is lambda_lo e^u
+    # reaction is lambda_lo e^u; in 2-D r_trunc sets mu_1, so show mu_1_alt
     prof, g = res.profile_lo, Exponential(res.lambda_lo)
     gp = g.derivative
     stab = _stability(prof, gp, cfg)
-    checks.append(
-        ("extremal profile semi-stable", stab.verdict == "semi-stable", f"mu1={stab.mu_1:.4g}")
-    )
+    detail = f"mu1={stab.mu_1:.4g}, mu1_alt={stab.mu_1_alt:.4g}"
+    checks.append(("extremal profile semi-stable", stab.verdict == "semi-stable", detail))
     res_ode = ode_residual(prof, g)
     lhs, rhs, rel = reaction_free_identity(prof, gp, SineModes(1, 1e-3), residual=res_ode)
     checks.append(("reaction-free identity < 1e-4", rel < 1e-4, f"rel={rel:.3e}"))

@@ -11,7 +11,7 @@ avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
 Four routes to solutions:
 
   * ``shoot`` integrates from the center value u(0) = M with a startup
-    series at r_min (two steps per cell of the log grid);
+    series at r_min, or further in for large M (two steps per cell);
   * ``bifurcation_curve`` uses the scaling of the equation: if v solves the
     lambda = 1 problem with v(0) = M and first zero S, then u(r) = v(S r)
     solves the lambda problem with lambda(M) = S^p, so one integration to
@@ -202,6 +202,14 @@ def _startup_series(g, center_value: float, n: float, p: float, r_min: float):
     return u0, -r_min**n * g_m / n
 
 
+def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
+    """log of the radius where the startup series' correction
+    M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M."""
+    return (p - 1.0) / p * (
+        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
+    )
+
+
 def shoot(
     spec: ProblemSpec,
     center_value: float,
@@ -214,7 +222,9 @@ def shoot(
 
     The startup series u(r) ~ M - (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)),
     w(r) ~ -r^n g(M)/n seeds the integration at r_min (error
-    O(r_min^(2p/(p-1)))); ``seed`` overrides it with explicit
+    O(r_min^(2p/(p-1)))), or, if M, g(M) > 0 and it is off there by more than
+    1e-10 M, at the first node of spacing dt inward past ``_series_start``;
+    the profile keeps ``grid``'s nodes.  ``seed`` overrides it with explicit
     (u(r_min), w(r_min)) values, which is the right choice when targeting a
     solution that is singular at the origin.  Each grid cell takes two RK4
     steps.  Below its table, a ``Tabulated`` reaction takes its first knot's
@@ -223,7 +233,12 @@ def shoot(
     _check_solver_dimension(spec.n)
     n, p, f = spec.n, spec.p, spec.nonlinearity
     g = f.scalar_value()
-    u, w = seed if seed is not None else _startup_series(g, center_value, n, p, grid.r_min)
+    g_m = g(center_value) if seed is None and center_value > 0 else 0.0
+    t_s = _series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
+    lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
+    t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
+    r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
+    u, w = seed if seed is not None else _startup_series(g, center_value, n, p, r0)
     if isinstance(f, Tabulated):  # scalar_value raises below t[0] - 1e-12
         g_table, k0, lo = g, f.t[0], f.t[0] - 1e-12
         g = lambda u_: g_table(k0 if u_ < lo else u_)
@@ -233,7 +248,7 @@ def shoot(
     nodes = [(u, w)]
     warnings: list[str] = []
     try:
-        for tk in grid.t.tolist()[:-1]:
+        for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
             e = math.exp(n * tk)
             for t0 in (tk, tk + dt):
                 u, w, e = step(t0, u, w, slope(t0, w), e)
@@ -242,7 +257,7 @@ def shoot(
             nodes.append((u, w))
     except OverflowError as exc:
         raise BlowUpError(f"overflow during integration: {exc}") from exc
-    u_nodes, w_nodes = map(np.array, zip(*nodes))
+    u_nodes, w_nodes = map(np.array, zip(*nodes[lead:]))
 
     if np.any(np.diff(u_nodes) > 1e-10 * (1.0 + np.max(np.abs(u_nodes)))):
         warnings.append("u is not monotone along the trajectory")
@@ -591,27 +606,6 @@ def extremal_profile(result: ContinuationResult) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
-def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
-    """log of the radius where the startup series' correction
-    M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M."""
-    return (p - 1.0) / p * (
-        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
-    )
-
-
-def _certificate_grid(spec: ProblemSpec, m_val: float, grid: RadialGrid) -> RadialGrid:
-    """``grid``, or, when the startup correction at r_min exceeds 1e-10 M,
-    ``grid`` extended inward with its own dt past the radius where the
-    correction is 1e-10 M (the rule of ``_scaled_first_zero``)."""
-    g_m = spec.nonlinearity.scalar_value()(m_val)
-    extra = math.ceil((grid.t[0] - _series_start(g_m, m_val, spec.n, spec.p)) / grid.dt)
-    if extra <= 0:
-        return grid
-    t = np.concatenate([grid.t[0] - grid.dt * np.arange(extra, 0, -1), grid.t])
-    r = np.concatenate([np.exp(t[:extra]), grid.r])
-    return RadialGrid(r_min=float(r[0]), t=t, r=r, dt=grid.dt)
-
-
 def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
@@ -673,8 +667,7 @@ def bifurcation_curve(
 ) -> list[BifurcationPoint]:
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
     integration per M (see the module docstring).  ``boundary_residual`` is
-    |u(1)| of the fixed-grid ``shoot`` at that lambda, started further in
-    than r_min for large M (``_certificate_grid``), inf when that shoot
+    |u(1)| of the fixed-grid ``shoot`` at that lambda, inf when that shoot
     leaves the reaction's domain or blows up.  A center value whose
     integration fails is recorded with lambda = nan, not raised."""
     _check_solver_dimension(spec.n)
@@ -690,7 +683,7 @@ def bifurcation_curve(
         lam = math.exp(spec.p * log_s)
         scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
         try:
-            run = shoot(scaled, m_val, _certificate_grid(scaled, m_val, grid))
+            run = shoot(scaled, m_val, grid)
             residual = abs(run.boundary_value)
         except (BlowUpError, EvaluationError):
             residual = math.inf

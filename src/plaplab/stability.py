@@ -446,8 +446,8 @@ class StabilityReport:
     scale: float
     r_trunc: float
     n_eig: int
-    mu_1_alt: float  # same pencil with r_trunc one decade larger
-    r_trunc_alt: float
+    mu_1_alt: float  # the pencil's trailing block, Dirichlet at r_trunc_alt
+    r_trunc_alt: float  # first eigen node >= min(10 r_trunc, 0.5)
     hardy_witness_ok: bool = True
 
     def as_dict(self) -> dict:
@@ -490,9 +490,11 @@ def stability_report(
         hardy_ok = all(c.satisfied for c in hardy_inequality_check(profile, witnesses))
         if not hardy_ok:
             verdict = "unstable"
-    alt_trunc = min(10.0 * r_trunc, 0.5)
-    pencil_alt = assemble_q(profile, g_prime, alt_trunc, n_eig)
-    mu1_alt = min_eigenvalue(pencil_alt.a, pencil_alt.b, pencil_alt.m)
+    # Dirichlet at the first node a decade up: a trailing block, so by
+    # min-max mu_1_alt >= mu_1
+    j = int(np.searchsorted(pencil.nodes, min(10.0 * r_trunc, 0.5)))
+    block = (Tridiagonal(t.diag[j:], t.off[j:]) for t in (pencil.a, pencil.b, pencil.m))
+    mu1_alt = min_eigenvalue(*block)
     return StabilityReport(
         mu_1=mu1,
         rayleigh_min=rayleigh,
@@ -501,7 +503,7 @@ def stability_report(
         r_trunc=r_trunc,
         n_eig=n_eig,
         mu_1_alt=mu1_alt,
-        r_trunc_alt=alt_trunc,
+        r_trunc_alt=float(pencil.nodes[j]),
         hardy_witness_ok=hardy_ok,
     )
 

@@ -100,10 +100,27 @@ def test_shoot_monotone_profile(grid2000):
 
 
 def test_shoot_blowup_guard():
+    # the slab's trajectory from M = 10 passes -100 near r = 0.52 and
+    # reaches u(1) = -198.5 without the guard
     grid = make_grid(1e-8, 500)
-    spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
-    with pytest.raises(BlowUpError):
-        shoot(spec, 500.0, grid, u_guard=1e3)
+    spec = ProblemSpec(1.0, 2.0, Exponential(1.0))
+    with pytest.raises(BlowUpError, match="exceeded 100 at r = 5"):
+        shoot(spec, 10.0, grid, u_guard=100.0)
+
+
+def test_shoot_starts_inward_for_a_large_centre(grid2000):
+    # at r_min the startup series' correction is 2.9e-7 M, above 1e-10 M
+    b = math.expm1(25.0)
+    res = shoot(ProblemSpec(2.0, 2.0, Exponential(liouville_lambda(b))), liouville_center(b), grid2000)
+    assert abs(res.boundary_value) <= 1e-10
+    assert res.profile.grid is grid2000 and res.profile.u.size == grid2000.size
+
+
+def test_shoot_runs_past_a_large_centre_below_the_fold(grid2000):
+    # lambda = 1 lies far above the curve's lambda(500) = 8e^-250, so u falls
+    # far below zero; an r_min start put the series value below -1000 there
+    res = shoot(ProblemSpec(2.0, 2.0, Exponential(1.0)), 500.0, grid2000)
+    assert -500.0 < res.boundary_value < -490.0
 
 
 def test_minimal_iterate_zero_lambda(grid2000):
@@ -395,10 +412,12 @@ def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_d
 def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid2000):
     for m_val, pt in zip([0.5, 3.0, 30.0], bifurcation_curve(gelfand_disk_spec, [0.5, 3.0, 30.0], grid2000)):
         scaled = ProblemSpec(2.0, 2.0, Exponential(pt.lam))
-        assert solver._certificate_grid(scaled, m_val, grid2000) is grid2000
-    big = solver._certificate_grid(ProblemSpec(2.0, 2.0, Exponential(1e-10)), 50.0, grid2000)
-    assert big.size > grid2000.size and big.dt == grid2000.dt
-    assert np.array_equal(big.t[-grid2000.size :], grid2000.t)
+        g = scaled.nonlinearity.scalar_value()
+        start = solver._startup_series(g, m_val, 2.0, 2.0, grid2000.r_min)
+        seeded = shoot(scaled, m_val, grid2000, seed=start)
+        run = shoot(scaled, m_val, grid2000)
+        assert run.profile.u.tobytes() == seeded.profile.u.tobytes()
+        assert run.profile.w.tobytes() == seeded.profile.w.tobytes()
 
 
 def cubic_table(t0, t1, nodes):

@@ -166,8 +166,8 @@ def test_min_eigenvalue_rejects_non_finite_pencil(time_limit):
 
 
 def test_stability_report_sturm_count_budget(grid2000, monkeypatch):
-    # both pencils of the n = 11 report bracket mu_1 from the basis-vector
-    # Rayleigh bound alone, in 87 counts between them
+    # the n = 11 report brackets mu_1 and mu_1_alt from the basis-vector
+    # Rayleigh bound alone, in 86 counts between them
     real, calls = stability._negative_count, []
 
     def counted(t, m, mu):
@@ -225,13 +225,44 @@ def test_threshold_brackets_critical_dimension(grid2000):
     assert mus[9.0] < 0.0 < mus[11.0]
 
 
+def first_node_a_decade_up(rep):
+    nodes = make_grid(rep.r_trunc, rep.n_eig + 2).r
+    return float(nodes[nodes >= 10.0 * rep.r_trunc][0])
+
+
 def test_report_sensitivity_fields(grid2000):
     sol = exact_exponential(11.0, 2.0)
     rep = stability_report(sol.sample(grid2000), sol.g_prime())
-    assert rep.r_trunc_alt == 10.0 * rep.r_trunc
+    assert rep.r_trunc_alt == first_node_a_decade_up(rep)
     assert rep.mu_1_alt > 0.0
     assert abs(rep.rayleigh_min - rep.mu_1) < 1e-4 * max(abs(rep.mu_1), 1.0)
     assert rep.hardy_witness_ok
+
+
+@pytest.mark.parametrize(
+    "sol",
+    [exact_exponential(n, 2.0) for n in (3.0, 5.0, 8.0, 9.0, 10.0, 11.0, 12.0, 15.0)]
+    + [exact_power(12.0, 2.0, 5.0)],
+    ids=["exp3", "exp5", "exp8", "exp9", "exp10", "exp11", "exp12", "exp15", "power12"],
+)
+def test_mu_1_alt_is_a_trailing_block_of_the_pencil(sol, grid2000):
+    # Dirichlet at a node further out restricts the test space: min-max
+    rep = stability_report(sol.sample(grid2000), sol.g_prime())
+    assert rep.r_trunc_alt == first_node_a_decade_up(rep)
+    assert rep.mu_1_alt >= rep.mu_1 - 1e-10 * max(abs(rep.mu_1), 1.0)
+
+
+def test_stability_report_assembles_one_pencil(grid2000, monkeypatch):
+    real, calls = stability.assemble_q, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "assemble_q", counted)
+    sol = exact_exponential(11.0, 2.0)
+    stability_report(sol.sample(grid2000), sol.g_prime())
+    assert len(calls) == 1
 
 
 def test_minimal_solutions_semi_stable(grid2000, minimal_disk_lam1):
