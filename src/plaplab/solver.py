@@ -22,7 +22,9 @@ Four routes to solutions:
     sweeps write into the work arrays of one ``_SweepKernel`` per search.
     On a convex reaction, once the sweeps contract at a settled rate, Anderson
     mixing may finish the iteration; its answer counts only when one more
-    sweep certifies a supersolution just above it;
+    sweep certifies a supersolution just above it.  For p <= 2 and a convex
+    reaction, a step that grows at every node certifies that no minimal
+    solution exists, and the probe stops there as an "unstable iterate";
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
     never a point value.  Each probe above the last convergent one starts
@@ -69,6 +71,15 @@ UNDECIDED = ("iteration cap", "fold ghost")
 #: The quadrature's cumulative weights are not all positive, so a sweep may
 #: lower u by rounding: up to ORDER_SLACK (1 + sup u) passes, more raises.
 ORDER_SLACK = 1e-12
+
+#: Certified divergence.  For p <= 2 and a convex reaction the sweep map T is
+#: order preserving and convex, so a plain step delta_(k+1) with
+#: min_i delta_(k+1,i) / delta_(k,i) > 1 + UNSTABLE_MARGIN over every node but
+#: r = 1, where each delta_(k,i) > ORDER_SLACK (1 + sup u), bounds the
+#: spectral radius of T' above 1 at u_k and at every fixed point above it:
+#: no minimal solution exists, and the probe stops as "unstable iterate".
+#: UNSTABLE_MARGIN = math.inf switches the stop off.
+UNSTABLE_MARGIN = 1e-6
 
 #: Accelerated convergent probes.  On a convex reaction, once the plain
 #: iteration's rho_k has settled (from sweep ACCEL_SWEEPS on, rho_k < 1 and
@@ -117,7 +128,10 @@ class LambdaRecord:
     f_l1_norm: float
     reason: str  # "converged", or why the probe diverged or stayed undecided
     contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
-    certificate: float = math.nan  # eps of the accepted supersolution; nan for a plain probe
+    # eps of the accepted supersolution, or for an "unstable iterate" the
+    # Collatz-Wielandt lower bound min_i delta_(k+1,i) / delta_(k,i) on the
+    # spectral radius of T'; nan for every other probe
+    certificate: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -283,17 +297,19 @@ class _SweepKernel:
 
     A sweep allocates only the correlation inside each cumulative sum.  The
     next iterate alternates between the two ``u`` arrays, so a sweep never
-    writes into the iterate it reads; ``diff`` holds the loop's u_next - u."""
+    writes into the iterate it reads; the loop's step u_next - u alternates
+    between the two ``diff`` arrays, so the last plain step stays readable."""
 
     def __init__(self, grid: RadialGrid, n: float, p: float):
         m = grid.size
         self.rule_src = make_rule(grid, n)
         self.rpow = grid.r ** (1.0 - n)
         self.q = 1.0 / (p - 1.0)
-        self.h, self.F, self.slope, self.diff = (np.empty(m) for _ in range(4))
+        self.h, self.F, self.slope = (np.empty(m) for _ in range(3))
         self.source = _CellSums(self.rule_src, self.h)
         self.outer = _CellSums(make_rule(grid, 1.0), self.slope)
         self.u = (np.empty(m), np.empty(m))
+        self.diff = (np.empty(m), np.empty(m))
 
 
 def _iteration_step(u, lam, f, kernel: _SweepKernel):
@@ -363,6 +379,14 @@ def _supersolution(u_bar, lam: float, f, kernel: _SweepKernel) -> bool:
     return bool(np.all(gap[:-1] >= ORDER_SLACK * (1.0 + float(np.max(u_bar)))))
 
 
+def _growth_bound(step, last, floor: float) -> float:
+    """min_i step_i / last_i over every node but r = 1, where both are 0, or
+    nan when some last_i <= floor: a step at rounding level never votes."""
+    if not float(np.min(last[:-1])) > floor:
+        return math.nan
+    return float(np.min(step[:-1] / last[:-1]))
+
+
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration as a function of lambda, returning (profile,
     LambdaRecord), with None for the profile of a probe that did not
@@ -385,8 +409,8 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     tol_abs, tol_rel, convex = controls.tol_abs, controls.tol_rel, f.convex
     warm = None  # (lambda, u) of the last converged probe
 
-    def diverged(lam: float, k: int, sup: float, reason: str, rho: float):
-        return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho)
+    def diverged(lam: float, k: int, sup: float, reason: str, rho: float, bound: float = math.nan):
+        return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho, bound)
 
     def converged(lam: float, k: int, rho: float, u, eps: float = math.nan):
         """The probe's end after k sweeps and one more, which makes (u, w) an
@@ -408,18 +432,22 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
         return profile, record
 
     def iterate(lam: float):
-        step_of, diff = _iteration_step, kernel.diff
+        step_of, (diff, diff_alt) = _iteration_step, kernel.diff
         start = warm[1] if warm is not None and lam > warm[0] else None
         u = np.zeros(grid.size) if start is None else start
         k = sweeps = 0  # plain sweeps since u's start; every sweep of the probe
         prev = rho = rho_old = math.nan  # delta and rho of the sweep before
+        last = None  # the plain step of the sweep before
+        # the growth that certifies an unstable iterate; inf where the
+        # convexity argument fails (p > 2, or f not convex)
+        grows = 1.0 + UNSTABLE_MARGIN if convex and p <= 2.0 else math.inf
         tried = not convex
         with np.errstate(over="ignore", invalid="ignore"):
             while k < k_max:
                 k, sweeps = k + 1, sweeps + 1
                 u_next, F = step_of(u, lam, f, kernel)
                 sup = float(sup_of(u_next))
-                step = subtract(u_next, u, out=diff)
+                step = subtract(u_next, u, out=diff_alt if last is diff else diff)
                 drop = float(min_of(step))
                 if not (isfinite(sup) and isfinite(drop)):
                     # a non-finite step is an unbounded multiple of the last
@@ -440,6 +468,12 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
                     return converged(lam, sweeps, rho, u)
+                # rho is nan until the second plain sweep since u's start;
+                # the sup-norm ratio bounds the nodewise one from above
+                if rho > grows:
+                    bound = _growth_bound(step, last, ORDER_SLACK * (1.0 + sup))
+                    if bound > grows:
+                        return diverged(lam, sweeps, sup, "unstable iterate", rho, bound)
                 if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
                     return diverged(lam, sweeps, sup, "fold ghost", rho)
                 # rho_k < 1 has settled, and plain sweeps have more than
@@ -459,7 +493,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                         u_bar = u_a + eps / delta * np.maximum(step, 0.0)
                         if _supersolution(u_bar, lam, f, kernel):
                             return converged(lam, sweeps, rho, u_a, eps)
-                prev = delta
+                prev, last = delta, step
         return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho)
 
     return iterate
@@ -472,8 +506,9 @@ def minimal_iterate(
     controls: IterationControls | None = None,
 ):
     """Monotone iteration from u = 0: returns the fixed-point RadialProfile,
-    or the probe's LambdaRecord when iterates pass u_max or overflow
-    (diverged) or stop at the iteration cap or as a fold ghost (undecided).
+    or the probe's LambdaRecord when iterates pass u_max, overflow or reach
+    an unstable iterate (diverged) or stop at the iteration cap or as a fold
+    ghost (undecided).
     On a convex reaction a certified Anderson attempt may end it early, as in
     ``lambda_star_estimate``."""
     if lam < 0:
@@ -504,9 +539,9 @@ def lambda_star_estimate(
     """Bracket the extremal parameter by bisection between the largest
     convergent and smallest divergent iteration outcome.
 
-    Each probe is converged (it sets lo), diverged ("exceeded u_max" or
-    "overflow"; it sets hi) or undecided ("iteration cap" or "fold ghost"),
-    and an undecided probe is never a bracket end.  The undecided probes
+    Each probe is converged (it sets lo), diverged ("exceeded u_max",
+    "overflow" or "unstable iterate"; it sets hi) or undecided ("iteration
+    cap" or "fold ghost"), and an undecided probe is never a bracket end.  The undecided probes
     strictly inside (lo, hi) form a hole [a, b]; with
     step = max(tol_lambda b / 4, b - a, 4 ulp(b)) the next lam is b + step
     while hi is None or above it, else a - step while lo is None or below
@@ -536,11 +571,25 @@ def lambda_star_estimate(
     iteration from 0 then stays below the supersolution and converges, so
     the probe is decided as the plain one would be.  Otherwise the plain
     sweeps resume where they stopped, so every divergent, fold-ghost and
-    capped outcome comes from plain sweeps.  The record's ``certificate``
-    holds eps, nan for a plain probe, and ``iterations`` counts every sweep
-    of the probe: plain ones, those of an Anderson attempt, failed or not,
-    the certificate's and, for a converged probe, the consistency sweep that
-    builds (u, w).
+    capped outcome comes from plain sweeps.
+
+    For p <= 2 and a convex reaction, T is order preserving and convex, so
+    delta_(k+1) <= T'(u_k) delta_k for consecutive plain steps.  From the
+    second plain sweep since u's start, once rho_k > 1 + UNSTABLE_MARGIN, a
+    step with delta_(k,i) > ORDER_SLACK (1 + sup) and
+    delta_(k+1,i) / delta_(k,i) > 1 + UNSTABLE_MARGIN at every node but r = 1
+    gives rho(T'(u_k)) > 1 by the Collatz-Wielandt bound, and so at every
+    fixed point above u_k, where T' is larger.  The minimal fixed point, which
+    the iterates stay below, has rho(T') <= 1, so there is none: the probe
+    ends diverged as "unstable iterate".  A warm start is a subsolution, so
+    the argument covers it.  Neither an Anderson attempt nor the
+    certificate's sweep feeds this test.
+
+    The record's ``certificate`` holds eps, or for an unstable iterate the
+    bound min_i delta_(k+1,i) / delta_(k,i), nan for any other probe, and
+    ``iterations`` counts every sweep of the probe: plain ones, those of an
+    Anderson attempt, failed or not, the certificate's and, for a converged
+    probe, the consistency sweep that builds (u, w).
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 
 import pytest
@@ -9,6 +10,7 @@ from plaplab import (
     lambda_star_estimate,
     make_grid,
     minimal_iterate,
+    solver,
 )
 
 
@@ -44,6 +46,13 @@ def continuation_12_2(grid2000):
 def continuation_10_3(grid2000):
     spec = ProblemSpec(10.0, 3.0, Exponential(1.0))
     return lambda_star_estimate(spec, grid2000)
+
+
+@pytest.fixture
+def without_unstable_stop(monkeypatch):
+    """Switches the certified unstable-iterate stop off, so that a divergent
+    probe runs on until it passes u_max or overflows."""
+    monkeypatch.setattr(solver, "UNSTABLE_MARGIN", math.inf)
 
 
 @pytest.fixture

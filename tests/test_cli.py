@@ -93,9 +93,10 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     )
     report = json.loads((tmp_path / "div" / "report.json").read_text())
     assert report["outcome"] == "divergence"
-    assert report["record"]["reason"] in ("exceeded u_max", "overflow")
+    assert report["record"]["reason"] in ("exceeded u_max", "overflow", "unstable iterate")
 
 
+@pytest.mark.usefixtures("without_unstable_stop")
 def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     """The disk probe at lambda = 2 stops as a fold ghost far below u_max: solve
     calls it undecided (exit 3), and lambda-star lists it next to a bracket
@@ -150,9 +151,12 @@ def test_lambda_star_command(tmp_path, capsys):
     assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction,certificate"
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
-    # certified accelerated probes carry their eps, plain ones "nan"
+    # certified accelerated probes carry their eps, unstable iterates their
+    # growth bound, plain ones "nan"
     certified = [rec for rec in report["records"] if rec["certificate"] != "nan"]
-    assert certified and all(rec["converged"] and rec["certificate"] > 0 for rec in certified)
+    assert any(rec["converged"] for rec in certified)
+    for rec in certified:
+        assert rec["certificate"] > 0 if rec["converged"] else rec["reason"] == "unstable iterate"
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
 
 

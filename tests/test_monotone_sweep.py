@@ -113,6 +113,7 @@ CASES = [
     (dict(DISK, n=3.0, reaction="table", lam=1.0), "converged"),
     (dict(DISK, lam=5.0), "exceeded u_max"),
     (dict(DISK, lam=1.0, k_max=5), "iteration cap"),
+    (dict(DISK, lam=3.0), "unstable iterate"),  # p = 2 and e^u convex: certified
 ]
 
 
@@ -123,7 +124,10 @@ def with_cases(test):
 
 
 @pytest.mark.parametrize("draw, reason", CASES)
-def test_cases_end_as_intended(draw, reason):
+def test_cases_end_as_intended(draw, reason, request):
+    if reason in ("exceeded u_max", "overflow"):
+        # these cases test their own paths, which the certified stop ends sooner
+        request.getfixturevalue("without_unstable_stop")
     (record, _), _ = probes(**draw)
     assert record.reason == reason
     if draw["count"] == 16:

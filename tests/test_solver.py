@@ -137,6 +137,7 @@ def test_minimal_iterate_matches_liouville(grid2000, minimal_disk_lam1):
     assert abs(minimal_disk_lam1.u[0] - liouville_center(b)) < 1e-8
 
 
+@pytest.mark.usefixtures("without_unstable_stop")
 def test_minimal_iterate_diverges_above_threshold(grid2000):
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     out = minimal_iterate(spec, 3.0, grid2000)
@@ -314,6 +315,7 @@ def test_flux_monotone_on_minimal_solutions(minimal_disk_lam1):
     assert np.all(np.diff(neg_w) >= -1e-10)
 
 
+@pytest.mark.usefixtures("without_unstable_stop")
 def test_divergence_record_fields(grid2000):
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     out = minimal_iterate(spec, 5.0, grid2000)
@@ -321,6 +323,7 @@ def test_divergence_record_fields(grid2000):
     assert out.lam == 5.0 and out.iterations > 0 and out.sup_norm > 1e6
 
 
+@pytest.mark.usefixtures("without_unstable_stop")
 @pytest.mark.parametrize("n, p", [(5.0, 1.5), (3.0, 1.3)])
 def test_lambda_star_flux_overflow_is_a_divergence(n, p, grid2000):
     # for p < 2 the slope (F r^(1-n))^(1/(p-1)) can overflow before u_max
@@ -366,6 +369,7 @@ def test_monotone_iteration_guard(offset, raises, grid2000, monkeypatch):
         (3.0, 1.5, 100.0, IterationControls(), "slope", 2),
     ],
 )
+@pytest.mark.usefixtures("without_unstable_stop")
 def test_sweep_ends_each_non_finite_source_as_overflow(
     n, p, lam, controls, source, sweeps, grid2000, monkeypatch
 ):
@@ -400,9 +404,12 @@ def test_sweep_ends_each_non_finite_source_as_overflow(
         (5.0, IterationControls(), "exceeded u_max"),
         (4.0, IterationControls(u_max=1e300), "overflow"),
         (1.0, IterationControls(k_max=5), "iteration cap"),
+        (3.0, IterationControls(), "unstable iterate"),
     ],
 )
-def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_disk_spec, grid2000):
+def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_disk_spec, grid2000, request):
+    if reason in ("exceeded u_max", "overflow"):
+        request.getfixturevalue("without_unstable_stop")
     out, record = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)(lam)
     assert record.reason == reason
     assert record.converged == (reason == "converged")
@@ -484,6 +491,9 @@ def logged_probes(monkeypatch, key=lambda record: record.converged):
 
     monkeypatch.setattr(solver, "_monotone_iteration", logged)
     return probes
+
+
+DIVERGED = ("exceeded u_max", "overflow", "unstable iterate")
 
 
 def state(record):
@@ -585,7 +595,7 @@ def assert_decided_ends(res):
     """lambda_lo's probe converged and lambda_hi's diverged."""
     by_lam = {rec.lam: rec for rec in res.records}
     assert by_lam[res.lambda_lo].converged
-    assert by_lam[res.lambda_hi].reason in ("exceeded u_max", "overflow")
+    assert by_lam[res.lambda_hi].reason in DIVERGED
 
 
 def stopping_error(record, controls=IterationControls()):
@@ -729,7 +739,7 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     plain = lambda_star_estimate(spec, grid2000)
     assert (fast.lambda_lo, fast.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
     assert [(lam, s) for lam, (s, _) in fast_probes] == [(lam, s) for lam, (s, _) in probes]
-    assert all(math.isnan(eps) for _, (_, eps) in probes)
+    assert all(math.isnan(eps) for _, (s, eps) in probes if s == "converged")
     assert any(eps > 0.0 for _, (_, eps) in fast_probes)
     assert sum(rec.iterations for rec in fast.records) < sum(rec.iterations for rec in plain.records)
 
@@ -828,7 +838,8 @@ def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec,
 def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     """A probe's ``iterations`` is the number of sweeps it ran, however it
     ended: converged plainly or through a certified Anderson attempt, after a
-    warm start that fell back to u = 0, past u_max, by overflow, or as a fold
+    warm start that fell back to u = 0, at an unstable iterate, past u_max,
+    by overflow (those two with the unstable-iterate stop off), or as a fold
     ghost whose attempt failed its certificate."""
     real_step = solver._iteration_step
     calls, raised = 0, None  # raised: the call whose output gains 1 on the inner half
@@ -859,8 +870,14 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     assert probe(iterate, 1.9, "converged").certificate > 0.0
     ghost = probe(disk(), 2.0, "fold ghost")
     assert ghost.iterations > solver.FOLD_GHOST_SWEEPS
-    probe(disk(), 5.0, "exceeded u_max")
-    probe(disk(u_max=1e300), 4.0, "overflow")
+    # from u = 0, the certified stop halves the sweeps of the probe just above the fold
+    assert probe(disk(), 2.0005, "unstable iterate").iterations == 131
+    assert probe(disk(), 5.0, "unstable iterate").iterations == 2
+    with monkeypatch.context() as stop_off:
+        stop_off.setattr(solver, "UNSTABLE_MARGIN", math.inf)
+        assert probe(disk(), 2.0005, "exceeded u_max").iterations == 265
+        probe(disk(), 5.0, "exceeded u_max")
+        probe(disk(u_max=1e300), 4.0, "overflow")
 
     cold = probe(disk(), 1.5, "converged")
     iterate = disk()
@@ -897,3 +914,75 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     with pytest.raises(BracketingError):
         lambda_star_estimate(ProblemSpec(3.0, 2.0, concave), grid2000, lam_cap=64.0)
     assert calls
+
+
+# the lambda* cross-check problems of the unstable-iterate stop: (n, p, f) and
+# the sweeps their searches run with it, pinned where the stop saves most
+CROSS_CHECK = {
+    "disk": (2.0, 2.0, Exponential(1.0), 755),
+    "slab": (1.0, 2.0, Exponential(1.0), 296),
+    "cubic-n3": (3.0, 2.0, Power(m=3.0), 427),
+    "square-n4": (4.0, 2.0, Power(m=2.0), None),
+    "exp-n5": (5.0, 2.0, Exponential(1.0), None),
+    "exp-n8": (8.0, 2.0, Exponential(1.0), None),
+    "exp-n12": (12.0, 2.0, Exponential(1.0), None),
+    "exp-n3-p1.5": (3.0, 1.5, Exponential(1.0), None),
+    "exp-n2-p1.3": (2.0, 1.3, Exponential(1.0), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK))
+def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, monkeypatch):
+    """The certified stop changes no bracket and no probe's outcome class: the
+    search with it switched off probes the same lambdas with the same
+    outcomes, and every probe it calls an unstable iterate passes u_max or
+    overflows there.  Each such record's certificate is its growth bound,
+    above 1 + UNSTABLE_MARGIN; a converged probe never carries the reason."""
+    n, p, f, sweeps = CROSS_CHECK[name]
+    spec = ProblemSpec(n, p, f)
+    probes = logged_probes(monkeypatch, lambda record: (state(record), record.reason))
+    res = lambda_star_estimate(spec, grid2000)
+    stopped, probes[:] = probes[:], []
+    monkeypatch.setattr(solver, "UNSTABLE_MARGIN", math.inf)
+    plain = lambda_star_estimate(spec, grid2000)
+    assert (res.lambda_lo, res.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
+    assert [(lam, s) for lam, (s, _) in stopped] == [(lam, s) for lam, (s, _) in probes]
+    plain_reasons = dict(probes)
+    for rec in res.records:
+        if rec.reason == "unstable iterate":
+            assert not rec.converged and rec.certificate > 1.0 + 1e-6
+            assert plain_reasons[rec.lam] in (("diverged", "exceeded u_max"), ("diverged", "overflow"))
+    total = sum(rec.iterations for rec in res.records)
+    if sweeps is not None:
+        assert total == sweeps
+    assert total <= sum(rec.iterations for rec in plain.records)
+
+
+@pytest.mark.parametrize("case", ["p3", "table-read-as-non-convex", "concave"])
+def test_unstable_iterate_stop_needs_p_at_most_2_and_a_convex_reaction(case, grid2000, monkeypatch):
+    """The convexity argument covers neither p > 2 nor a reaction that is not
+    convex, so the stop never runs there.  At n = 5, p = 3, and for the
+    (1+u)^3 table at n = 3 once it reads as non-convex, divergent probes grow
+    by more than 1 + UNSTABLE_MARGIN per sweep and still end past u_max or
+    by overflow; sqrt(1 + u) runs its sublinear search to the cap."""
+    from plaplab import Tabulated
+
+    calls = []
+    real = solver._growth_bound
+    monkeypatch.setattr(solver, "_growth_bound", lambda *args: calls.append(1) or real(*args))
+    if case == "concave":
+        f = Power(m=0.5)
+        assert not f.convex
+        with pytest.raises(BracketingError, match="no divergence found below the cap"):
+            lambda_star_estimate(ProblemSpec(3.0, 2.0, f), grid2000, lam_cap=64.0)
+    else:
+        if case == "p3":
+            spec = ProblemSpec(5.0, 3.0, Exponential(1.0))
+        else:
+            monkeypatch.setattr(Tabulated, "convex", False)
+            spec = ProblemSpec(3.0, 2.0, fold_cubic_table())
+        res = lambda_star_estimate(spec, grid2000)
+        diverged = [rec for rec in res.records if not rec.converged]
+        assert diverged and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
+        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
+    assert calls == []
