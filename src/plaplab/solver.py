@@ -78,6 +78,10 @@ ORDER_SLACK = 1e-12
 #: r = 1, where each delta_(k,i) > ORDER_SLACK (1 + sup u), bounds the
 #: spectral radius of T' above 1 at u_k and at every fixed point above it:
 #: no minimal solution exists, and the probe stops as "unstable iterate".
+#: T' >= 0 although each cumulative sum has negative weights (see ORDER_SLACK)
+#: is checked, not proved: at p = 2 on the default grid and on 1e-6/400 for
+#: the dimensions README lists, and at the stops of its cross-check searches.
+#: Elsewhere the stop rests on the margin absorbing any small negative part.
 #: UNSTABLE_MARGIN = math.inf switches the stop off.
 UNSTABLE_MARGIN = 1e-6
 

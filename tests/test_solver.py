@@ -730,18 +730,28 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     and no bracket: the search with acceleration switched off probes the same
     lambdas with the same outcomes.  Its profile_lo lies within the plain
     twin's stopping error delta / (1 - rho) of the fixed point, as the plain
-    one does, and the search runs fewer sweeps."""
+    one does, and the search runs fewer sweeps.  Only an unstable iterate's
+    certificate, its growth bound, is set in the plain search.  At p = 3 the
+    unstable-iterate stop never runs, although divergent probes grow by more
+    than 1 + UNSTABLE_MARGIN per sweep."""
     spec = ProblemSpec(n, p, f)
-    probes = logged_probes(monkeypatch, lambda record: (state(record), record.certificate))
+    growth_calls = []
+    real_growth = solver._growth_bound
+    monkeypatch.setattr(solver, "_growth_bound", lambda *args: growth_calls.append(1) or real_growth(*args))
+    probes = logged_probes(monkeypatch, lambda record: (state(record), record.reason, record.certificate))
     fast = lambda_star_estimate(spec, grid2000)
     fast_probes, probes[:] = probes[:], []
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     plain = lambda_star_estimate(spec, grid2000)
     assert (fast.lambda_lo, fast.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
-    assert [(lam, s) for lam, (s, _) in fast_probes] == [(lam, s) for lam, (s, _) in probes]
-    assert all(math.isnan(eps) for _, (s, eps) in probes if s == "converged")
-    assert any(eps > 0.0 for _, (_, eps) in fast_probes)
+    assert [(lam, s) for lam, (s, _, _) in fast_probes] == [(lam, s) for lam, (s, _, _) in probes]
+    assert all(math.isnan(eps) for _, (_, reason, eps) in probes if reason != "unstable iterate")
+    assert any(eps > 0.0 for _, (_, reason, eps) in fast_probes if reason != "unstable iterate")
     assert sum(rec.iterations for rec in fast.records) < sum(rec.iterations for rec in plain.records)
+    if p > 2.0:
+        diverged = [rec for rec in fast.records + plain.records if not rec.converged]
+        assert growth_calls == [] and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
+        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
 
     monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
     tight = IterationControls(tol_abs=1e-14, tol_rel=1e-14, k_max=10**5)
@@ -890,17 +900,19 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
 def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     """A concave table (sqrt(1 + u), exact slopes) never tries Anderson
     mixing: its sublinear search runs plain up to the cap, although its
-    probes would try it if the table read as convex."""
+    probes would try it if the table read as convex.  Nor does it run the
+    unstable-iterate stop, whose convexity argument it fails too."""
     from plaplab import Tabulated
 
-    calls = []
-    real = solver._anderson
+    calls, growth_calls = [], []
+    real, real_growth = solver._anderson, solver._growth_bound
 
     def counted(*args):
         calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(solver, "_anderson", counted)
+    monkeypatch.setattr(solver, "_growth_bound", lambda *args: growth_calls.append(1) or real_growth(*args))
     probes = logged_probes(monkeypatch, lambda record: record.certificate)
     u = np.linspace(0.0, 1e3, 400)
     concave = Tabulated(tuple(u), tuple(np.sqrt(1.0 + u)), tuple(0.5 / np.sqrt(1.0 + u)))
@@ -908,7 +920,7 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     with pytest.raises(BracketingError, match="no divergence found below the cap"):
         lambda_star_estimate(ProblemSpec(3.0, 2.0, concave), grid2000, lam_cap=64.0)
     assert len(probes) == 7 and all(math.isnan(eps) for _, eps in probes)
-    assert calls == []
+    assert calls == [] and growth_calls == []
     # the same probes would try it, were the table convex
     monkeypatch.setattr(Tabulated, "convex", True)
     with pytest.raises(BracketingError):
@@ -916,18 +928,22 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     assert calls
 
 
-# the lambda* cross-check problems of the unstable-iterate stop: (n, p, f) and
-# the sweeps their searches run with it, pinned where the stop saves most
+# the lambda* cross-check problems of the unstable-iterate stop: (n, p, f),
+# the sweeps their searches run with it, pinned where the stop saves most, and
+# the grid, the default 1e-8/2000 where None; the coarse cases take a grid and
+# non-integer n outside those that the stop's nonnegativity argument checks
 CROSS_CHECK = {
-    "disk": (2.0, 2.0, Exponential(1.0), 755),
-    "slab": (1.0, 2.0, Exponential(1.0), 296),
-    "cubic-n3": (3.0, 2.0, Power(m=3.0), 427),
-    "square-n4": (4.0, 2.0, Power(m=2.0), None),
-    "exp-n5": (5.0, 2.0, Exponential(1.0), None),
-    "exp-n8": (8.0, 2.0, Exponential(1.0), None),
-    "exp-n12": (12.0, 2.0, Exponential(1.0), None),
-    "exp-n3-p1.5": (3.0, 1.5, Exponential(1.0), None),
-    "exp-n2-p1.3": (2.0, 1.3, Exponential(1.0), None),
+    "disk": (2.0, 2.0, Exponential(1.0), 755, None),
+    "slab": (1.0, 2.0, Exponential(1.0), 296, None),
+    "cubic-n3": (3.0, 2.0, Power(m=3.0), 427, None),
+    "square-n4": (4.0, 2.0, Power(m=2.0), None, None),
+    "exp-n5": (5.0, 2.0, Exponential(1.0), None, None),
+    "exp-n8": (8.0, 2.0, Exponential(1.0), None, None),
+    "exp-n12": (12.0, 2.0, Exponential(1.0), None, None),
+    "exp-n3-p1.5": (3.0, 1.5, Exponential(1.0), None, None),
+    "exp-n2-p1.3": (2.0, 1.3, Exponential(1.0), None, None),
+    "exp-n2.5-p1.5-coarse": (2.5, 1.5, Exponential(1.0), None, (1e-6, 400)),
+    "cubic-n3.5-p1.7-coarse": (3.5, 1.7, Power(m=3.0), None, (1e-6, 400)),
 }
 
 
@@ -938,13 +954,13 @@ def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, 
     outcomes, and every probe it calls an unstable iterate passes u_max or
     overflows there.  Each such record's certificate is its growth bound,
     above 1 + UNSTABLE_MARGIN; a converged probe never carries the reason."""
-    n, p, f, sweeps = CROSS_CHECK[name]
-    spec = ProblemSpec(n, p, f)
+    n, p, f, sweeps, coarse = CROSS_CHECK[name]
+    spec, grid = ProblemSpec(n, p, f), grid2000 if coarse is None else make_grid(*coarse)
     probes = logged_probes(monkeypatch, lambda record: (state(record), record.reason))
-    res = lambda_star_estimate(spec, grid2000)
+    res = lambda_star_estimate(spec, grid)
     stopped, probes[:] = probes[:], []
     monkeypatch.setattr(solver, "UNSTABLE_MARGIN", math.inf)
-    plain = lambda_star_estimate(spec, grid2000)
+    plain = lambda_star_estimate(spec, grid)
     assert (res.lambda_lo, res.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
     assert [(lam, s) for lam, (s, _) in stopped] == [(lam, s) for lam, (s, _) in probes]
     plain_reasons = dict(probes)
@@ -958,31 +974,43 @@ def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, 
     assert total <= sum(rec.iterations for rec in plain.records)
 
 
-@pytest.mark.parametrize("case", ["p3", "table-read-as-non-convex", "concave"])
-def test_unstable_iterate_stop_needs_p_at_most_2_and_a_convex_reaction(case, grid2000, monkeypatch):
-    """The convexity argument covers neither p > 2 nor a reaction that is not
-    convex, so the stop never runs there.  At n = 5, p = 3, and for the
-    (1+u)^3 table at n = 3 once it reads as non-convex, divergent probes grow
-    by more than 1 + UNSTABLE_MARGIN per sweep and still end past u_max or
-    by overflow; sqrt(1 + u) runs its sublinear search to the cap."""
+@pytest.mark.parametrize("r_min, count, n", [(1e-6, 400, 1.0), (1e-6, 400, 2.5), (1e-6, 400, 7.5)])
+def test_sweep_jacobian_kernel_is_nonnegative(r_min, count, n):
+    """The unstable-iterate stop needs T' >= 0, though each cumulative sum has
+    negative weights.  At p = 2 the sweep's linear part D diag(r^(1-n)) C
+    (C the source sum, D the outer one) has every entry off the r = 1 row at
+    least 0.3 of the same product with |D| and |C|: the negative weights
+    cancel with room to spare, on a coarse grid and at non-integer n too."""
+    grid = make_grid(r_min, count)
+    kernel = solver._SweepKernel(grid, n, 2.0)
+    C, D, out = np.empty((count, count)), np.empty((count, count)), np.empty(count)
+    for j in range(count):
+        kernel.h[:] = kernel.slope[:] = 0.0
+        kernel.h[j] = kernel.slope[j] = 1.0
+        C[:, j] = kernel.source.from_zero(out)
+        D[:, j] = kernel.outer.to_one(out)
+    assert C.min() < 0.0 and D[:-1].min() < 0.0
+    K, A = (D * kernel.rpow) @ C, (np.abs(D) * kernel.rpow) @ np.abs(C)
+    assert np.all(K[:-1] >= 0.3 * A[:-1]) and np.all(A[:-1] > 0.0)
+
+
+def test_unstable_iterate_stop_needs_a_convex_reaction(grid2000, monkeypatch):
+    """The convexity argument fails for a reaction that is not convex, so the
+    stop never runs there: once the (1+u)^3 table at n = 3 reads as
+    non-convex, its divergent probes grow by more than 1 + UNSTABLE_MARGIN
+    per sweep and still end past u_max or by overflow.  Power(0.5) reads as
+    non-convex, so the same gate keeps it out.  (p > 2 is covered by the
+    n5-p3 case of test_accelerated_search_decides_as_the_plain_one, and a
+    concave table by test_only_a_convex_reaction_is_accelerated.)"""
     from plaplab import Tabulated
 
+    assert not Power(m=0.5).convex
     calls = []
     real = solver._growth_bound
     monkeypatch.setattr(solver, "_growth_bound", lambda *args: calls.append(1) or real(*args))
-    if case == "concave":
-        f = Power(m=0.5)
-        assert not f.convex
-        with pytest.raises(BracketingError, match="no divergence found below the cap"):
-            lambda_star_estimate(ProblemSpec(3.0, 2.0, f), grid2000, lam_cap=64.0)
-    else:
-        if case == "p3":
-            spec = ProblemSpec(5.0, 3.0, Exponential(1.0))
-        else:
-            monkeypatch.setattr(Tabulated, "convex", False)
-            spec = ProblemSpec(3.0, 2.0, fold_cubic_table())
-        res = lambda_star_estimate(spec, grid2000)
-        diverged = [rec for rec in res.records if not rec.converged]
-        assert diverged and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
-        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
+    monkeypatch.setattr(Tabulated, "convex", False)
+    res = lambda_star_estimate(ProblemSpec(3.0, 2.0, fold_cubic_table()), grid2000)
+    diverged = [rec for rec in res.records if not rec.converged]
+    assert diverged and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
+    assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
     assert calls == []
