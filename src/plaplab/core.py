@@ -100,9 +100,10 @@ class Exponential:
     def with_scale(self, factor: float) -> "Exponential":
         return Exponential(self.scale * factor)
 
-    def scalar_value(self) -> Callable[[float], float]:
-        s = self.scale
-        return lambda u: s * math.exp(min(u, 700.0))
+    def scalar_value(self, floor: float = -math.inf) -> Callable[[float], float]:
+        # min(max(u, floor), 700) in one frame, bit for bit (nan and -0.0 too)
+        s, exp, floor = self.scale, math.exp, min(floor, 700.0)
+        return lambda u: s * exp(700.0 if 700.0 < u else (floor if floor > u else u))
 
     @property
     def increasing(self) -> bool:
@@ -137,9 +138,9 @@ class Power:
     def with_scale(self, factor: float) -> "Power":
         return Power(self.m, self.scale * factor)
 
-    def scalar_value(self) -> Callable[[float], float]:
+    def scalar_value(self, floor: float = -math.inf) -> Callable[[float], float]:
         s, m = self.scale, self.m
-        return lambda u: s * (1.0 + u) ** m
+        return lambda u: s * (1.0 + (floor if floor > u else u)) ** m
 
     @property
     def increasing(self) -> bool:
@@ -238,16 +239,20 @@ class Tabulated:
     def with_scale(self, factor: float) -> "Tabulated":
         return Tabulated(self.t, self.g, self.gp, self.scale * factor)
 
-    def scalar_value(self) -> Callable[[float], float]:
+    def scalar_value(self, floor: float | None = None) -> Callable[[float], float]:
         """``value`` on one Python float: the cell by bisection on the knots,
         then the same Horner operations in float arithmetic, so the two
-        paths agree bit for bit."""
+        paths agree bit for bit.  With a ``floor`` (-inf too), u is raised to
+        it, and below the table takes the first knot instead of raising."""
         knots, rows = self.t, self._table[1].tolist()
         lo, hi = knots[0] - 1e-12, knots[-1] + 1e-12
         last, scale = len(knots) - 1, self.scale
+        least = -math.inf if floor is None else floor
+        below = math.inf if floor is None else (least if least >= lo else knots[0])  # inf: raise
 
         def value(u: float) -> float:
-            if u < lo or u > hi:
+            u = below if u < lo else (least if least > u else u)
+            if u > hi:
                 raise _outside_table(knots)
             knot, c0, c1, c2, c3 = rows[bisect_right(knots, u, 1, last) - 1]
             x = u - knot

@@ -245,9 +245,9 @@ def shoot(
     the profile keeps ``grid``'s nodes.  ``seed`` overrides it with explicit
     (u(r_min), w(r_min)) values, which is the right choice when targeting a
     solution that is singular at the origin.  Each grid cell takes two RK4
-    steps.  Below its table, a ``Tabulated`` reaction takes its first knot's
-    value: RK4 stages dip below u = 0 near a zero at r = 1.
-    """
+    steps on ``f.scalar_value(-inf)``, whose closure holds the clamp: below
+    its table a ``Tabulated`` reaction takes its first knot's value (RK4
+    stages dip below u = 0 near a zero at r = 1), but M must lie inside."""
     _check_solver_dimension(spec.n)
     n, p, f = spec.n, spec.p, spec.nonlinearity
     g = f.scalar_value()
@@ -257,11 +257,8 @@ def shoot(
     t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
     r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
     u, w = seed if seed is not None else _startup_series(g, center_value, n, p, r0)
-    if isinstance(f, Tabulated):  # scalar_value raises below t[0] - 1e-12
-        g_table, k0, lo = g, f.t[0], f.t[0] - 1e-12
-        g = lambda u_: g_table(k0 if u_ < lo else u_)
     dt = float(grid.dt) / 2
-    slope, step = _flux_rk4(n, p, g, dt)
+    slope, step = _flux_rk4(n, p, f.scalar_value(-math.inf), dt)
 
     nodes = [(u, w)]
     warnings: list[str] = []
@@ -674,22 +671,20 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
 
     Steps of grid.dt/2 in t = log r run until the current slope, which is
     the next step's stage 1, predicts u <= 0; one RK4 step in u, down to 0,
-    then gives log S.  f is extended by f(0) below 0, where v never goes,
-    so it is evaluated only on [0, M].
-    """
+    then gives log S.  f is extended by f(0) below 0, where v never goes, by
+    the clamp inside ``f.scalar_value(0.0)``: it runs only on [0, M]."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
     nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
     f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
     if not f_min > 0.0:
         return None, 0
     t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
-    g = f.scalar_value()
-    g0 = lambda u_: g(max(u_, 0.0))
+    g = f.scalar_value(0.0)
     h = float(grid.dt) / 2
-    slope, step = _flux_rk4(n, p, g0, h)
+    slope, step = _flux_rk4(n, p, g, h)
 
     def rhs_in_u(u_, t_, w_):
-        du, dw = slope(t_, w_), -math.exp(n * t_) * g0(u_)
+        du, dw = slope(t_, w_), -math.exp(n * t_) * g(u_)
         return 1.0 / du, dw / du
 
     t, r0 = float(grid.t[0]), grid.r_min

@@ -1,25 +1,30 @@
-"""The inlined flux-RK4 kernel against the generic step it replaced.
+"""The inlined flux-RK4 kernel and its one-frame reactions against the
+generic step and the wrapped reactions they replaced.
 
 ``solver._flux_rk4`` computes the classical RK4 step of the flux system with
 its four stages inline, the midpoint e^(n t) shared by stages 2 and 3, and
 stage 1 and the start e^(n t) handed in by the caller.  The references below
 are the generic right-hand side and step that ``shoot`` and the scaled
 first-zero integration used before; every result must equal theirs bit for
-bit, single steps and whole trajectories alike.
+bit, single steps and whole trajectories alike.  Each reaction's
+``scalar_value(floor)`` is one closure with its clamps inline; it must equal
+the min/max composition it replaced, nan, -0.0 and errors included.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (
     BlowUpError,
+    EvaluationError,
     Exponential,
     Power,
     ProblemSpec,
+    Tabulated,
     bifurcation_curve,
     make_grid,
     shoot,
@@ -60,11 +65,78 @@ def same(a, b):
 
 
 def outcome(fn, *args):
-    """fn(*args), or the type and message of the ArithmeticError it raised."""
+    """fn(*args), or the type and message of the ArithmeticError or
+    EvaluationError it raised."""
     try:
         return fn(*args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, EvaluationError) as exc:
         return (type(exc).__name__, str(exc))
+
+
+def cubic_table(t0, t1, nodes):
+    """(1+u)^3 with exact slopes on ``nodes`` knots from t0 to t1."""
+    ts = np.linspace(t0, t1, nodes)
+    return Tabulated(tuple(ts), tuple((1.0 + ts) ** 3), tuple(3.0 * (1.0 + ts) ** 2))
+
+
+def composed(f, u, floor):
+    """The reaction at u as evaluated before its closure took the clamps in:
+    min/max around ``math.exp`` and ``**``, and for a table with a floor its
+    first knot below the table (``shoot``'s former wrapper) around the array
+    ``value``."""
+    x = u if floor is None else max(u, floor)
+    if isinstance(f, Exponential):
+        return f.scale * math.exp(min(x, 700.0))
+    if isinstance(f, Power):
+        return f.scale * (1.0 + x) ** f.m
+    if floor is not None and x < f.t[0] - 1e-12:
+        x = f.t[0]
+    return float(f.value(x))
+
+
+CLOSURE_REACTIONS = [
+    Exponential(1.5),
+    Exponential(-0.25),
+    Power(m=3.0),
+    Power(m=2.5, scale=-2.0),
+    Power(m=-1.5),
+    cubic_table(0.0, 4.0, 81),
+    cubic_table(-0.5, 4.0, 9).with_scale(-3.0),
+]
+# nan, signed zeros, the exponential's cap, below -1 and around both tables' bands
+SPECIAL = [math.nan, 0.0, -0.0, 700.0, 700.5, 1e300, math.inf, -math.inf, -1.0,
+           -0.5 - 5e-13, -1e-13, -1e-11, 4.0, 4.0 + 5e-13, 5.0]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    index=st.integers(0, len(CLOSURE_REACTIONS) - 1),
+    u=st.sampled_from(SPECIAL) | st.floats(),
+    floor=st.sampled_from([None, -math.inf, 0.0, -0.0, -0.5, 700.0, 800.0]) | st.floats(),
+)
+@example(index=0, u=math.nan, floor=0.0)
+@example(index=0, u=701.0, floor=None)
+@example(index=0, u=-3.0, floor=0.0)
+@example(index=5, u=-1e-3, floor=-math.inf)
+@example(index=5, u=-1e-3, floor=None)
+def test_scalar_closure_equals_the_composition_it_replaced(index, u, floor):
+    f = CLOSURE_REACTIONS[index]
+    closure = f.scalar_value() if floor is None else f.scalar_value(floor)
+    # repr tells -0.0 from 0.0, round-trips every float and shows nan
+    assert repr(outcome(closure, u)) == repr(outcome(composed, f, u, floor))
+
+
+def test_table_closure_clamps_below_and_raises_above_only_with_a_floor():
+    table = cubic_table(0.0, 4.0, 81)
+    knot, band = table.value(0.0), table.value(-5e-13)
+    assert table.scalar_value(-math.inf)(-0.1) == knot == table.scalar_value(0.0)(-0.1)
+    assert table.scalar_value(-math.inf)(-5e-13) == band != knot  # the band extrapolates
+    assert table.scalar_value(-1.0)(-5e-13) == band
+    for floor in (None, -math.inf, 0.0):
+        with pytest.raises(EvaluationError, match=r"outside \[0.0, 4.0\]"):
+            table.scalar_value(floor)(4.0 + 1e-9)
+    with pytest.raises(EvaluationError, match=r"outside \[0.0, 4.0\]"):
+        table.scalar_value()(-1e-9)
 
 
 REACTIONS = {
@@ -134,6 +206,8 @@ CURVES = [
     ("n12", ProblemSpec(12.0, 2.0, Exponential(1.0)), [0.9, 4.2, 8.1, 300.0]),
     ("p1.5", ProblemSpec(3.0, 1.5, Exponential(1.0)), [0.5, 2.0]),
     ("negative", ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), [0.5, 2.0]),
+    # the certifying shoot's RK4 stages dip below the table's first knot
+    ("table", ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81)), [0.5, 1.0, 2.0, 3.0]),
 ]
 
 
@@ -177,6 +251,8 @@ SHOOTS = [
     # blow-ups: the guard, and an overflow inside a stage
     (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"u_guard": 100.0}),
     (ProblemSpec(3.0, 2.0, Power(m=9.0, scale=-1e6)), 5.0, {"u_guard": 1e300}),
+    # above the curve's lambda (1.099 at M = 2), so u falls below the table
+    (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(1.2)), 2.0, {}),
 ]
 
 
@@ -197,3 +273,4 @@ def test_reference_shoot_cases_cover_warnings_and_blow_ups():
     assert results[5].startswith("|u| exceeded 100 ")
     assert results[6].startswith("overflow during integration")
     assert all(np.isfinite(np.frombuffer(r[0])).all() for r in results[:4])
+    assert results[7][2] < -1e-3  # so stages ran on the table's clamp

@@ -449,13 +449,17 @@ def test_certificates_for_a_table_that_starts_at_zero(grid2000):
 def test_table_clamp_changes_no_evaluation_that_succeeds(t0, m_val, scale, grid2000, monkeypatch):
     # shoots that stay inside the table, or within the 1e-12 below its first
     # knot where it extrapolates instead of raising, must not see the clamp
+    from plaplab import Tabulated
+
     spec = ProblemSpec(3.0, 2.0, cubic_table(t0, 4.0, 81))
     if scale is None:  # the curve's lambda, so that u(1) is about 0
         scale = bifurcation_curve(spec, [m_val], grid2000)[0].lam
     scaled = ProblemSpec(3.0, 2.0, spec.nonlinearity.with_scale(scale))
     clamped = shoot(scaled, m_val, grid2000)
     assert clamped.boundary_value > t0 - 1e-12
-    monkeypatch.setattr(solver, "Tabulated", type(None))
+    # the same shoot with the closure that raises below the table: no floor
+    unclamped = Tabulated.scalar_value
+    monkeypatch.setattr(Tabulated, "scalar_value", lambda table, floor=None: unclamped(table))
     raw = shoot(scaled, m_val, grid2000)
     assert np.array_equal(clamped.profile.u, raw.profile.u)
     assert np.array_equal(clamped.profile.w, raw.profile.w)
