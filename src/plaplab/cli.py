@@ -293,21 +293,18 @@ def _read_csv_table(path: Path, columns: int, what: str) -> np.ndarray:
 
 
 def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
+    """The profile in a CSV of columns r, u, u_r, w.  The radii must be
+    make_grid(r[0], rows)'s nodes to 1e-9 relative; u_r is derived from w,
+    and the stored column is only checked against it to 1e-9."""
     data = _read_csv_table(Path(path), 4, "profile")
-    r = data[:, 0]
-    t = np.log(r)
-    dt = np.diff(t)
-    if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
-        raise ConfigError("profile grid is not log-uniform")
-    grid = RadialGrid(r_min=float(r[0]), t=t, r=r, dt=float(dt[0]))
+    grid = make_grid(float(data[0, 0]), len(data))
+    if not np.max(np.abs(data[:, 0] - grid.r) / grid.r) <= 1e-9:
+        raise ConfigError("profile radii are not make_grid's nodes from r[0] to 1")
     profile = RadialProfile(grid=grid, n=n, p=p, u=data[:, 1], w=data[:, 3], check=False)
-    # the stored u_r column is authoritative (bit-identical round trips);
-    # re-derivation from w only validates it
     stored = data[:, 2]
     scale = np.maximum(np.abs(stored), 1e-300)
-    if np.max(np.abs(stored - profile.u_r) / scale) > 1e-9:
+    if not np.max(np.abs(stored - profile.u_r) / scale) <= 1e-9:
         raise ConfigError("profile columns are inconsistent (u_r vs w)")
-    object.__setattr__(profile, "u_r", stored)
     return profile
 
 

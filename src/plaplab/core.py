@@ -308,7 +308,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Log-uniform nodes on [r_min, 1]; t = log r is the working variable."""
+    """Log-uniform nodes on [r_min, 1], built by make_grid; t = log r."""
 
     r_min: float
     t: np.ndarray
@@ -526,22 +526,24 @@ def derivative_log_uniform(values, dt: float) -> np.ndarray:
     return out / dt
 
 
-def _cubic_interp_log(tq, t, values, dt):
-    """Cubic Lagrange interpolation of nodal values at query points tq."""
+def _cubic_interp_log(tq, grid, values):
+    """Cubic Lagrange interpolation in t = log r at points tq on the 4-node
+    window around each, clamped at the end cells; make_grid's nodes are
+    t[0] + k dt, so the basis is the uniform-node closed form in s."""
     tq = np.asarray(tq, dtype=float)
-    m = len(t)
-    pos = (tq - t[0]) / dt
+    m = len(values)
+    pos = (tq - grid.t[0]) / grid.dt
     if np.any(pos < -1e-9) or np.any(pos > m - 1 + 1e-9):
         raise EvaluationError("profile evaluated outside its grid")
     base = np.clip(np.floor(pos).astype(int) - 1, 0, m - 4)
-    out = np.zeros_like(tq)
-    for j in range(4):
-        lj = np.ones_like(tq)
-        for i in range(4):
-            if i != j:
-                lj *= (tq - t[base + i]) / (t[base + j] - t[base + i])
-        out += lj * values[base + j]
-    return out
+    s = pos - base
+    s1, s2, s3 = s - 1.0, s - 2.0, s - 3.0
+    return (
+        -s1 * s2 * s3 / 6.0 * values[base]
+        + s * s2 * s3 / 2.0 * values[base + 1]
+        - s * s1 * s3 / 2.0 * values[base + 2]
+        + s * s1 * s2 / 6.0 * values[base + 3]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +596,14 @@ class RadialProfile:
         return make_rule(self.grid, self.n)
 
     def u_at(self, r):
-        return _cubic_interp_log(np.log(r), self.grid.t, self.u, self.grid.dt)
+        return _cubic_interp_log(np.log(r), self.grid, self.u)
 
     def u_r_at(self, r):
-        return _cubic_interp_log(np.log(r), self.grid.t, self.u_r, self.grid.dt)
+        return _cubic_interp_log(np.log(r), self.grid, self.u_r)
 
     def u_rr_at(self, r):
         durdt = derivative_log_uniform(self.u_r, self.grid.dt)
-        vals = _cubic_interp_log(np.log(r), self.grid.t, durdt, self.grid.dt)
-        return vals / np.asarray(r, dtype=float)
+        return _cubic_interp_log(np.log(r), self.grid, durdt) / np.asarray(r, dtype=float)
 
 
 def energy(profile: RadialProfile, G) -> float:

@@ -7,6 +7,7 @@ import pytest
 from plaplab import (
     Exponential,
     ProblemSpec,
+    RadialProfile,
     lambda_star_estimate,
     make_grid,
     minimal_iterate,
@@ -27,7 +28,7 @@ def gelfand_disk_spec():
 @pytest.fixture(scope="session")
 def minimal_disk_lam1(gelfand_disk_spec, grid2000):
     prof = minimal_iterate(gelfand_disk_spec, 1.0, grid2000)
-    assert not isinstance(prof, tuple)
+    assert isinstance(prof, RadialProfile)
     return prof
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from plaplab import cli, make_grid
 from plaplab.cli import main, read_profile_csv
+from plaplab.oracle import exact_exponential
 
 
 def run_cli(capsys, *args, expect=0):
@@ -325,6 +326,40 @@ def test_stability_zero_flux_profile_exit2(tmp_path, capsys, time_limit):
         out = run_cli(capsys, "--out", str(tmp_path / "out"), "stability",
                       "--n", "2", "--p", "1.5", "--profile", str(data), expect=2)
     assert "degenerate" in out.err
+
+
+@pytest.mark.parametrize(
+    "radii, column, factor, message",
+    [
+        (make_grid(1e-8, 20).r, 0, 1.0, None),
+        (0.5 * make_grid(1e-8, 20).r, 0, 1.0, "not make_grid's nodes"),
+        (make_grid(1e-8, 20).r, 0, 1.0 + 1e-6, "not make_grid's nodes"),
+        (make_grid(1e-8, 20).r, 0, math.nan, "not make_grid's nodes"),
+        (make_grid(1e-8, 20).r, 2, math.nan, "inconsistent (u_r vs w)"),
+        (np.geomspace(1e-8, 1.0, 10), 0, 1.0, "need at least 16 nodes"),
+    ],
+    ids=["make-grid-nodes", "last-radius-half", "radius-moved-1e-6", "radius-nan", "u_r-nan", "ten-rows"],
+)
+def test_stability_profile_must_sit_on_make_grid(tmp_path, capsys, radii, column, factor, message):
+    # the n = 12 closed form at the radii, one entry of row 7 scaled by factor
+    sol = exact_exponential(12.0, 2.0)
+    u_r = sol.u_r_at(radii)
+    table = np.column_stack([radii, sol.u_at(radii), u_r, -(radii**11.0) * np.abs(u_r)])
+    table[7, column] *= factor
+    data = tmp_path / "profile.csv"
+    data.write_text("r,u,u_r,w\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+    out = run_cli(capsys, "--out", str(tmp_path / "out"), "stability", "--n", "12", "--p", "2",
+                  "--profile", str(data), expect=0 if message is None else 2)
+    assert message is None or message in out.err
+
+
+def test_stability_profile_round_trip_matches_solve(tmp_path, capsys):
+    cfg = _tiny_config(tmp_path)
+    run_cli(capsys, "--out", str(tmp_path / "s"), "--config", cfg, "solve", "--n", "2", "--p", "2", "--lam", "1")
+    run_cli(capsys, "--out", str(tmp_path / "st"), "--config", cfg, "stability", "--n", "2", "--p", "2",
+            "--profile", str(tmp_path / "s" / "profile.csv"))
+    solved = json.loads((tmp_path / "s" / "report.json").read_text())["stability"]
+    assert json.loads((tmp_path / "st" / "stability.json").read_text())["stability"] == solved
 
 
 def test_lambda_init_zero_exit2(tmp_path, capsys, time_limit):

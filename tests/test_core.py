@@ -139,6 +139,74 @@ def test_derivative_log_uniform_exact_on_degree_six(degree):
     assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(values)) / grid.dt
 
 
+def _generic_cubic_interp(tq, t, values, dt):
+    """Reference for off-node profile evaluation: the 4-node Lagrange form
+    over the nodes t themselves, on the same clamped window."""
+    pos = (tq - t[0]) / dt
+    base = np.clip(np.floor(pos).astype(int) - 1, 0, len(t) - 4)
+    out = np.zeros_like(tq)
+    for j in range(4):
+        lj = np.ones_like(tq)
+        for i in range(4):
+            if i != j:
+                lj *= (tq - t[base + i]) / (t[base + j] - t[base + i])
+        out += lj * values[base + j]
+    return out, base
+
+
+def _local_scale(grid, values, base):
+    """Per point, the window's largest |value| plus its largest step times
+    |t[0]| / dt: a rounding of t by one ulp moves the point that far in
+    node units."""
+    window = values[base[:, None] + np.arange(4)]
+    steps = np.abs(np.diff(window, axis=1)).max(axis=1)
+    return np.abs(window).max(axis=1) + abs(grid.t[0]) / grid.dt * steps
+
+
+def _radii_over_grid(grid, seed):
+    """Random radii over the whole grid, over each end cell, and the nodes."""
+    rng = np.random.default_rng(seed)
+    t = grid.t
+    tq = np.concatenate(
+        [rng.uniform(t[0], 0.0, 500), rng.uniform(t[0], t[1], 50), rng.uniform(t[-2], 0.0, 50)]
+    )
+    return np.concatenate([np.exp(tq), grid.r])
+
+
+@pytest.mark.parametrize("source", ["n12-exact", "disk-minimal"])
+def test_off_node_evaluation_matches_generic_lagrange(source, grid2000, minimal_disk_lam1):
+    prof = exact_exponential(12.0, 2.0).sample(grid2000) if source == "n12-exact" else minimal_disk_lam1
+    grid = prof.grid
+    r = _radii_over_grid(grid, 7)
+    durdt = derivative_log_uniform(prof.u_r, grid.dt)
+    eps = np.finfo(float).eps
+    for values, got in (
+        (prof.u, prof.u_at(r)),
+        (prof.u_r, prof.u_r_at(r)),
+        (durdt, prof.u_rr_at(r) * r),
+    ):
+        want, base = _generic_cubic_interp(np.log(r), grid.t, values, grid.dt)
+        assert np.all(np.abs(got - want) <= 8.0 * eps * _local_scale(grid, values, base))
+
+
+@pytest.mark.parametrize("r_min, count", [(1e-8, 40), (0.5, 16)])
+def test_off_node_evaluation_reproduces_cubic(r_min, count):
+    grid = make_grid(r_min, count)
+    cubic = np.polynomial.Polynomial([0.7, -1.3, 0.4, -0.05])
+    prof = RadialProfile(grid=grid, n=2.0, p=2.0, u=cubic(grid.t), w=np.zeros(count), check=False)
+    r = _radii_over_grid(grid, 3)
+    _, base = _generic_cubic_interp(np.log(r), grid.t, prof.u, grid.dt)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(prof.u_at(r) - cubic(np.log(r))) <= 8.0 * eps * _local_scale(grid, prof.u, base))
+
+
+def test_off_node_evaluation_rejects_radii_outside_grid(grid2000):
+    prof = exact_exponential(12.0, 2.0).sample(grid2000)
+    for r in (0.99 * grid2000.r_min, 1.01):
+        with pytest.raises(EvaluationError, match="outside its grid"):
+            prof.u_at(np.array([r]))
+
+
 def test_profile_rejects_increasing_u():
     g = make_grid(1e-4, 64)
     u = np.linspace(0.0, 1.0, g.size)  # increasing in r
