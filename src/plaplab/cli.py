@@ -383,7 +383,6 @@ def cmd_bifurcate(args, cfg: dict) -> int:
 
 def cmd_stability(args, cfg: dict) -> int:
     n, p = cfg["problem"]["n"], cfg["problem"]["p"]
-    grid = _grid(cfg)
     if args.profile:
         profile = read_profile_csv(Path(args.profile), n, p)
         gp = _nonlinearity(cfg).with_scale(cfg["problem"]["lambda"]).derivative
@@ -392,11 +391,16 @@ def cmd_stability(args, cfg: dict) -> int:
             sol = exact_exponential(n, p)
         else:
             sol = exact_power(n, p, cfg["problem"]["m"])
-        profile = sol.sample(grid)
+        profile = sol.sample(_grid(cfg))
         gp = sol.g_prime()
     else:
         raise ConfigError("need --profile FILE or --exact {exponential,power}")
-    report = base_report(cfg, stability=_stability(profile, gp, cfg).as_dict())
+    grid = profile.grid  # the profile's own, which a --profile file sets
+    report = base_report(
+        cfg,
+        grid={"r_min": grid.r_min, "nodes": grid.size},
+        stability=_stability(profile, gp, cfg).as_dict(),
+    )
     _emit(args.out / "stability.json", report)
     return 0
 

@@ -90,13 +90,21 @@ UNSTABLE_MARGIN = 1e-6
 #: |rho_k - rho_(k-1)| < ACCEL_SETTLE (1 - rho_k)) with more than
 #: ACCEL_SWEEPS plain sweeps to go at that rate, Anderson mixing of depth
 #: ACCEL_DEPTH runs on a copy of the iterate for at most ACCEL_MAX_SWEEPS
-#: sweeps, once per probe.  Its answer counts only with a supersolution
-#: certificate, T(u_A + eps phi) <= u_A + eps phi - ORDER_SLACK (1 + sup) on
-#: every node but r = 1.  ACCEL_SWEEPS = 10**9 switches it off.
+#: sweeps, once per probe.  Its answer u_A, at residual delta_A, counts only
+#: with a supersolution certificate, T(u_A + eps phi) <= u_A + eps phi -
+#: ORDER_SLACK (1 + sup) on every node but r = 1, phi the last plain step
+#: scaled to sup 1.  Near a stable fixed point a sweep leaves a gap of about
+#: eps (1 - rho) phi_i at node i, so eps is sized to clear twice the slack
+#: where phi is smallest: eps = max(sqrt(delta_A),
+#: 2 ORDER_SLACK (1 + sup u_A) / ((1 - rho) min phi)).  The one certificate
+#: sweep runs only when eps <= ACCEL_EPS_CAP, the top of the eps range over
+#: which the certificate is checked to reject an upper-branch solution;
+#: above it the plain sweeps resume.  ACCEL_SWEEPS = 10**9 switches it off.
 ACCEL_SWEEPS = 10
 ACCEL_SETTLE = 0.01
 ACCEL_DEPTH = 4
 ACCEL_MAX_SWEEPS = 40
+ACCEL_EPS_CAP = 1e-2
 
 
 class BlowUpError(RuntimeError):
@@ -132,9 +140,10 @@ class LambdaRecord:
     f_l1_norm: float
     reason: str  # "converged", or why the probe diverged or stayed undecided
     contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
-    # eps of the accepted supersolution, or for an "unstable iterate" the
-    # Collatz-Wielandt lower bound min_i delta_(k+1,i) / delta_(k,i) on the
-    # spectral radius of T'; nan for every other probe
+    # eps of the accepted supersolution u_A + eps phi (sqrt(delta_A), or more
+    # to clear the order slack, at most ACCEL_EPS_CAP), or for an "unstable
+    # iterate" the Collatz-Wielandt lower bound min_i delta_(k+1,i) /
+    # delta_(k,i) on the spectral radius of T'; nan for every other probe
     certificate: float = math.nan
 
 
@@ -413,11 +422,25 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     def diverged(lam: float, k: int, sup: float, reason: str, rho: float, bound: float = math.nan):
         return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho, bound)
 
-    def converged(lam: float, k: int, rho: float, u, eps: float = math.nan):
-        """The probe's end after k sweeps and one more, which makes (u, w) an
-        exactly consistent pair."""
+    def converged(lam: float, k: int, rho: float, u, eps: float = math.nan, residual: float = math.inf):
+        """The probe's end after k sweeps and the sweep that makes (u, w) an
+        exactly consistent pair.  A plain iterate's step is close to the
+        principal mode of T' and shrinks, so one sweep does.  An Anderson
+        answer's residual is not: the steps from it may grow for a few sweeps
+        before they shrink, and until then its error may far exceed a plain
+        iterate's (22 times at n = 10, p = 2.5 next to lambda*).  So sweeps
+        from it go on until a step passes the stopping test and is no larger
+        than the step, or the residual, before it."""
         nonlocal warm
         u_final, F_final = _iteration_step(u, lam, f, kernel)
+        k += 1
+        while not math.isnan(eps) and k < k_max:
+            step = float(np.max(np.abs(u_final - u)))
+            if step < tol_abs + tol_rel * float(np.max(u_final)) and step <= residual:
+                break
+            u, residual = u_final, step
+            u_final, F_final = _iteration_step(u, lam, f, kernel)
+            k += 1
         try:
             profile = RadialProfile(grid=grid, n=n, p=p, u=u_final.copy(), w=-F_final)
         except ParameterError as exc:
@@ -426,9 +449,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 f"lost order preservation on this {grid.size}-node grid; refine the grid"
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-        record = LambdaRecord(
-            lam, True, k + 1, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps
-        )
+        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps)
         warm = (lam, profile.u)
         return profile, record
 
@@ -489,11 +510,16 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                     used, u_a, residual = _anderson(u, lam, f, kernel, controls, delta)
                     sweeps += used
                     if u_a is not None:
-                        # phi: the last plain step, >= 0, scaled to sup 1
-                        eps, sweeps = math.sqrt(residual), sweeps + 1
-                        u_bar = u_a + eps / delta * np.maximum(step, 0.0)
-                        if _supersolution(u_bar, lam, f, kernel):
-                            return converged(lam, sweeps, rho, u_a, eps)
+                        # phi: the last plain step, >= 0, scaled to sup 1; a
+                        # sweep leaves a gap near eps (1 - rho) phi_i at node i
+                        lift = np.maximum(step, 0.0)
+                        grip = (1.0 - rho) * float(min_of(lift[:-1])) / delta
+                        slack = 2.0 * ORDER_SLACK * (1.0 + float(sup_of(u_a)))
+                        eps = max(math.sqrt(residual), slack / grip) if grip > 0.0 else math.inf
+                        if eps <= ACCEL_EPS_CAP:
+                            sweeps += 1
+                            if _supersolution(u_a + eps / delta * lift, lam, f, kernel):
+                                return converged(lam, sweeps, rho, u_a, eps, residual)
                 prev, last = delta, step
         return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho)
 
@@ -563,14 +589,21 @@ def lambda_star_estimate(
     still have more than ACCEL_SWEEPS to go, the probe runs Anderson mixing
     once, on a copy of its iterate, for at most ACCEL_MAX_SWEEPS sweeps under
     the same stopping test.  Its answer u_A, at residual delta, ends the
-    probe as converged only if u_A + eps phi, with eps = sqrt(delta) and phi
-    the last plain step scaled to sup 1, is a supersolution:
+    probe as converged only if u_A + eps phi, with phi the last plain step
+    scaled to sup 1, is a supersolution:
     T(u_A + eps phi) <= u_A + eps phi - ORDER_SLACK (1 + sup) on every node
     but r = 1.  The slack is the drop the plain sweeps' order guard grants
     the quadrature, whose cumulative weights are not all positive (the n = 1
     rule has a -3.8e-8 entry); with it, rounding can only reject.  The
-    iteration from 0 then stays below the supersolution and converges, so
-    the probe is decided as the plain one would be.  Otherwise the plain
+    argument holds for every eps > 0, and a sweep leaves a gap of about
+    eps (1 - rho) phi_i at node i, so eps = max(sqrt(delta),
+    2 ORDER_SLACK (1 + sup u_A) / ((1 - rho) min_i phi_i)) over every node
+    but r = 1: near lambda* the principal mode moves toward the origin, and
+    phi at the outer nodes falls to 1e-7 and below.  The certificate sweep
+    runs only when eps <= ACCEL_EPS_CAP.  The iteration from 0 then stays
+    below the supersolution and converges, so the probe is decided as the
+    plain one would be, and plain sweeps from u_A, until a step passes the
+    stopping test without growing, build its profile.  Otherwise the plain
     sweeps resume where they stopped, so every divergent, fold-ghost and
     capped outcome comes from plain sweeps.
 
@@ -589,8 +622,8 @@ def lambda_star_estimate(
     The record's ``certificate`` holds eps, or for an unstable iterate the
     bound min_i delta_(k+1,i) / delta_(k,i), nan for any other probe, and
     ``iterations`` counts every sweep of the probe: plain ones, those of an
-    Anderson attempt, failed or not, the certificate's and, for a converged
-    probe, the consistency sweep that builds (u, w).
+    Anderson attempt, failed or not, the certificate's, those from u_A and,
+    for a converged probe, the consistency sweep that builds (u, w).
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

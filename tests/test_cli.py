@@ -260,6 +260,7 @@ def test_stability_command_exact(tmp_path, capsys):
     )
     doc = json.loads(out.out)
     assert doc["stability"]["verdict"] == "semi-stable"
+    assert doc["grid"] == {"r_min": 1e-7, "nodes": 600}  # the config's, sampled
     out = run_cli(
         capsys,
         "--out",
@@ -360,6 +361,19 @@ def test_stability_profile_round_trip_matches_solve(tmp_path, capsys):
             "--profile", str(tmp_path / "s" / "profile.csv"))
     solved = json.loads((tmp_path / "s" / "report.json").read_text())["stability"]
     assert json.loads((tmp_path / "st" / "stability.json").read_text())["stability"] == solved
+
+
+def test_stability_profile_reports_the_profile_grid(tmp_path, capsys):
+    # without the solve's config, the report used to name the default grid
+    # (2000 nodes from 1e-8) while the pencil ran on the profile's 600 nodes
+    run_cli(capsys, "--out", str(tmp_path / "s"), "--config", _tiny_config(tmp_path),
+            "solve", "--n", "2", "--p", "2", "--lam", "1")
+    out = run_cli(capsys, "--out", str(tmp_path / "st"), "stability", "--n", "2", "--p", "2",
+                  "--profile", str(tmp_path / "s" / "profile.csv"))
+    doc = json.loads(out.out)
+    assert doc["config"]["grid"] == {"r_min": 1e-8, "nodes": 2000}
+    assert doc["grid"] == {"r_min": 1e-7, "nodes": 600}
+    assert doc["grid"] == json.loads((tmp_path / "s" / "report.json").read_text())["grid"]
 
 
 def test_lambda_init_zero_exit2(tmp_path, capsys, time_limit):

@@ -726,15 +726,22 @@ def fold_cubic_table():
         (5.0, 3.0, Exponential(1.0)),
         (3.0, 2.0, Power(m=3.0)),
         (3.0, 2.0, fold_cubic_table()),
+        (10.0, 2.5, Exponential(1.0)),
+        (10.0, 2.75, Exponential(1.0)),
     ],
-    ids=["slab", "disk", "n5-p3", "power", "table"],
+    ids=["slab", "disk", "n5-p3", "power", "table", "n10-p2.5", "n10-p2.75"],
 )
 def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypatch):
     """Warm starts and certified Anderson answers change no probe's decision
     and no bracket: the search with acceleration switched off probes the same
     lambdas with the same outcomes.  Its profile_lo lies within the plain
     twin's stopping error delta / (1 - rho) of the fixed point, as the plain
-    one does, and the search runs fewer sweeps.  Only an unstable iterate's
+    one does, and the search runs fewer sweeps.  The record at lambda_lo is
+    certified: at n = 10, next to lambda*, only an eps sized to the order
+    slack, above sqrt(delta), lets its certificate pass, and only the plain
+    sweeps from the Anderson answer, run past the growth of their steps,
+    bring its profile within the stopping error (without them it lies 22
+    and 9.5 times as far at p = 2.5 and 2.75).  Only an unstable iterate's
     certificate, its growth bound, is set in the plain search.  At p = 3 the
     unstable-iterate stop never runs, although divergent probes grow by more
     than 1 + UNSTABLE_MARGIN per sweep."""
@@ -751,6 +758,8 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     assert [(lam, s) for lam, (s, _, _) in fast_probes] == [(lam, s) for lam, (s, _, _) in probes]
     assert all(math.isnan(eps) for _, (_, reason, eps) in probes if reason != "unstable iterate")
     assert any(eps > 0.0 for _, (_, reason, eps) in fast_probes if reason != "unstable iterate")
+    lo_record = next(rec for rec in fast.records if rec.lam == fast.lambda_lo)
+    assert lo_record.converged and 0.0 < lo_record.certificate <= solver.ACCEL_EPS_CAP
     assert sum(rec.iterations for rec in fast.records) < sum(rec.iterations for rec in plain.records)
     if p > 2.0:
         diverged = [rec for rec in fast.records + plain.records if not rec.converged]
@@ -771,8 +780,8 @@ def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
     (sup 2.26, from a shoot refined by Anderson mixing) is not, rho = 1.042.
     With phi the principal mode of T' at each, u + eps phi passes the
     supersolution certificate at the minimal solution for every eps in
-    [1e-7, 1e-3] and at the upper one for none.  The accelerated probe finds
-    the minimal solution."""
+    [1e-7, ACCEL_EPS_CAP] and at the upper one for none.  The accelerated
+    probe finds the minimal solution."""
     spec = ProblemSpec(5.0, 2.0, Exponential(1.0))
     f, lam = spec.nonlinearity, 6.45
     kernel = solver._SweepKernel(grid2000, 5.0, 2.0)
@@ -805,7 +814,7 @@ def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
     rho_min, phi_min = principal_mode(minimal.u)
     rho_up, phi_up = principal_mode(upper)
     assert abs(rho_min - 0.960) < 1e-3 and abs(rho_up - 1.042) < 1e-3
-    for eps in np.geomspace(1e-7, 1e-3, 9):
+    for eps in np.geomspace(1e-7, solver.ACCEL_EPS_CAP, 11):
         assert solver._supersolution(minimal.u + eps * phi_min, lam, f, kernel)
         assert not solver._supersolution(upper + eps * phi_up, lam, f, kernel)
         # any nonnegative direction fails at an unstable solution
