@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class ParameterError(ValueError):
@@ -337,7 +336,28 @@ def make_grid(r_min: float, count: int) -> RadialGrid:
 # quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = leggauss(6)
+# 6-point Gauss-Legendre rule on [-1, 1]: the reprs of leggauss(6), written
+# out so that importing the package does not import numpy.polynomial
+_GL_NODES = np.array(
+    [
+        -0.9324695142031519,
+        -0.6612093864662645,
+        -0.2386191860831969,
+        0.2386191860831969,
+        0.6612093864662645,
+        0.9324695142031519,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.17132449237917027,
+        0.3607615730481387,
+        0.46791393457269104,
+        0.46791393457269104,
+        0.3607615730481387,
+        0.17132449237917027,
+    ]
+)
 
 
 def _exp_moments(offsets, n, dt):

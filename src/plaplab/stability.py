@@ -17,8 +17,9 @@ r eta turns semi-stability into the constant-free inequality
 
 The discrete verdict comes from a P1 pencil on [r_trunc, 1]: truncation
 replaces "compact support away from 0" (test functions there exclude the
-origin anyway), the pencil is exactly tridiagonal, and a Sturm-sequence
-bisection certifies the minimal eigenvalue bracket.
+origin anyway), and the pencil is exactly tridiagonal.  Laguerre steps on
+det(T - mu M) rise to the minimal eigenvalue from a Sturm-certified lower
+end, and a second Sturm count certifies the bracket they close.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import (
     ConsistencyError,
@@ -37,7 +37,13 @@ from .core import (
     make_grid,
 )
 
-_GL4_NODES, _GL4_WEIGHTS = leggauss(4)
+# 4-point Gauss-Legendre rule on [-1, 1]: the reprs of leggauss(4)
+_GL4_NODES = np.array(
+    [-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]
+)
+_GL4_WEIGHTS = np.array(
+    [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +213,32 @@ def _volume_points(bounds: np.ndarray, n: float):
     return np.exp(tg), wg * np.exp(n * tg)
 
 
+def _support_lo(profile: RadialProfile, xi) -> float:
+    """Where xi's support starts inside [r_min, 1]."""
+    return max(xi.support_lo, profile.grid.r_min)
+
+
+def _cut_points(profile: RadialProfile, family):
+    """``_volume_points`` for integrals against the members of a family over
+    their supports in [r_min, 1]: the profile's log cells from the lowest
+    support start up, split at every member's support start and kink radii.
+    The radii come out sorted, so each member's support is a trailing slice."""
+    t = profile.grid.t
+    starts = [_support_lo(profile, xi) for xi in family]
+    lo = min(starts)
+    cuts = [math.log(start) for start in starts]
+    cuts += [math.log(kink) for xi in family for kink in xi.kinks if lo <= kink <= 1.0]
+    bounds = np.unique(np.concatenate([t[t >= math.log(lo) - 1e-12], cuts]))
+    return _volume_points(bounds, profile.n)
+
+
 def _samples(profile: RadialProfile, xi):
-    """``_volume_points`` for integrals against xi over its support in
-    [r_min, 1]: the profile's log cells, clipped to the support and split at
-    the family's kink radii.  Families with their own exact cell
+    """``_cut_points`` for xi alone; families with their own exact cell
     decomposition (nodal hats) use it."""
     own = getattr(xi, "exact_cells", None)
     if own is not None:
-        bounds = np.log(np.asarray(own, dtype=float))
-    else:
-        t = profile.grid.t
-        lo = max(xi.support_lo, profile.grid.r_min)
-        t_lo = math.log(lo)
-        kinks = [math.log(kink) for kink in xi.kinks if lo <= kink <= 1.0]
-        bounds = np.unique(np.concatenate([t[t >= t_lo - 1e-12], [t_lo], kinks]))
-    return _volume_points(bounds, profile.n)
+        return _volume_points(np.log(np.asarray(own, dtype=float)), profile.n)
+    return _cut_points(profile, [xi])
 
 
 def _coefficients(profile: RadialProfile, g_prime, r: np.ndarray):
@@ -264,7 +281,7 @@ def q_apply(profile: RadialProfile, g_prime, xi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# P1 pencil and Sturm bisection
+# P1 pencil and its certified minimal eigenvalue
 # ---------------------------------------------------------------------------
 
 
@@ -365,10 +382,56 @@ def _negative_count(t: Tridiagonal, m: Tridiagonal, mu: float) -> int:
     return _ldl((t.diag - mu * m.diag).tolist(), np.square(t.off - mu * m.off).tolist())
 
 
-def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
-    """Minimal mu with (A - B) x = mu M x, by Sturm-sequence bisection on the
-    tridiagonal pencil; the returned midpoint carries a certified bracket of
-    width below 1e-10 of the Rayleigh scale (or a few ulps)."""
+def _pivot_sums(t: Tridiagonal, m: Tridiagonal, mu: float) -> tuple[int, float, float]:
+    """``_negative_count`` of T - mu M with S1 = sum 1/(mu_j - mu) and
+    S2 = sum 1/(mu_j - mu)^2 over the pencil's eigenvalues mu_j.
+
+    det(T - mu M) = det(M) prod (mu_j - mu) is the product of the LDL^T
+    pivots d_i, so S1 = -sum d_i'/d_i and S2 = sum (d_i'/d_i)^2 - d_i''/d_i;
+    the ratios f = d'/d and g = d''/d follow the pivot recurrence
+    d_i = a_i - e_i^2 / d_(i-1).  The pivots are ``_ldl``'s, in the same
+    operations, so the count is ``_negative_count``'s at every shift."""
+    b = t.off - mu * m.off
+    e2 = [0.0] + np.square(b).tolist()
+    de2 = [0.0] + (-2.0 * b * m.off).tolist()  # d(e^2)/dmu
+    dde2 = [0.0] + (2.0 * np.square(m.off)).tolist()  # d^2(e^2)/dmu^2
+    rows = zip((t.diag - mu * m.diag).tolist(), (-m.diag).tolist(), e2, de2, dde2)
+    count, prev, f, g, s1, s2 = 0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for di, ddi, ei, dei, ddei in rows:
+        q = ei / prev
+        r = dei / prev
+        d1 = ddi - r + q * f
+        d2 = 2.0 * r * f + q * (g - 2.0 * f * f) - ddei / prev
+        prev = di - q or -1e-300
+        if prev < 0:
+            count += 1
+        f, g = d1 / prev, d2 / prev
+        s1 -= f
+        s2 += f * f - g
+    return count, s1, s2
+
+
+def _width(lo: float, hi: float) -> float:
+    """Certified bracket width: 1e-10 of the eigenvalue's scale, or 8 ulps."""
+    big = max(abs(lo), abs(hi))
+    return max(1e-10 * max(big, 1.0), 8 * math.ulp(big))
+
+
+def min_eigenvalue(
+    a: Tridiagonal, b: Tridiagonal, m: Tridiagonal, bracket: list | None = None
+) -> float:
+    """Minimal mu with (A - B) x = mu M x: the midpoint of a Sturm-certified
+    bracket [lo, hi] of width at most ``_width`` (1e-10 of the eigenvalue's
+    scale, or 8 ulps) up to the rounding of hi, appended to ``bracket`` when
+    one is given.
+
+    From the basis-vector Rayleigh bound, doubling steps down find a lower
+    end with no negative pivot.  Laguerre steps on det(T - mu M) rise from
+    it; the characteristic polynomial is real-rooted, so they climb
+    monotonically to mu_1 from below, and each pass counts pivots too: a
+    count of 0 raises lo, one of at least 1 lowers hi.  A step that leaves
+    (lo, hi) falls back to the midpoint.  Once a step is below half the width
+    at its start x, a count at x + width closes the bracket."""
     t = a - b
     if not np.all(np.isfinite(np.concatenate([t.diag, t.off, m.diag, m.off]))):
         raise ParameterError("pencil has a non-finite entry")
@@ -384,19 +447,31 @@ def min_eigenvalue(a: Tridiagonal, b: Tridiagonal, m: Tridiagonal) -> float:
     while _negative_count(t, m, lo) > 0:
         hi, gap = lo, 2.0 * gap
         lo = hi - gap
-    # width target follows the shrinking bracket so the certificate is
-    # relative to the eigenvalue itself, not to the stiffest basis quotient
-    while True:
-        target = max(
-            1e-10 * max(abs(lo), abs(hi), 1.0), 8 * math.ulp(max(abs(lo), abs(hi)))
-        )
-        if hi - lo <= target:
-            break
-        mid = 0.5 * (lo + hi)
-        if _negative_count(t, m, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+    k = len(t.diag)
+    x = lo
+    while hi - lo > _width(lo, hi):
+        count, s1, s2 = _pivot_sums(t, m, x)
+        if count:
+            hi = x
+            x = 0.5 * (lo + hi)
+            continue
+        lo = x
+        denom = s1 + math.sqrt(max(0.0, (k - 1) * (k * s2 - s1 * s1)))
+        step = k / denom if denom > 0 else math.nan
+        # the width is sized on x, the bracket's final lower end, not on a
+        # distant hi, so the certificate is relative to the eigenvalue itself
+        width = _width(x, x)
+        if step < 0.5 * width:
+            if _negative_count(t, m, x + width) >= 1:
+                hi = x + width
+                break
+            # the step fell short of mu_1: bisect from past x + width
+            lo, step = x + width, math.nan
+        x = x + step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    if bracket is not None:
+        bracket.extend((lo, hi))
     return 0.5 * (lo + hi)
 
 
@@ -470,7 +545,8 @@ def stability_report(
     verdict certifies semi-stability on the discretized test space only.
     """
     pencil = assemble_q(profile, g_prime, r_trunc, n_eig)
-    mu1 = min_eigenvalue(pencil.a, pencil.b, pencil.m)
+    bracket = []
+    mu1 = min_eigenvalue(pencil.a, pencil.b, pencil.m, bracket)
     x = _min_mode_vector(pencil, mu1)
     rayleigh = (pencil.a - pencil.b).form(x) / pencil.m.form(x)
     scale = float(np.max(pencil.m.diag))
@@ -491,10 +567,14 @@ def stability_report(
         if not hardy_ok:
             verdict = "unstable"
     # Dirichlet at the first node a decade up: a trailing block, so by
-    # min-max mu_1_alt >= mu_1
+    # min-max mu_1_alt >= mu_1 >= lo, and one count at hi decides whether
+    # mu_1_alt lies in mu_1's certified bracket
     j = int(np.searchsorted(pencil.nodes, min(10.0 * r_trunc, 0.5)))
-    block = (Tridiagonal(t.diag[j:], t.off[j:]) for t in (pencil.a, pencil.b, pencil.m))
-    mu1_alt = min_eigenvalue(*block)
+    a, b, m = (Tridiagonal(t.diag[j:], t.off[j:]) for t in (pencil.a, pencil.b, pencil.m))
+    if _negative_count(a - b, m, bracket[1]) >= 1:
+        mu1_alt = mu1
+    else:
+        mu1_alt = min_eigenvalue(a, b, m)
     return StabilityReport(
         mu_1=mu1,
         rayleigh_min=rayleigh,
@@ -563,13 +643,24 @@ def hardy_inequality_check(profile: RadialProfile, eta_family) -> list[HardyChec
     (p-1) int |u_r|^p ((r eta)_r)^2 for each supplied eta.
 
     Semi-stable profiles satisfy every instance; an unstable one is
-    witnessed by some violating member.
+    witnessed by some violating member.  The profile is sampled once for the
+    whole family, on ``_cut_points``; members with their own exact cells
+    (nodal hats) are sampled on those.
     """
     n, p = profile.n, profile.p
+    family = list(eta_family)
+    cut = [eta for eta in family if getattr(eta, "exact_cells", None) is None]
+    if cut:
+        r_cut, w_cut = _cut_points(profile, cut)
+        urp_cut = np.abs(np.asarray(profile.u_r_at(r_cut), dtype=float)) ** p
     out = []
-    for eta in eta_family:
-        rg, wvol = _samples(profile, eta)
-        urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
+    for eta in family:
+        if getattr(eta, "exact_cells", None) is None:
+            start = int(np.searchsorted(r_cut, _support_lo(profile, eta)))
+            rg, wvol, urp = r_cut[start:], w_cut[start:], urp_cut[start:]
+        else:
+            rg, wvol = _samples(profile, eta)
+            urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
         ev = np.asarray(eta.value(rg), dtype=float)
         scaled_d = ev + rg * np.asarray(eta.derivative(rg), dtype=float)
         lhs = (n - 1.0) * float(np.dot(wvol, urp * ev**2))

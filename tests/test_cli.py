@@ -649,12 +649,23 @@ def _tiny_config(tmp_path):
     return str(path)
 
 
-def test_cli_import_leaves_the_process_pool_out():
-    # only `sweep --jobs N` with N > 1 uses it; every command pays for an import
+def _imported_with_cli(module):
+    """Whether a fresh interpreter importing plaplab.cli imports module."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import plaplab.cli; "
-        "print('concurrent.futures.process' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only `sweep --jobs N` with N > 1 uses it; every command pays for an import
+    assert not _imported_with_cli("concurrent.futures.process")
+
+
+def test_cli_import_leaves_numpy_polynomial_out():
+    # the Gauss-Legendre rules are literals; leggauss's import cost every
+    # command a few milliseconds
+    assert not _imported_with_cli("numpy.polynomial")

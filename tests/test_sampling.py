@@ -4,8 +4,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab import PowerCutoff, RadialProfile, make_grid
+from plaplab import PowerCutoff, RadialProfile, core, make_grid
 from plaplab.stability import _GL4_NODES, _GL4_WEIGHTS, _gauss_points, _samples
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    # the rules are written out so that importing plaplab does not import
+    # numpy.polynomial; they must be leggauss's bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    for points, nodes, weights in (
+        (6, core._GL_NODES, core._GL_WEIGHTS),
+        (4, _GL4_NODES, _GL4_WEIGHTS),
+    ):
+        ref_nodes, ref_weights = leggauss(points)
+        assert nodes.dtype == weights.dtype == np.float64
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
 
 def gauss_points_loop(bounds, n):

@@ -166,19 +166,22 @@ def test_min_eigenvalue_rejects_non_finite_pencil(time_limit):
 
 
 def test_stability_report_sturm_count_budget(grid2000, monkeypatch):
-    # the n = 11 report brackets mu_1 and mu_1_alt from the basis-vector
-    # Rayleigh bound alone, in 86 counts between them
-    real, calls = stability._negative_count, []
+    # every pass over the pencil counts: Sturm counts and Laguerre passes.
+    # The n = 11 report certifies mu_1 in 4 counts and 4 Laguerre passes, and
+    # mu_1_alt lies in mu_1's bracket (bisection took 86 counts)
+    calls = []
+    for name in ("_negative_count", "_pivot_sums"):
 
-    def counted(t, m, mu):
-        calls.append(mu)
-        return real(t, m, mu)
+        def counted(t, m, mu, real=getattr(stability, name)):
+            calls.append(mu)
+            return real(t, m, mu)
 
-    monkeypatch.setattr(stability, "_negative_count", counted)
+        monkeypatch.setattr(stability, name, counted)
     sol = exact_exponential(11.0, 2.0)
     rep = stability_report(sol.sample(grid2000), sol.g_prime())
     assert rep.verdict == "semi-stable"
-    assert len(calls) <= 105
+    assert rep.mu_1_alt == rep.mu_1
+    assert len(calls) <= 20
 
 
 def test_eigenvalue_refinement_order(grid2000):
@@ -374,6 +377,61 @@ def test_hardy_rscaled_members_on_semi_stable(grid2000, minimal_disk_lam1):
     checks = hardy_inequality_check(minimal_disk_lam1, [RScaled(e) for e in inner])
     # r-scaled functions are again admissible test functions
     assert all(c.satisfied for c in checks)
+
+
+def hardy_reference(profile, eta_family):
+    """The per-member loop ``hardy_inequality_check`` ran before it sampled
+    the profile once per family: each member on its own cells."""
+    n, p = profile.n, profile.p
+    out = []
+    for eta in eta_family:
+        rg, wvol = stability._samples(profile, eta)
+        urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
+        ev = np.asarray(eta.value(rg), dtype=float)
+        scaled_d = ev + rg * np.asarray(eta.derivative(rg), dtype=float)
+        lhs = (n - 1.0) * float(np.dot(wvol, urp * ev**2))
+        rhs = (p - 1.0) * float(np.dot(wvol, urp * scaled_d**2))
+        out.append((lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-8) + 1e-300)))
+    return out
+
+
+def report_witnesses(r_trunc):
+    return [SineModes(j, r_trunc) for j in (1, 2, 3)] + [
+        PowerCutoff(alpha, 10.0 * r_trunc) for alpha in (0.5, 1.0, 2.0)
+    ]
+
+
+def hardy_cases(grid2000, disk):
+    rng = np.random.default_rng(7)
+    inner = [SineModes(j, 1e-5) for j in (1, 2)] + [PowerCutoff(0.7, 1e-3), PowerCutoff(1.5, 0.2)]
+    yield disk, random_eta_family(rng, 1e-6, 20)
+    yield disk, [RScaled(e) for e in inner] + [ZeroEta()]
+    for sol in (exact_exponential(9.0, 2.0), exact_exponential(11.0, 2.0)):
+        prof = sol.sample(grid2000)
+        yield prof, report_witnesses(1e-6) + random_eta_family(rng, 1e-6, 8)
+
+
+def test_hardy_shared_sampling_matches_per_member_loop(grid2000, minimal_disk_lam1):
+    for prof, family in hardy_cases(grid2000, minimal_disk_lam1):
+        checks = hardy_inequality_check(prof, family)
+        reference = hardy_reference(prof, family)
+        assert len(checks) == len(reference)
+        for check, (lhs, rhs, ok) in zip(checks, reference):
+            assert abs(check.lhs - lhs) <= 1e-12 * abs(lhs)
+            assert abs(check.rhs - rhs) <= 1e-12 * abs(rhs)
+            assert check.satisfied == ok
+
+
+def test_hardy_nodal_members_keep_their_own_cells(grid2000):
+    sol = exact_exponential(11.0, 2.0)
+    prof = sol.sample(grid2000)
+    hats = nodal_family(assemble_q(prof, sol.g_prime(), 1e-6, 64))[::9]
+    family = report_witnesses(1e-6)[:2] + hats + [PowerCutoff(1.0, 1e-3)]
+    checks = hardy_inequality_check(prof, family)
+    reference = hardy_reference(prof, family)
+    for check, member, expected in zip(checks, family, reference):
+        if isinstance(member, Nodal):
+            assert (check.lhs, check.rhs, check.satisfied) == expected
 
 
 # --- weighted gradient integral --------------------------------------------------

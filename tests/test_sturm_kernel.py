@@ -1,26 +1,34 @@
 """The stability layer's LDL^T kernel against the numpy-scalar loops it
+replaced, and its Laguerre eigenvalue route against the bisection it
 replaced.
 
-``_negative_count`` and ``_min_mode_vector`` share one pivot recurrence over
-Python floats.  The straightforward forms kept here step over numpy scalars,
-with separate forward and backward pivot loops; on random pencils scaled
-over many decades, as r^n scales the rows on a log grid, both must give the
-same counts, the same witness bits and the same minimal eigenvalue.
+``_negative_count``, ``_pivot_sums`` and ``_min_mode_vector`` share one pivot
+recurrence over Python floats.  The straightforward forms kept here step over
+numpy scalars, with separate forward and backward pivot loops; on random
+pencils scaled over many decades, as r^n scales the rows on a log grid, both
+must give the same counts, the same witness bits and the same minimal
+eigenvalue.  ``_bisect_reference`` is the Sturm bisection ``min_eigenvalue``
+ran before its Laguerre steps; both must agree within the certified width.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab import stability
+from plaplab import Exponential, exact_exponential, exact_power, stability, stability_report
 from plaplab.stability import (
     QPencil,
     Tridiagonal,
     _ldl,
     _min_mode_vector,
     _negative_count,
+    _pivot_sums,
+    _width,
+    assemble_q,
     min_eigenvalue,
 )
 
@@ -125,6 +133,7 @@ def test_kernel_matches_numpy_scalar_loops(seed, k, decades, near, spread):
     shifts = [mu1] + [mu1 * (1.0 + d) for d in near] + [mu1 + s * scale for s in spread]
     for mu in shifts:
         assert _negative_count(t, m, mu) == count_reference(t.diag, t.off, m.diag, m.off, mu)
+        assert _pivot_sums(t, m, mu)[0] == _negative_count(t, m, mu)
     for mu in shifts[: 1 + len(near)]:
         assert _min_mode_vector(pencil, mu).tobytes() == mode_reference(pencil, mu).tobytes()
 
@@ -172,3 +181,131 @@ def test_min_eigenvalue_matches_dense_reference():
                 assert abs(mu1 - reference) <= 1e-8 * max(abs(reference), 1.0)
                 signs.add(np.sign(reference))
     assert signs == {-1.0, 1.0}
+
+
+def test_pivot_sums_match_dense_spectrum():
+    # S1 and S2 are sums over the pencil's eigenvalues: compare them with the
+    # eigenvalues of L^-1 T L^-T at shifts below, between and above them
+    for seed in range(4):
+        pencil = random_pencil(seed, 10, 2.0)
+        t, m = pencil.a - pencil.b, pencil.m
+        chol = np.linalg.cholesky(dense(m))
+        c = np.linalg.solve(chol, dense(t))
+        mus = np.linalg.eigvalsh(np.linalg.solve(chol, c.T).T)
+        for x in (mus[0] - 1.0, 0.5 * (mus[0] + mus[1]), 0.5 * (mus[4] + mus[5])):
+            count, s1, s2 = _pivot_sums(t, m, x)
+            assert count == int(np.sum(mus < x))
+            assert abs(s1 - np.sum(1.0 / (mus - x))) <= 1e-8 * np.sum(1.0 / np.abs(mus - x))
+            assert abs(s2 - np.sum(1.0 / (mus - x) ** 2)) <= 1e-8 * s2
+
+
+# --- the Laguerre route against the bisection it replaced ---------------------
+
+
+def _bisect_reference(a, b, m):
+    """The Sturm bisection ``min_eigenvalue`` ran before its Laguerre steps:
+    the same Rayleigh bound and doubling step-down, then midpoints until the
+    bracket is narrower than 1e-10 of its ends' scale (or 8 ulps)."""
+    t = a - b
+    hi = float(np.min(t.diag / m.diag))
+    while _negative_count(t, m, hi) < 1:
+        hi = hi + max(1.0, abs(hi))
+    gap = max(1.0, abs(hi))
+    lo = hi - gap
+    while _negative_count(t, m, lo) > 0:
+        hi, gap = lo, 2.0 * gap
+        lo = hi - gap
+    while True:
+        target = max(
+            1e-10 * max(abs(lo), abs(hi), 1.0), 8 * math.ulp(max(abs(lo), abs(hi)))
+        )
+        if hi - lo <= target:
+            break
+        mid = 0.5 * (lo + hi)
+        if _negative_count(t, m, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def rounded_width(lo, hi):
+    """``_width`` of a bracket's ends, plus the rounding of an end that was
+    computed as the other end plus a width."""
+    return _width(lo, hi) + math.ulp(max(abs(lo), abs(hi)))
+
+
+def certified(a, b, m):
+    """min_eigenvalue with its bracket, checked to be Sturm-certified and no
+    wider than ``rounded_width``."""
+    bracket = []
+    mu = min_eigenvalue(a, b, m, bracket)
+    lo, hi = bracket
+    t = a - b
+    assert _negative_count(t, m, lo) == 0
+    assert _negative_count(t, m, hi) >= 1
+    assert lo <= mu <= hi
+    assert hi - lo <= rounded_width(lo, hi)
+    return mu, lo, hi
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=2, max_value=80),
+    decades=st.floats(min_value=0.0, max_value=60.0),
+    reaction=st.booleans(),
+)
+def test_laguerre_matches_bisection_on_random_pencils(seed, k, decades, reaction):
+    # without its reaction mass the pencil is positive definite, so both
+    # signs of mu_1 are covered
+    pencil = random_pencil(seed, k, decades)
+    b = pencil.b if reaction else Tridiagonal(0.0 * pencil.b.diag, 0.0 * pencil.b.off)
+    mu, lo, hi = certified(pencil.a, b, pencil.m)
+    assert abs(mu - _bisect_reference(pencil.a, b, pencil.m)) <= rounded_width(lo, hi)
+
+
+@pytest.fixture(scope="module")
+def report_problems(continuation_disk, grid2000):
+    disk = (continuation_disk.profile_lo, Exponential(continuation_disk.lambda_lo).derivative)
+    exact = [exact_exponential(9.0, 2.0), exact_exponential(11.0, 2.0), exact_power(12.0, 2.0, 5.0)]
+    return [disk] + [(sol.sample(grid2000), sol.g_prime()) for sol in exact]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["disk-near-fold", "exp9", "exp11", "power12"])
+def test_report_eigenvalues_match_bisection(report_problems, index):
+    profile, g_prime = report_problems[index]
+    rep = stability_report(profile, g_prime)
+    pencil = assemble_q(profile, g_prime, rep.r_trunc, rep.n_eig)
+    mu, lo, hi = certified(pencil.a, pencil.b, pencil.m)
+    assert mu == rep.mu_1
+    assert abs(mu - _bisect_reference(pencil.a, pencil.b, pencil.m)) <= rounded_width(lo, hi)
+    # mu_1_alt: mu_1's bracket when the trailing block counts an eigenvalue
+    # below hi (its count at lo is 0 by min-max), else the block's own
+    j = int(np.searchsorted(pencil.nodes, rep.r_trunc_alt))
+    a, b, m = (Tridiagonal(t.diag[j:], t.off[j:]) for t in (pencil.a, pencil.b, pencil.m))
+    if _negative_count(a - b, m, hi) >= 1:
+        assert _negative_count(a - b, m, lo) == 0
+        assert rep.mu_1_alt == mu
+    else:
+        mu_alt, lo, hi = certified(a, b, m)
+        assert rep.mu_1_alt == mu_alt
+    assert abs(rep.mu_1_alt - _bisect_reference(a, b, m)) <= rounded_width(lo, hi)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e-12, math.nan], ids=["short", "long", "nan"])
+def test_wrong_laguerre_steps_still_give_a_certified_bracket(monkeypatch, scale):
+    # the steps only steer the search, the Sturm counts certify it: with
+    # S1 and S2 scaled so that every step is far too short, far too long or
+    # not a number, the search falls back to midpoints and still certifies
+    real = stability._pivot_sums
+
+    def wrong(t, m, mu):
+        count, s1, s2 = real(t, m, mu)
+        return count, s1 * scale, s2 * scale * scale
+
+    monkeypatch.setattr(stability, "_pivot_sums", wrong)
+    for seed in range(4):
+        pencil = random_pencil(seed, 30, 20.0)
+        mu, lo, hi = certified(pencil.a, pencil.b, pencil.m)
+        assert abs(mu - _bisect_reference(pencil.a, pencil.b, pencil.m)) <= rounded_width(lo, hi)
