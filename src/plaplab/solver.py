@@ -6,7 +6,8 @@ turns the equation into the non-degenerate first-order system
     u' = sgn(w) (|w| r^(1-n))^(1/(p-1)),      w' = -r^(n-1) g(u),
 
 avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
-(p > 2) where u_r vanishes.  Both shooting routes share one inlined RK4 step.
+(p > 2) where u_r vanishes.  Each shooting route takes its classical RK4
+steps in one loop, with the four stages written out in the loop body.
 
 Four routes to solutions:
 
@@ -34,6 +35,7 @@ Four routes to solutions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,37 +179,6 @@ def _check_solver_dimension(n: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _flux_rk4(n: float, p: float, g, h: float):
-    """(slope, step) of the flux system in t = log r.  slope(t, w) is du/dt;
-    step(x, u, w, du1, e1), given du1 = slope(x, w) and e1 = e^(n x), takes
-    one RK4 step of size h and returns (u, w, e^(n (x + h))).  The stages are
-    inline and 2 and 3 share e^(n (x + h/2)); the operations and their order
-    are the classical step's, so the results are bit for bit the same."""
-    q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, h / 2, h / 6
-    log, exp, copysign = math.log, math.exp, math.copysign
-
-    def slope(t, w):
-        return copysign(exp(q * (log(abs(w)) + m * t) + t), w) if w != 0.0 else 0.0
-
-    def step(x, u, w, du1, e1):
-        dw1 = -e1 * g(u)
-        xm, w2 = x + h2, w + h2 * dw1
-        du2 = copysign(exp(q * (log(abs(w2)) + m * xm) + xm), w2) if w2 != 0.0 else 0.0
-        em = exp(n * xm)
-        dw2 = -em * g(u + h2 * du1)
-        w3 = w + h2 * dw2
-        du3 = copysign(exp(q * (log(abs(w3)) + m * xm) + xm), w3) if w3 != 0.0 else 0.0
-        dw3 = -em * g(u + h2 * du2)
-        x4, w4 = x + h, w + h * dw3
-        du4 = copysign(exp(q * (log(abs(w4)) + m * x4) + x4), w4) if w4 != 0.0 else 0.0
-        e4 = exp(n * x4)
-        dw4 = -e4 * g(u + h * du3)
-        u += h6 * (du1 + 2 * du2 + 2 * du3 + du4)
-        return u, w + h6 * (dw1 + 2 * dw2 + 2 * dw3 + dw4), e4
-
-    return slope, step
-
-
 def _rk4_step(rhs, x, a, b, h):
     """One classical RK4 step of (a, b)' = rhs(x, a, b) from x to x + h."""
     k1a, k1b = rhs(x, a, b)
@@ -256,7 +227,10 @@ def shoot(
     solution that is singular at the origin.  Each grid cell takes two RK4
     steps on ``f.scalar_value(-inf)``, whose closure holds the clamp: below
     its table a ``Tabulated`` reaction takes its first knot's value (RK4
-    stages dip below u = 0 near a zero at r = 1), but M must lie inside."""
+    stages dip below u = 0 near a zero at r = 1), but M must lie inside.
+    The loop here takes the steps, stages inline, from t_k and t_k + dt/2 of
+    each cell, restarting e^(n t) at t_k; a step that ends non-finite or with
+    |u| > u_guard raises, naming the r it started from."""
     _check_solver_dimension(spec.n)
     n, p, f = spec.n, spec.p, spec.nonlinearity
     g = f.scalar_value()
@@ -267,17 +241,35 @@ def shoot(
     r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
     u, w = seed if seed is not None else _startup_series(g, center_value, n, p, r0)
     dt = float(grid.dt) / 2
-    slope, step = _flux_rk4(n, p, f.scalar_value(-math.inf), dt)
+    q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, dt / 2, dt / 6
+    log, exp, copysign, inf = math.log, math.exp, math.copysign, math.inf
+    g = f.scalar_value(-inf)  # the startup series above keeps the unclamped g
+    u_lim = u_guard if u_guard < inf else sys.float_info.max  # so |u| = inf fails the guard
 
     nodes = [(u, w)]
     warnings: list[str] = []
     try:
         for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
-            e = math.exp(n * tk)
-            for t0 in (tk, tk + dt):
-                u, w, e = step(t0, u, w, slope(t0, w), e)
-                if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
-                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}")
+            e = exp(n * tk)
+            for x in (tk, tk + dt):
+                du1 = copysign(exp(q * (log(abs(w)) + m * x) + x), w) if w != 0.0 else 0.0
+                dw1 = -e * g(u)
+                xm, w2 = x + h2, w + h2 * dw1
+                mxm = m * xm
+                du2 = copysign(exp(q * (log(abs(w2)) + mxm) + xm), w2) if w2 != 0.0 else 0.0
+                em = exp(n * xm)
+                dw2 = -em * g(u + h2 * du1)
+                w3 = w + h2 * dw2
+                du3 = copysign(exp(q * (log(abs(w3)) + mxm) + xm), w3) if w3 != 0.0 else 0.0
+                dw3 = -em * g(u + h2 * du2)
+                x4, w4 = x + dt, w + dt * dw3
+                du4 = copysign(exp(q * (log(abs(w4)) + m * x4) + x4), w4) if w4 != 0.0 else 0.0
+                e = exp(n * x4)
+                dw4 = -e * g(u + dt * du3)
+                u += h6 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+                w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+                if not (abs(u) <= u_lim and abs(w) < inf):
+                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {exp(x):.3e}")
             nodes.append((u, w))
     except OverflowError as exc:
         raise BlowUpError(f"overflow during integration: {exc}") from exc
@@ -702,10 +694,11 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     (like e^(-M/2) for e^v, p = 2), and a start at r_min would then lie
     outside the series' range or past S itself.
 
-    Steps of grid.dt/2 in t = log r run until the current slope, which is
-    the next step's stage 1, predicts u <= 0; one RK4 step in u, down to 0,
-    then gives log S.  f is extended by f(0) below 0, where v never goes, by
-    the clamp inside ``f.scalar_value(0.0)``: it runs only on [0, M]."""
+    Steps of h = grid.dt/2 in t = log r (t += h), stages inline in the loop
+    here, run until the slope at the loop's top, the next step's stage 1,
+    predicts u <= 0; one RK4 step in u, down to 0, then gives log S.  f is
+    extended by f(0) below 0, where v never goes, by the clamp inside
+    ``f.scalar_value(0.0)``: it runs only on [0, M]."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
     nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
     f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
@@ -714,10 +707,12 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
     g = f.scalar_value(0.0)
     h = float(grid.dt) / 2
-    slope, step = _flux_rk4(n, p, g, h)
+    q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, h / 2, h / 6
+    log, exp, copysign = math.log, math.exp, math.copysign
 
     def rhs_in_u(u_, t_, w_):
-        du, dw = slope(t_, w_), -math.exp(n * t_) * g(u_)
+        du = copysign(exp(q * (log(abs(w_)) + m * t_) + t_), w_) if w_ != 0.0 else 0.0
+        dw = -exp(n * t_) * g(u_)
         return 1.0 / du, dw / du
 
     t, r0 = float(grid.t[0]), grid.r_min
@@ -729,13 +724,29 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
         return None, 0
     steps = 0
     try:
-        du, e = slope(t, w), math.exp(n * t)  # stage 1 of the next step
-        while u + h * du > 0.0:  # also ends on a nan or infinite state
+        e = exp(n * t)
+        while True:
+            du = copysign(exp(q * (log(abs(w)) + m * t) + t), w) if w != 0.0 else 0.0
+            if not u + h * du > 0.0:  # also ends on a nan or infinite state
+                break
             if t > t_max:
                 return None, steps
-            u, w, e = step(t, u, w, du, e)
-            t, steps = t + h, steps + 1
-            du = slope(t, w)
+            dw1 = -e * g(u)
+            xm, w2 = t + h2, w + h2 * dw1
+            mxm = m * xm
+            du2 = copysign(exp(q * (log(abs(w2)) + mxm) + xm), w2) if w2 != 0.0 else 0.0
+            em = exp(n * xm)
+            dw2 = -em * g(u + h2 * du)
+            w3 = w + h2 * dw2
+            du3 = copysign(exp(q * (log(abs(w3)) + mxm) + xm), w3) if w3 != 0.0 else 0.0
+            dw3 = -em * g(u + h2 * du2)
+            t, w4 = t + h, w + h * dw3
+            du4 = copysign(exp(q * (log(abs(w4)) + m * t) + t), w4) if w4 != 0.0 else 0.0
+            e = exp(n * t)
+            dw4 = -e * g(u + h * du3)
+            u += h6 * (du + 2.0 * du2 + 2.0 * du3 + du4)
+            w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            steps += 1
         log_s, w = _rk4_step(rhs_in_u, u, t, w, -u)
     except ArithmeticError:  # overflow, or a zero slope in the step in u
         return None, steps

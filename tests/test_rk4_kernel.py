@@ -1,16 +1,20 @@
-"""The inlined flux-RK4 kernel and its one-frame reactions against the
+"""The two one-frame RK4 loops and the one-frame reactions against the
 generic step and the wrapped reactions they replaced.
 
-``solver._flux_rk4`` computes the classical RK4 step of the flux system with
-its four stages inline, the midpoint e^(n t) shared by stages 2 and 3, and
-stage 1 and the start e^(n t) handed in by the caller.  The references below
-are the generic right-hand side and step that ``shoot`` and the scaled
-first-zero integration used before; every result must equal theirs bit for
-bit, single steps and whole trajectories alike.  Each reaction's
-``scalar_value(floor)`` is one closure with its clamps inline; it must equal
-the min/max composition it replaced, nan, -0.0 and errors included.
+``shoot``'s cell loop and ``solver._scaled_first_zero``'s march to the first
+zero each take classical RK4 steps of the flux system with the four stages
+written out in the loop body, stages 2 and 3 sharing e^(n t) at the midpoint.
+Both share one reference: ``reference_shoot`` and ``reference_first_zero``
+are the two loops as they were written over the generic right-hand side
+``reference_flux_rhs`` and step ``reference_rk4_step``.  Every result of the
+loops must equal theirs bit for bit, short trajectories from arbitrary
+states, whole curves and shoots, errors and messages alike, and the cases
+reach every exit of either loop.  Each reaction's ``scalar_value(floor)`` is
+one closure with its clamps inline; it must equal the min/max composition it
+replaced, nan, -0.0 and errors included.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +28,8 @@ from plaplab import (
     Exponential,
     Power,
     ProblemSpec,
+    RadialProfile,
+    ShootResult,
     Tabulated,
     bifurcation_curve,
     make_grid,
@@ -55,13 +61,6 @@ def reference_rk4_step(rhs, x, a, b, h):
     a += h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
     b += h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
     return a, b
-
-
-def same(a, b):
-    """Bit equality of two floats, nan equal to nan and 0.0 apart from -0.0."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def outcome(fn, *args):
@@ -139,10 +138,127 @@ def test_table_closure_clamps_below_and_raises_above_only_with_a_floor():
         table.scalar_value()(-1e-9)
 
 
+def reference_shoot(spec, center_value, grid, *, seed=None, u_guard=1e6, exits=None):
+    """``shoot`` as it stepped before its loop took the stages in: the same
+    start, then per cell two ``reference_rk4_step`` calls from t_k and
+    t_k + dt/2, the guard after each.  Appends the exit it takes to
+    ``exits``."""
+    note = exits.append if exits is not None else lambda exit_: None
+    n, p, f = spec.n, spec.p, spec.nonlinearity
+    g = f.scalar_value()
+    g_m = g(center_value) if seed is None and center_value > 0 else 0.0
+    t_s = solver._series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
+    lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
+    t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
+    r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
+    u, w = seed if seed is not None else solver._startup_series(g, center_value, n, p, r0)
+    dt = float(grid.dt) / 2
+    rhs = reference_flux_rhs(n, p, f.scalar_value(-math.inf))
+    nodes = [(u, w)]
+    try:
+        for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
+            for substep, t0 in enumerate((tk, tk + dt), 1):
+                u, w = reference_rk4_step(rhs, t0, u, w, dt)
+                if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
+                    note(f"guard on substep {substep}")
+                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}")
+            nodes.append((u, w))
+    except OverflowError as exc:
+        note("overflow")
+        raise BlowUpError(f"overflow during integration: {exc}") from exc
+    except EvaluationError:
+        note("outside the table")
+        raise
+    note("r = 1")
+    u_nodes, w_nodes = map(np.array, zip(*nodes[lead:]))
+    warnings = []
+    if np.any(np.diff(u_nodes) > 1e-10 * (1.0 + np.max(np.abs(u_nodes)))):
+        warnings.append("u is not monotone along the trajectory")
+    if np.any(w_nodes > 0):
+        warnings.append("flux changed sign along the trajectory")
+    profile = RadialProfile(grid=grid, n=n, p=p, u=u_nodes, w=np.minimum(w_nodes, 0.0), check=False)
+    return ShootResult(profile, float(u_nodes[-1]), tuple(warnings))
+
+
+def reference_first_zero(spec, m_val, grid, exits=None):
+    """``solver._scaled_first_zero`` as it stepped before its loop took the
+    stages in: each step one ``reference_rk4_step``, the slope that ends the
+    march recomputed after it.  Appends the exit it takes to ``exits``."""
+    note = exits.append if exits is not None else lambda exit_: None
+    n, p, f = spec.n, spec.p, spec.nonlinearity
+    nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
+    f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
+    if not f_min > 0.0:
+        note("f not positive")
+        return None, 0
+    t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
+    g = f.scalar_value(0.0)
+    h = float(grid.dt) / 2
+    rhs = reference_flux_rhs(n, p, g)
+    rhs_no_source = reference_flux_rhs(n, p, lambda u_: 0.0)
+
+    def slope(t_, w_):
+        return rhs_no_source(t_, 0.0, w_)[0]
+
+    def rhs_in_u(u_, t_, w_):
+        du, dw = rhs(t_, u_, w_)
+        return 1.0 / du, dw / du
+
+    t, r0 = float(grid.t[0]), grid.r_min
+    log_r = solver._series_start(g(m_val), m_val, n, p)
+    if log_r < t:
+        t, r0 = log_r, math.exp(log_r)
+    u, w = solver._startup_series(g, m_val, n, p, r0)
+    if w == 0.0:
+        note("startup flux underflow")
+        return None, 0
+    steps = 0
+    try:
+        du = slope(t, w)
+        while u + h * du > 0.0:
+            if t > t_max:
+                note("t > t_max")
+                return None, steps
+            u, w = reference_rk4_step(rhs, t, u, w, h)
+            t, steps = t + h, steps + 1
+            du = slope(t, w)
+        if not (math.isfinite(u) and math.isfinite(w)):
+            note("non-finite state")
+        log_s, w = reference_rk4_step(rhs_in_u, u, t, w, -u)
+    except ArithmeticError:
+        note("ArithmeticError")
+        return None, steps
+    finite = math.isfinite(log_s) and math.isfinite(w)
+    if finite:
+        note("predicted zero")
+    return (log_s if finite else None), steps + 1
+
+
+def stepped_by_references(monkeypatch):
+    """Make ``bifurcation_curve`` integrate with the two references."""
+    monkeypatch.setattr(solver, "_scaled_first_zero", reference_first_zero)
+    monkeypatch.setattr(solver, "shoot", reference_shoot)
+
+
+def shot(fn, spec, m_val, grid, **kwargs):
+    try:
+        res = fn(spec, m_val, grid, **kwargs)
+    except (BlowUpError, EvaluationError) as exc:
+        return type(exc).__name__, str(exc)
+    return res.profile.u.tobytes(), res.profile.w.tobytes(), res.boundary_value, res.warnings
+
+
+def points(spec, centres, grid):
+    return [
+        (pt.center_value, pt.lam, pt.boundary_residual, pt.converged, pt.iterations)
+        for pt in bifurcation_curve(spec, centres, grid)
+    ]
+
+
 REACTIONS = {
-    "exp": Exponential(1.0).scalar_value(),
-    "power": Power(m=3.0).scalar_value(),
-    "negative": Power(m=1.0, scale=-2.0).scalar_value(),
+    "exp": Exponential(1.0),
+    "power": Power(m=3.0),
+    "negative": Power(m=1.0, scale=-2.0),
 }
 
 
@@ -150,54 +266,25 @@ REACTIONS = {
 @given(
     n=st.floats(1.0, 30.0),
     p=st.floats(1.1, 6.0),
-    x=st.floats(-40.0, 2.0),
-    h=st.floats(1e-4, 0.2) | st.floats(-0.2, -1e-4),
+    log_r_min=st.floats(-40.0, -0.05),
+    m_val=st.floats(0.01, 50.0),
     u=st.floats(-0.5, 20.0),
     w_sign=st.sampled_from([-1.0, 0.0, 1.0]),
     w_exp=st.floats(-300.0, 3.0),
+    u_guard=st.sampled_from([1e6, 30.0, math.inf]),
     reaction=st.sampled_from(sorted(REACTIONS)),
 )
-def test_single_step_is_bit_identical(n, p, x, h, u, w_sign, w_exp, reaction):
-    g = REACTIONS[reaction]
-    w = w_sign * 10.0**w_exp
-    slope, step = solver._flux_rk4(n, p, g, h)
-    rhs = reference_flux_rhs(n, p, g)
-    expected = outcome(reference_rk4_step, rhs, x, u, w, h)
-
-    def kernel():
-        return step(x, u, w, slope(x, w), math.exp(n * x))
-
-    got = outcome(kernel)
-    if isinstance(expected[0], str):
-        assert got == expected
-        return
-    assert not isinstance(got[0], str), got
-    assert same(slope(x, w), rhs(x, u, w)[0])
-    assert same(got[0], expected[0]) and same(got[1], expected[1])
-    assert same(got[2], math.exp(n * (x + h)))
-
-
-def reference_kernel(violations):
-    """A ``_flux_rk4`` stand-in that steps with the references and ignores
-    the stage-1 slope and e^(n x) it is handed, noting each that differs
-    from its recomputed value."""
-
-    def flux_rk4(n, p, g, h):
-        rhs = reference_flux_rhs(n, p, g)
-        rhs_no_source = reference_flux_rhs(n, p, lambda u_: 0.0)
-
-        def slope(t, w):
-            return rhs_no_source(t, 0.0, w)[0]
-
-        def step(x, u, w, du1, e1):
-            if not (same(du1, slope(x, w)) and same(e1, math.exp(n * x))):
-                violations.append((x, du1, e1))
-            u, w = reference_rk4_step(rhs, x, u, w, h)
-            return u, w, math.exp(n * (x + h))
-
-        return slope, step
-
-    return flux_rk4
+def test_short_trajectories_are_bit_identical(
+    n, p, log_r_min, m_val, u, w_sign, w_exp, u_guard, reaction
+):
+    """Both loops over 15 cells of a 16-node grid: the shoot from an
+    arbitrary seed, the scaled route from its startup series."""
+    grid = make_grid(math.exp(log_r_min), 16)
+    spec = ProblemSpec(n, p, REACTIONS[reaction])
+    kwargs = {"seed": (u, w_sign * 10.0**w_exp), "u_guard": u_guard}
+    assert shot(shoot, spec, m_val, grid, **kwargs) == shot(reference_shoot, spec, m_val, grid, **kwargs)
+    got = outcome(solver._scaled_first_zero, spec, m_val, grid)
+    assert repr(got) == repr(outcome(reference_first_zero, spec, m_val, grid))
 
 
 CURVES = [
@@ -208,37 +295,47 @@ CURVES = [
     ("negative", ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), [0.5, 2.0]),
     # the certifying shoot's RK4 stages dip below the table's first knot
     ("table", ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81)), [0.5, 1.0, 2.0, 3.0]),
+    # the scaled route's other exits: e^(n t) overflows inside a stage at
+    # t = 23.7, long before S; f(M) = 1e100 e^600 overflows to inf (numpy
+    # warns in the positivity check), and so does the startup flux; the
+    # cubic dips below 0 inside (1, 2), so v settles above 1 and the march
+    # runs past t_max
+    ("overflow", ProblemSpec(30.0, 2.0, Exponential(1e-30)), [1.0]),
+    ("non-finite", ProblemSpec(2.0, 2.0, Exponential(1e100)), [600.0]),
+    ("dip", ProblemSpec(3.0, 2.0, Tabulated((0.0, 1.0, 2.0), (1.0, 2.0, 1.0), (0.0, -50.0, 0.0))), [2.0]),
 ]
 
 
-def points(spec, centres, grid):
-    return [
-        (pt.center_value, pt.lam, pt.boundary_residual, pt.converged, pt.iterations)
-        for pt in bifurcation_curve(spec, centres, grid)
-    ]
-
-
-def shot(spec, m_val, grid, **kwargs):
-    try:
-        res = shoot(spec, m_val, grid, **kwargs)
-    except BlowUpError as exc:
-        return str(exc)
-    return res.profile.u.tobytes(), res.profile.w.tobytes(), res.boundary_value, res.warnings
-
-
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("name, spec, centres", CURVES, ids=[c[0] for c in CURVES])
 def test_bifurcation_points_equal_reference_stepped_run(name, spec, centres, grid2000, monkeypatch):
     got = points(spec, centres, grid2000)
-    violations = []
-    monkeypatch.setattr(solver, "_flux_rk4", reference_kernel(violations))
+    stepped_by_references(monkeypatch)
     expected = points(spec, centres, grid2000)
-    assert violations == []
     # nan == nan fails, so compare the reprs
     assert [tuple(map(repr, pt)) for pt in got] == [tuple(map(repr, pt)) for pt in expected]
     if name == "negative":
         assert not any(pt[3] for pt in got)
     if name == "n12":
         assert got[-1][3] is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.floats(1.0, 30.0),
+    p=st.floats(1.2, 4.0),
+    m_val=st.floats(0.05, 40.0),
+    nodes=st.integers(16, 400),
+)
+def test_curve_point_equals_reference_stepped_run(n, p, m_val, nodes):
+    grid = make_grid(1e-8, nodes)
+    spec = ProblemSpec(n, p, Exponential(1.0))
+    # an OverflowError from the certifying shoot's startup series escapes
+    # both runs (at p near 1 and large M); it must be the same one
+    got = outcome(points, spec, [m_val], grid)
+    with pytest.MonkeyPatch.context() as patch:
+        stepped_by_references(patch)
+        assert repr(got) == repr(outcome(points, spec, [m_val], grid))
 
 
 SHOOTS = [
@@ -253,24 +350,51 @@ SHOOTS = [
     (ProblemSpec(3.0, 2.0, Power(m=9.0, scale=-1e6)), 5.0, {"u_guard": 1e300}),
     # above the curve's lambda (1.099 at M = 2), so u falls below the table
     (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(1.2)), 2.0, {}),
+    # the guard on a cell's first step (the case above u_guard = 100 stops
+    # on a second step)
+    (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"u_guard": 30.0}),
+    # u_guard = inf: u overflows to -inf in a sum of finite stages, no
+    # exception, and the guard must still stop there
+    (ProblemSpec(1.0, 2.0, Power(m=1.0, scale=1e-300)), 1.0, {"seed": (0.0, -1e308), "u_guard": math.inf}),
+    # a negative reaction lifts u past the table's last knot
+    (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(-1.0)), 3.5, {}),
 ]
 
 
 @pytest.mark.parametrize("spec, m_val, kwargs", SHOOTS)
-def test_shoot_equals_reference_stepped_run(spec, m_val, kwargs, monkeypatch):
+def test_shoot_equals_reference_stepped_run(spec, m_val, kwargs):
     grid = make_grid(1e-8, 500)
-    got = shot(spec, m_val, grid, **kwargs)
-    violations = []
-    monkeypatch.setattr(solver, "_flux_rk4", reference_kernel(violations))
-    assert got == shot(spec, m_val, grid, **kwargs)
-    assert violations == []
+    assert shot(shoot, spec, m_val, grid, **kwargs) == shot(reference_shoot, spec, m_val, grid, **kwargs)
 
 
 def test_reference_shoot_cases_cover_warnings_and_blow_ups():
     grid = make_grid(1e-8, 500)
-    results = [shot(spec, m_val, grid, **kwargs) for spec, m_val, kwargs in SHOOTS]
+    results = [shot(shoot, spec, m_val, grid, **kwargs) for spec, m_val, kwargs in SHOOTS]
     assert len(results[4][3]) == 2
-    assert results[5].startswith("|u| exceeded 100 ")
-    assert results[6].startswith("overflow during integration")
+    assert results[5][1].startswith("|u| exceeded 100 ")
+    assert results[6][1].startswith("overflow during integration")
     assert all(np.isfinite(np.frombuffer(r[0])).all() for r in results[:4])
     assert results[7][2] < -1e-3  # so stages ran on the table's clamp
+    assert results[9] == ("BlowUpError", "|u| exceeded inf at r = 3.013e-01")
+    assert results[10][0] == "EvaluationError"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_reference_cases_reach_every_exit(grid2000, monkeypatch):
+    """Every way out of either loop is taken by some case above, so the
+    comparisons check each."""
+    zero_exits, shoot_exits = [], []
+    monkeypatch.setattr(solver, "_scaled_first_zero", functools.partial(reference_first_zero, exits=zero_exits))
+    monkeypatch.setattr(solver, "shoot", functools.partial(reference_shoot, exits=shoot_exits))
+    for _, spec, centres in CURVES:
+        bifurcation_curve(spec, centres, grid2000)
+    grid = make_grid(1e-8, 500)
+    for spec, m_val, kwargs in SHOOTS:
+        shot(functools.partial(reference_shoot, exits=shoot_exits), spec, m_val, grid, **kwargs)
+    assert set(zero_exits) == {
+        "f not positive", "startup flux underflow", "predicted zero", "t > t_max",
+        "ArithmeticError", "non-finite state",
+    }
+    assert set(shoot_exits) == {
+        "guard on substep 1", "guard on substep 2", "overflow", "outside the table", "r = 1",
+    }
