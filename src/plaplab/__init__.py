@@ -38,14 +38,12 @@ from .solver import (
     LambdaRecord,
     ShootResult,
     bifurcation_curve,
-    extremal_profile,
     lambda_star_estimate,
     minimal_iterate,
     shoot,
 )
 from .stability import (
     HardyCheck,
-    Nodal,
     PowerCutoff,
     QPencil,
     RScaled,

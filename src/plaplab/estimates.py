@@ -186,13 +186,13 @@ class FluxCheck:
     location_r: float | None
 
 
-def flux_monotonicity_check(profile: RadialProfile, slack: float = 1e-10) -> FluxCheck:
+def flux_monotonicity_check(profile: RadialProfile) -> FluxCheck:
     """r^(n-1)|u_r|^(p-1) = -w must be nonnegative and nondecreasing for
-    nonnegative reaction terms."""
+    nonnegative reaction terms, up to drops of 1e-10."""
     neg_w = -profile.w
     drops = -np.diff(neg_w)
     worst = float(np.max(drops, initial=0.0))
-    if worst <= slack:
+    if worst <= 1e-10:
         return FluxCheck(monotone=True, max_violation=max(worst, 0.0), location_r=None)
     at = int(np.argmax(drops))
     return FluxCheck(

@@ -668,14 +668,6 @@ def lambda_star_estimate(
     )
 
 
-def extremal_profile(result: ContinuationResult) -> RadialProfile:
-    """Minimal solution at the largest convergent parameter of the bracket;
-    an approximation of the limiting solution, tagged only by lambda_lo."""
-    if result.profile_lo is None:
-        raise ParameterError("continuation result carries no convergent profile")
-    return result.profile_lo
-
-
 # ---------------------------------------------------------------------------
 # bifurcation curve
 # ---------------------------------------------------------------------------
@@ -760,15 +752,19 @@ def bifurcation_curve(
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
     integration per M (see the module docstring).  ``boundary_residual`` is
     |u(1)| of the fixed-grid ``shoot`` at that lambda, inf when that shoot
-    leaves the reaction's domain or blows up.  A center value whose
-    integration fails is recorded with lambda = nan, not raised."""
+    leaves the reaction's domain, blows up or overflows in its startup
+    series.  A center value whose integration fails, or whose startup series
+    overflows, is recorded with lambda = nan, not raised."""
     _check_solver_dimension(spec.n)
     ms = [float(m) for m in center_values]
     if any(m <= 0 for m in ms) or any(b >= a for a, b in zip(ms[1:], ms[:-1])):
         raise ParameterError("center values must be positive and increasing")
     points: list[BifurcationPoint] = []
     for m_val in ms:
-        log_s, steps = _scaled_first_zero(spec, m_val, grid)
+        try:
+            log_s, steps = _scaled_first_zero(spec, m_val, grid)
+        except ArithmeticError:  # the startup series overflows
+            log_s, steps = None, 0
         if log_s is None:
             points.append(BifurcationPoint(m_val, math.nan, math.inf, False, steps))
             continue
@@ -777,7 +773,7 @@ def bifurcation_curve(
         try:
             run = shoot(scaled, m_val, grid)
             residual = abs(run.boundary_value)
-        except (BlowUpError, EvaluationError):
+        except (BlowUpError, EvaluationError, ArithmeticError):
             residual = math.inf
         points.append(BifurcationPoint(m_val, lam, residual, True, steps))
     return points

@@ -139,50 +139,6 @@ class RScaled:
         return self.inner.value(r) + r * self.inner.derivative(r)
 
 
-@dataclass(frozen=True)
-class Nodal:
-    """Discrete hat function on a node set: 1 at nodes[index], piecewise
-    linear, zero outside the two adjacent cells."""
-
-    nodes: tuple
-    index: int
-
-    def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        if not 1 <= self.index <= len(nodes) - 2:
-            raise ParameterError("hat index must be interior")
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def support_lo(self):
-        return self.nodes[self.index - 1]
-
-    @property
-    def kinks(self):
-        return (self.nodes[self.index - 1], self.nodes[self.index], self.nodes[self.index + 1])
-
-    @property
-    def exact_cells(self):
-        # integrate on the two supporting cells themselves so the quadratic
-        # form matches the assembled pencil bit-for-bit
-        return self.kinks
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, mid, hi = self.kinks
-        up = (r - lo) / (mid - lo)
-        down = (hi - r) / (hi - mid)
-        return np.clip(np.minimum(up, down), 0.0, 1.0)
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, mid, hi = self.kinks
-        out = np.zeros_like(r)
-        out[(r > lo) & (r < mid)] = 1.0 / (mid - lo)
-        out[(r >= mid) & (r < hi)] = -1.0 / (hi - mid)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # quadrature over test-function supports
 # ---------------------------------------------------------------------------
@@ -222,7 +178,9 @@ def _cut_points(profile: RadialProfile, family):
     """``_volume_points`` for integrals against the members of a family over
     their supports in [r_min, 1]: the profile's log cells from the lowest
     support start up, split at every member's support start and kink radii.
-    The radii come out sorted, so each member's support is a trailing slice."""
+    The radii come out sorted, so each member's support is a trailing slice.
+    Every integral against a test function samples here; ``q_apply`` and
+    ``reaction_free_identity`` pass a family of one."""
     t = profile.grid.t
     starts = [_support_lo(profile, xi) for xi in family]
     lo = min(starts)
@@ -230,15 +188,6 @@ def _cut_points(profile: RadialProfile, family):
     cuts += [math.log(kink) for xi in family for kink in xi.kinks if lo <= kink <= 1.0]
     bounds = np.unique(np.concatenate([t[t >= math.log(lo) - 1e-12], cuts]))
     return _volume_points(bounds, profile.n)
-
-
-def _samples(profile: RadialProfile, xi):
-    """``_cut_points`` for xi alone; families with their own exact cell
-    decomposition (nodal hats) use it."""
-    own = getattr(xi, "exact_cells", None)
-    if own is not None:
-        return _volume_points(np.log(np.asarray(own, dtype=float)), profile.n)
-    return _cut_points(profile, [xi])
 
 
 def _coefficients(profile: RadialProfile, g_prime, r: np.ndarray):
@@ -264,7 +213,7 @@ def q_apply(profile: RadialProfile, g_prime, xi) -> float:
     test function (values and derivatives supplied by the family), with a
     head term over [0, r_min] for families that do not vanish there."""
     n = profile.n
-    rg, wvol = _samples(profile, xi)
+    rg, wvol = _cut_points(profile, [xi])
     _, coeff, gp = _coefficients(profile, g_prime, rg)
     xv = np.asarray(xi.value(rg), dtype=float)
     xd = np.asarray(xi.derivative(rg), dtype=float)
@@ -348,16 +297,6 @@ def assemble_q(profile: RadialProfile, g_prime, r_trunc: float, n_eig: int) -> Q
     return QPencil(
         a=tridiagonal(stiff, stiff, -stiff), b=mass(weight * gp), m=mass(weight), nodes=s
     )
-
-
-def nodal_family(pencil: QPencil):
-    """Hat-function test objects matching the pencil's eigen nodes."""
-    return [Nodal(tuple(pencil.nodes), i) for i in range(1, len(pencil.nodes) - 1)]
-
-
-def quadratic_form_value(pencil: QPencil, x: np.ndarray) -> float:
-    """x^T (A - B) x for a nodal coefficient vector."""
-    return (pencil.a - pencil.b).form(x)
 
 
 def _ldl(d: list, e2: list, pivots: list | None = None) -> int:
@@ -599,22 +538,22 @@ def reaction_free_identity(
     eta,
     *,
     residual: float | None = None,
-    residual_bound: float = 1e-6,
 ) -> tuple[float, float, float]:
     """Both sides of the reaction-free identity for xi = u_r eta.
 
     lhs evaluates the second-variation form at xi = u_r eta (this needs
     g'); rhs is int |u_r|^p { (p-1) eta_r^2 - (n-1) eta^2 / r^2 } and never
     touches the reaction term.  The identity holds on solutions only, so
-    callers pass the profile's flux-form residual for the precondition.
+    callers pass the profile's flux-form residual for the precondition,
+    which must not exceed 1e-6.
     """
-    if residual is not None and residual > residual_bound:
+    if residual is not None and residual > 1e-6:
         raise ParameterError(
             f"identity requires an accurate solution: residual {residual:.3e} "
-            f"exceeds bound {residual_bound:.3e}"
+            "exceeds bound 1.000e-06"
         )
     n, p = profile.n, profile.p
-    rg, wvol = _samples(profile, eta)
+    rg, wvol = _cut_points(profile, [eta])
     ur, coeff, gp = _coefficients(profile, g_prime, rg)
     urr = np.asarray(profile.u_rr_at(rg), dtype=float)
     ev = np.asarray(eta.value(rg), dtype=float)
@@ -644,23 +583,19 @@ def hardy_inequality_check(profile: RadialProfile, eta_family) -> list[HardyChec
 
     Semi-stable profiles satisfy every instance; an unstable one is
     witnessed by some violating member.  The profile is sampled once for the
-    whole family, on ``_cut_points``; members with their own exact cells
-    (nodal hats) are sampled on those.
+    whole family, on ``_cut_points``, and each member integrates over the
+    slice of those radii in its own support.
     """
     n, p = profile.n, profile.p
     family = list(eta_family)
-    cut = [eta for eta in family if getattr(eta, "exact_cells", None) is None]
-    if cut:
-        r_cut, w_cut = _cut_points(profile, cut)
-        urp_cut = np.abs(np.asarray(profile.u_r_at(r_cut), dtype=float)) ** p
+    if not family:
+        return []
+    r_cut, w_cut = _cut_points(profile, family)
+    urp_cut = np.abs(np.asarray(profile.u_r_at(r_cut), dtype=float)) ** p
     out = []
     for eta in family:
-        if getattr(eta, "exact_cells", None) is None:
-            start = int(np.searchsorted(r_cut, _support_lo(profile, eta)))
-            rg, wvol, urp = r_cut[start:], w_cut[start:], urp_cut[start:]
-        else:
-            rg, wvol = _samples(profile, eta)
-            urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
+        start = int(np.searchsorted(r_cut, _support_lo(profile, eta)))
+        rg, wvol, urp = r_cut[start:], w_cut[start:], urp_cut[start:]
         ev = np.asarray(eta.value(rg), dtype=float)
         scaled_d = ev + rg * np.asarray(eta.derivative(rg), dtype=float)
         lhs = (n - 1.0) * float(np.dot(wvol, urp * ev**2))

@@ -20,7 +20,6 @@ from plaplab import (
     critical_dimension,
     exact_exponential,
     exact_power,
-    extremal_profile,
     hardy_inequality_check,
     integrability_threshold,
     lambda_star_estimate,
@@ -229,7 +228,7 @@ def test_criterion_12_uniform_bound_and_limit():
         limit = tail[-1]
     bounded = max(sums) <= 1.05 * limit
 
-    prof = extremal_profile(res)
+    prof = res.profile_lo
     mask = (grid.r >= 1e-4) & (grid.r <= 0.5)
     ref = -2.0 * np.log(grid.r[mask])
     dev = float(np.max(np.abs(prof.u[mask] - ref) / ref))

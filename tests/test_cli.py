@@ -642,6 +642,18 @@ def test_bifurcate_csv_rows_equal_json_points(tmp_path, capsys):
     _assert_csv_rows_equal_json(out_dir / "bifurcation.csv", points)
 
 
+def test_bifurcate_startup_overflow_exit0(tmp_path, capsys):
+    # the certifying shoot's startup series overflows at p = 1.2: a recorded
+    # point, not a traceback
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[grid]\nnodes = 129\n")
+    out_dir = tmp_path / "bf"
+    run_cli(capsys, "--config", str(cfg), "--out", str(out_dir),
+            "bifurcate", "--n", "22", "--p", "1.2", "--centers", "22.68")
+    (point,) = json.loads((out_dir / "report.json").read_text())["points"]
+    assert point["center_value"] == 22.68 and point["boundary_residual"] == "inf"
+
+
 def _tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
     if not path.exists():

@@ -330,8 +330,8 @@ def test_bifurcation_points_equal_reference_stepped_run(name, spec, centres, gri
 def test_curve_point_equals_reference_stepped_run(n, p, m_val, nodes):
     grid = make_grid(1e-8, nodes)
     spec = ProblemSpec(n, p, Exponential(1.0))
-    # an OverflowError from the certifying shoot's startup series escapes
-    # both runs (at p near 1 and large M); it must be the same one
+    # a startup series that overflows (at p near 1 and large M) is a
+    # recorded point in both runs; any error still raised must be the same
     got = outcome(points, spec, [m_val], grid)
     with pytest.MonkeyPatch.context() as patch:
         stepped_by_references(patch)

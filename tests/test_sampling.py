@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab import PowerCutoff, RadialProfile, core, make_grid
-from plaplab.stability import _GL4_NODES, _GL4_WEIGHTS, _gauss_points, _samples
+from plaplab.stability import _GL4_NODES, _GL4_WEIGHTS, _cut_points, _gauss_points
 
 
 def test_gauss_legendre_literals_are_leggauss():
@@ -64,7 +64,7 @@ def test_gauss_points_match_loop_reference(start, widths, n):
 def test_sample_weights_positive_and_exact_on_constants(n, log_r_min, count, log_eps):
     grid = make_grid(10.0**log_r_min, count)
     flat = RadialProfile(grid=grid, n=n, p=2.0, u=np.zeros(count), w=np.zeros(count))
-    r, weights = _samples(flat, PowerCutoff(1.0, 10.0**log_eps))
+    r, weights = _cut_points(flat, [PowerCutoff(1.0, 10.0**log_eps)])
     assert np.all(weights > 0)
     assert np.all((r >= grid.r_min) & (r <= 1.0))
     # with the head term over [0, r_min], a constant integrates to 1/n

@@ -19,7 +19,6 @@ from plaplab import (
     RadialProfile,
     bifurcation_curve,
     exact_exponential,
-    extremal_profile,
     lambda_star_estimate,
     make_grid,
     make_rule,
@@ -200,7 +199,7 @@ def test_lambda_star_rejects_sublinear():
 
 def test_extremal_profile_near_fold(gelfand_disk_spec, grid2000):
     res = lambda_star_estimate(gelfand_disk_spec, grid2000, tol_lambda=2e-5)
-    prof = extremal_profile(res)
+    prof = res.profile_lo
     ref = 2.0 * np.log(2.0 / (1.0 + grid2000.r**2))
     scale = np.maximum(np.abs(ref), 1e-2)
     assert np.max(np.abs(prof.u - ref) / scale) < 0.01
@@ -290,6 +289,21 @@ def test_bifurcation_negative_reaction_is_unconverged(grid2000):
     points = bifurcation_curve(ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), [0.5, 2.0], grid2000)
     assert [pt.converged for pt in points] == [False, False]
     assert all(math.isnan(pt.lam) and pt.boundary_residual == math.inf for pt in points)
+
+
+def test_bifurcation_certificate_overflow_is_recorded():
+    # the certifying shoot's startup series raises (g(M)/n)^(1/(p-1)) to the
+    # 5th power and overflows: a point with residual inf, not an error
+    spec = ProblemSpec(22.0, 1.2, Exponential(1.0))
+    (pt,) = bifurcation_curve(spec, [22.68], make_grid(1e-8, 129))
+    assert pt.center_value == 22.68 and pt.boundary_residual == math.inf
+
+
+def test_bifurcation_startup_overflow_is_recorded(grid2000):
+    # the scaled integration's own startup series overflows (power 100)
+    spec = ProblemSpec(12.0, 1.01, Power(m=1.055, scale=5.75e9))
+    (pt,) = bifurcation_curve(spec, [0.76], grid2000)
+    assert repr(dataclasses.astuple(pt)) == repr((0.76, math.nan, math.inf, False, 0))
 
 
 def test_bifurcation_critical_dimension_dichotomy(grid2000):

@@ -6,7 +6,6 @@ import pytest
 from plaplab import (
     ConsistencyError,
     Exponential,
-    Nodal,
     ParameterError,
     PowerCutoff,
     ProblemSpec,
@@ -27,12 +26,43 @@ from plaplab import (
 )
 from plaplab import stability
 from plaplab.core import RadialProfile
-from plaplab.stability import (
-    Tridiagonal,
-    nodal_family,
-    quadratic_form_value,
-    random_eta_family,
-)
+from plaplab.stability import Tridiagonal, random_eta_family
+
+
+class Hat:
+    """The P1 hat on (lo, mid, hi): 1 at mid, linear on each side, zero
+    outside."""
+
+    def __init__(self, lo, mid, hi):
+        self.support_lo, self.kinks = lo, (lo, mid, hi)
+
+    def value(self, r):
+        r = np.asarray(r, dtype=float)
+        lo, mid, hi = self.kinks
+        return np.clip(np.minimum((r - lo) / (mid - lo), (hi - r) / (hi - mid)), 0.0, 1.0)
+
+    def derivative(self, r):
+        r = np.asarray(r, dtype=float)
+        lo, mid, hi = self.kinks
+        out = np.zeros_like(r)
+        out[(r > lo) & (r < mid)] = 1.0 / (mid - lo)
+        out[(r >= mid) & (r < hi)] = -1.0 / (hi - mid)
+        return out
+
+
+def form_on_own_cells(profile, g_prime, nodes, values):
+    """Q of the piecewise-linear function with ``values`` at ``nodes`` (zero
+    at both ends), integrated over its own log cells with the 4-point Gauss
+    panels and coefficients the pencil uses.  On a single hat these are the
+    operations of a quadrature over the hat's two cells, bit for bit."""
+    nodes, values = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
+    r, wvol = stability._volume_points(np.log(nodes), profile.n)
+    _, coeff, gp = stability._coefficients(profile, g_prime, r)
+    cell = np.searchsorted(nodes, r) - 1
+    a, b, ya, yb = nodes[cell], nodes[cell + 1], values[cell], values[cell + 1]
+    xv = ya * ((b - r) / (b - a)) + yb * ((r - a) / (b - a))
+    xd = (yb - ya) / (b - a)
+    return float(np.dot(wvol, coeff * xd**2 - gp * xv**2))
 
 
 class ZeroEta:
@@ -69,8 +99,7 @@ def test_q_apply_matches_dense_reference(grid2000):
     sol = exact_exponential(10.0, 2.0)
     prof = sol.sample(grid2000)
     nodes = (0.01, 0.02, 0.04)
-    hat = Nodal(nodes, 1)
-    val = q_apply(prof, sol.g_prime(), hat)
+    val = q_apply(prof, sol.g_prime(), Hat(*nodes))
 
     ref = 0.0
     for lo, hi in ((nodes[0], nodes[1]), (nodes[1], nodes[2])):
@@ -127,16 +156,20 @@ def test_nan_reaction_derivative_rejected(grid2000, evaluate):
     "n,p", [(3.0, 2.0), (10.0, 2.0), (25.0, 2.0), (12.0, 3.0), (6.0, 1.5)]
 )
 def test_assembled_form_matches_q_apply(grid2000, n, p):
+    # x = e_i reads the diagonal of the pencil, x = e_i +- e_(i+1) its
+    # off-diagonal too; unknown i is the hat at eigen node i + 1
     sol = exact_exponential(n, p)
     prof = sol.sample(grid2000)
     pencil = assemble_q(prof, sol.g_prime(), 1e-6, 64)
-    hats = nodal_family(pencil)
+    form = pencil.a - pencil.b
     for idx in (0, 5, 31, 62):
-        x = np.zeros(64)
-        x[idx] = 1.0
-        qa = q_apply(prof, sol.g_prime(), hats[idx])
-        qf = quadratic_form_value(pencil, x)
-        assert abs(qa - qf) <= 1e-12 * max(abs(qa), abs(qf))
+        for coeffs in ((1.0,), (1.0, 1.0), (1.0, -1.0)):
+            x = np.zeros(64)
+            x[idx : idx + len(coeffs)] = coeffs
+            nodes = pencil.nodes[idx : idx + len(coeffs) + 2]
+            qa = form_on_own_cells(prof, sol.g_prime(), nodes, (0.0, *coeffs, 0.0))
+            qf = form.form(x)
+            assert abs(qa - qf) <= 1e-12 * max(abs(qa), abs(qf))
 
 
 def test_assemble_rejects_small_problems(grid2000):
@@ -372,6 +405,10 @@ def test_hardy_zero_eta(grid2000, minimal_disk_lam1):
     assert checks[0].satisfied and checks[0].lhs == 0.0 and checks[0].rhs == 0.0
 
 
+def test_hardy_empty_family(minimal_disk_lam1):
+    assert hardy_inequality_check(minimal_disk_lam1, []) == []
+
+
 def test_hardy_rscaled_members_on_semi_stable(grid2000, minimal_disk_lam1):
     inner = [SineModes(j, 1e-5) for j in (1, 2)] + [PowerCutoff(0.7, 1e-3)]
     checks = hardy_inequality_check(minimal_disk_lam1, [RScaled(e) for e in inner])
@@ -381,11 +418,11 @@ def test_hardy_rscaled_members_on_semi_stable(grid2000, minimal_disk_lam1):
 
 def hardy_reference(profile, eta_family):
     """The per-member loop ``hardy_inequality_check`` ran before it sampled
-    the profile once per family: each member on its own cells."""
+    the profile once per family: each member cut alone by ``_cut_points``."""
     n, p = profile.n, profile.p
     out = []
     for eta in eta_family:
-        rg, wvol = stability._samples(profile, eta)
+        rg, wvol = stability._cut_points(profile, [eta])
         urp = np.abs(np.asarray(profile.u_r_at(rg), dtype=float)) ** p
         ev = np.asarray(eta.value(rg), dtype=float)
         scaled_d = ev + rg * np.asarray(eta.derivative(rg), dtype=float)
@@ -420,18 +457,6 @@ def test_hardy_shared_sampling_matches_per_member_loop(grid2000, minimal_disk_la
             assert abs(check.lhs - lhs) <= 1e-12 * abs(lhs)
             assert abs(check.rhs - rhs) <= 1e-12 * abs(rhs)
             assert check.satisfied == ok
-
-
-def test_hardy_nodal_members_keep_their_own_cells(grid2000):
-    sol = exact_exponential(11.0, 2.0)
-    prof = sol.sample(grid2000)
-    hats = nodal_family(assemble_q(prof, sol.g_prime(), 1e-6, 64))[::9]
-    family = report_witnesses(1e-6)[:2] + hats + [PowerCutoff(1.0, 1e-3)]
-    checks = hardy_inequality_check(prof, family)
-    reference = hardy_reference(prof, family)
-    for check, member, expected in zip(checks, family, reference):
-        if isinstance(member, Nodal):
-            assert (check.lhs, check.rhs, check.satisfied) == expected
 
 
 # --- weighted gradient integral --------------------------------------------------
