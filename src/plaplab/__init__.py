@@ -31,12 +31,10 @@ from .exponents import (
 from .oracle import ExactSolution, exact_exponential, exact_power, ode_residual
 from .solver import (
     BifurcationPoint,
-    BlowUpError,
     BracketingError,
     ContinuationResult,
     IterationControls,
     LambdaRecord,
-    ShootResult,
     bifurcation_curve,
     lambda_star_estimate,
     minimal_iterate,

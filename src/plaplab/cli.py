@@ -527,12 +527,13 @@ def cmd_verify(args, cfg: dict) -> int:
 def _sweep_point(job):
     """One sweep point, (point cfg, n, p, directory): what ``lambda-star
     --out`` writes there, or an "error" report if the point's problem is
-    inadmissible; returns (index status, report)."""
+    inadmissible or its iterates leave a tabulated reaction's domain;
+    returns (index status, report)."""
     cfg, _n, _p, out_dir = job
     out = Path(out_dir)
     try:
         report = _lambda_star_report(cfg, out)
-    except ParameterError as exc:
+    except (ParameterError, EvaluationError) as exc:
         report = base_report(cfg, outcome="error", diagnosis=str(exc))
     write_json(out / "report.json", report)
     return ("ok" if report["outcome"] == "bracketed" else "error"), report

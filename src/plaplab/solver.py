@@ -9,14 +9,13 @@ avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
 (p > 2) where u_r vanishes.  Each shooting route takes its classical RK4
 steps in one loop, with the four stages written out in the loop body.
 
-Four routes to solutions:
+Three routes to solutions:
 
-  * ``shoot`` integrates from the center value u(0) = M with a startup
-    series at r_min, or further in for large M (two steps per cell);
   * ``bifurcation_curve`` uses the scaling of the equation: if v solves the
     lambda = 1 problem with v(0) = M and first zero S, then u(r) = v(S r)
     solves the lambda problem with lambda(M) = S^p, so one integration to
-    the first zero per center value gives the curve;
+    the first zero per center value gives the curve; ``shoot`` certifies
+    each point with |u(1)| of a fixed-grid integration from u(0) = M;
   * ``minimal_iterate`` runs the monotone iteration from u = 0, inverting
     the radial p-Laplacian by nested quadrature; iterates increase
     pointwise, and the limit is the minimal solution when one exists.  Its
@@ -35,7 +34,6 @@ Four routes to solutions:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +54,9 @@ from .core import (
 
 #: flux scaling r^(n-1) underflows double precision headroom past this
 SOLVER_MAX_DIMENSION = 30.0
+
+#: |u| past which ``shoot`` stops and certifies nothing (residual inf)
+SHOOT_GUARD = 1e6
 
 #: Fold-ghost stop of the monotone iteration.  Near a saddle-node the sweeps
 #: pass a bottleneck where the sup-norm step falls like k^-2, so with
@@ -109,10 +110,6 @@ ACCEL_MAX_SWEEPS = 40
 ACCEL_EPS_CAP = 1e-2
 
 
-class BlowUpError(RuntimeError):
-    """Shooting trajectory exceeded the overflow guard before r = 1."""
-
-
 class BracketingError(RuntimeError):
     """No divergent (or no convergent) parameter found; carries a diagnosis."""
 
@@ -123,13 +120,6 @@ class IterationControls:
     tol_rel: float = 1e-10
     u_max: float = 1e6
     k_max: int = 10000
-
-
-@dataclass(frozen=True)
-class ShootResult:
-    profile: RadialProfile
-    boundary_value: float
-    warnings: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -208,47 +198,35 @@ def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
     )
 
 
-def shoot(
-    spec: ProblemSpec,
-    center_value: float,
-    grid: RadialGrid,
-    *,
-    seed: tuple[float, float] | None = None,
-    u_guard: float = 1e6,
-) -> ShootResult:
-    """Integrate the flux system outward from r_min with u(0) = M.
+def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
+    """|u(1)| of the fixed-grid integration outward from u(0) = M: the
+    certificate of a ``bifurcation_curve`` point.
 
     The startup series u(r) ~ M - (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)),
-    w(r) ~ -r^n g(M)/n seeds the integration at r_min (error
+    w(r) ~ -r^n g(M)/n starts the integration at r_min (error
     O(r_min^(2p/(p-1)))), or, if M, g(M) > 0 and it is off there by more than
-    1e-10 M, at the first node of spacing dt inward past ``_series_start``;
-    the profile keeps ``grid``'s nodes.  ``seed`` overrides it with explicit
-    (u(r_min), w(r_min)) values, which is the right choice when targeting a
-    solution that is singular at the origin.  Each grid cell takes two RK4
-    steps on ``f.scalar_value(-inf)``, whose closure holds the clamp: below
-    its table a ``Tabulated`` reaction takes its first knot's value (RK4
-    stages dip below u = 0 near a zero at r = 1), but M must lie inside.
-    The loop here takes the steps, stages inline, from t_k and t_k + dt/2 of
-    each cell, restarting e^(n t) at t_k; a step that ends non-finite or with
-    |u| > u_guard raises, naming the r it started from."""
-    _check_solver_dimension(spec.n)
+    1e-10 M, at the first node of spacing dt inward past ``_series_start``.
+    Each grid cell takes two RK4 steps on ``f.scalar_value(-inf)``, whose
+    closure holds the clamp: below its table a ``Tabulated`` reaction takes
+    its first knot's value (RK4 stages dip below u = 0 near a zero at r = 1),
+    but M must lie inside.  The loop here takes the steps, stages inline,
+    from t_k and t_k + dt/2 of each cell, restarting e^(n t) at t_k.  The
+    result is inf once a step ends non-finite or with |u| > SHOOT_GUARD, or
+    when the series or a step overflows or leaves the reaction's domain."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
-    g = f.scalar_value()
-    g_m = g(center_value) if seed is None and center_value > 0 else 0.0
-    t_s = _series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
-    lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
-    t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
-    r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
-    u, w = seed if seed is not None else _startup_series(g, center_value, n, p, r0)
-    dt = float(grid.dt) / 2
-    q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, dt / 2, dt / 6
     log, exp, copysign, inf = math.log, math.exp, math.copysign, math.inf
-    g = f.scalar_value(-inf)  # the startup series above keeps the unclamped g
-    u_lim = u_guard if u_guard < inf else sys.float_info.max  # so |u| = inf fails the guard
-
-    nodes = [(u, w)]
-    warnings: list[str] = []
     try:
+        g = f.scalar_value()
+        g_m = g(center_value) if center_value > 0 else 0.0
+        t_s = _series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
+        lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
+        t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
+        r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
+        u, w = _startup_series(g, center_value, n, p, r0)
+        dt = float(grid.dt) / 2
+        q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, dt / 2, dt / 6
+        g = f.scalar_value(-inf)  # the startup series above keeps the unclamped g
+        u_lim = SHOOT_GUARD
         for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
             e = exp(n * tk)
             for x in (tk, tk + dt):
@@ -269,22 +247,10 @@ def shoot(
                 u += h6 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
                 w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
                 if not (abs(u) <= u_lim and abs(w) < inf):
-                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {exp(x):.3e}")
-            nodes.append((u, w))
-    except OverflowError as exc:
-        raise BlowUpError(f"overflow during integration: {exc}") from exc
-    u_nodes, w_nodes = map(np.array, zip(*nodes[lead:]))
-
-    if np.any(np.diff(u_nodes) > 1e-10 * (1.0 + np.max(np.abs(u_nodes)))):
-        warnings.append("u is not monotone along the trajectory")
-    if np.any(w_nodes > 0):
-        warnings.append("flux changed sign along the trajectory")
-    profile = RadialProfile(
-        grid=grid, n=n, p=p, u=u_nodes, w=np.minimum(w_nodes, 0.0), check=False
-    )
-    return ShootResult(
-        profile=profile, boundary_value=float(u_nodes[-1]), warnings=tuple(warnings)
-    )
+                    return inf
+    except (ArithmeticError, EvaluationError):
+        return inf
+    return abs(u)
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +716,10 @@ def bifurcation_curve(
     spec: ProblemSpec, center_values, grid: RadialGrid
 ) -> list[BifurcationPoint]:
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
-    integration per M (see the module docstring).  ``boundary_residual`` is
-    |u(1)| of the fixed-grid ``shoot`` at that lambda, inf when that shoot
-    leaves the reaction's domain, blows up or overflows in its startup
-    series.  A center value whose integration fails, or whose startup series
-    overflows, is recorded with lambda = nan, not raised."""
+    integration per M (see the module docstring); ``boundary_residual`` is
+    ``shoot``'s certificate at that lambda.  A center value whose integration
+    fails, or whose startup series overflows, is recorded with lambda = nan,
+    not raised."""
     _check_solver_dimension(spec.n)
     ms = [float(m) for m in center_values]
     if any(m <= 0 for m in ms) or any(b >= a for a, b in zip(ms[1:], ms[:-1])):
@@ -770,10 +735,5 @@ def bifurcation_curve(
             continue
         lam = math.exp(spec.p * log_s)
         scaled = ProblemSpec(spec.n, spec.p, spec.nonlinearity.with_scale(lam))
-        try:
-            run = shoot(scaled, m_val, grid)
-            residual = abs(run.boundary_value)
-        except (BlowUpError, EvaluationError, ArithmeticError):
-            residual = math.inf
-        points.append(BifurcationPoint(m_val, lam, residual, True, steps))
+        points.append(BifurcationPoint(m_val, lam, shoot(scaled, m_val, grid), True, steps))
     return points

@@ -466,6 +466,27 @@ def test_sweep_reruns_points_whose_config_changed(tmp_path, capsys, monkeypatch)
     assert grown.split("\n")[1] == at30.split("\n")[1]
 
 
+def test_sweep_records_a_point_whose_iterates_leave_the_table(tmp_path, capsys):
+    """(1+u)^3 tabulated on [0, 5]: n = 3, p = 2 brackets inside the table,
+    while at p = 3 the iterates pass u = 5.  That point is an "error" report
+    and row, and the sweep goes on to write its index."""
+    table = tmp_path / "cubic.csv"
+    knots = [i / 10 for i in range(51)]
+    table.write_text("u,g,gp\n" + "".join(f"{x!r},{(1 + x) ** 3!r},{3 * (1 + x) ** 2!r}\n" for x in knots))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        f"[problem]\nnonlinearity = tabulated\ntabulated_file = {table}\n"
+        "[sweep]\nn_values = 3\np_values = 2, 3\n"
+    )
+    out = tmp_path / "s"
+    run_cli(capsys, "--config", str(cfg), "--out", str(out), "sweep")
+    rows = [line.split(",") for line in (out / "index.csv").read_text().strip().split("\n")[1:]]
+    assert [(row[0], row[3]) for row in rows] == [("n3_p2", "ok"), ("n3_p3", "error")]
+    report = json.loads((out / "n3_p3" / "report.json").read_text())
+    assert report["outcome"] == "error"
+    assert report["diagnosis"] == "tabulated nonlinearity evaluated outside [0.0, 5.0]"
+
+
 def test_sweep_point_is_a_lambda_star_run(tmp_path, capsys):
     """A sweep point's directory holds what lambda-star --out writes for the
     point, its config naming the point's n and p."""

@@ -4,18 +4,20 @@ generic step and the wrapped reactions they replaced.
 ``shoot``'s cell loop and ``solver._scaled_first_zero``'s march to the first
 zero each take classical RK4 steps of the flux system with the four stages
 written out in the loop body, stages 2 and 3 sharing e^(n t) at the midpoint.
-Both share one reference: ``reference_shoot`` and ``reference_first_zero``
-are the two loops as they were written over the generic right-hand side
-``reference_flux_rhs`` and step ``reference_rk4_step``.  Every result of the
-loops must equal theirs bit for bit, short trajectories from arbitrary
-states, whole curves and shoots, errors and messages alike, and the cases
-reach every exit of either loop.  Each reaction's ``scalar_value(floor)`` is
-one closure with its clamps inline; it must equal the min/max composition it
-replaced, nan, -0.0 and errors included.
+Both have a reference written over the generic right-hand side
+``reference_flux_rhs`` and step ``reference_rk4_step``: ``reference_shoot``
+(in ``rk4_reference``, which keeps the whole trajectory) and
+``reference_first_zero`` here.  Every result of the loops must equal theirs
+bit for bit, short trajectories from arbitrary states, whole curves and
+certificates alike, and the cases reach every exit of either loop.  Each
+reaction's ``scalar_value(floor)`` is one closure with its clamps inline; it
+must equal the min/max composition it replaced, nan, -0.0 and errors
+included.
 """
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,44 +25,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (
-    BlowUpError,
     EvaluationError,
     Exponential,
     Power,
     ProblemSpec,
-    RadialProfile,
-    ShootResult,
     Tabulated,
     bifurcation_curve,
     make_grid,
     shoot,
 )
 from plaplab import solver
-
-
-def reference_flux_rhs(n, p, g):
-    """rhs(t, u, w) = (du/dt, dw/dt) of the flux system in t = log r."""
-    q = 1.0 / (p - 1.0)
-
-    def rhs(t_, u_, w_):
-        du = 0.0
-        if w_ != 0.0:
-            mag = q * (math.log(abs(w_)) + (1.0 - n) * t_) + t_
-            du = math.copysign(math.exp(mag), w_)
-        return du, -math.exp(n * t_) * g(u_)
-
-    return rhs
-
-
-def reference_rk4_step(rhs, x, a, b, h):
-    """One classical RK4 step of (a, b)' = rhs(x, a, b) from x to x + h."""
-    k1a, k1b = rhs(x, a, b)
-    k2a, k2b = rhs(x + h / 2, a + h / 2 * k1a, b + h / 2 * k1b)
-    k3a, k3b = rhs(x + h / 2, a + h / 2 * k2a, b + h / 2 * k2b)
-    k4a, k4b = rhs(x + h, a + h * k3a, b + h * k3b)
-    a += h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-    b += h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-    return a, b
+from rk4_reference import (
+    BlowUpError,
+    reference_certificate,
+    reference_flux_rhs,
+    reference_rk4_step,
+    reference_shoot,
+)
 
 
 def outcome(fn, *args):
@@ -138,48 +119,6 @@ def test_table_closure_clamps_below_and_raises_above_only_with_a_floor():
         table.scalar_value()(-1e-9)
 
 
-def reference_shoot(spec, center_value, grid, *, seed=None, u_guard=1e6, exits=None):
-    """``shoot`` as it stepped before its loop took the stages in: the same
-    start, then per cell two ``reference_rk4_step`` calls from t_k and
-    t_k + dt/2, the guard after each.  Appends the exit it takes to
-    ``exits``."""
-    note = exits.append if exits is not None else lambda exit_: None
-    n, p, f = spec.n, spec.p, spec.nonlinearity
-    g = f.scalar_value()
-    g_m = g(center_value) if seed is None and center_value > 0 else 0.0
-    t_s = solver._series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
-    lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
-    t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
-    r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
-    u, w = seed if seed is not None else solver._startup_series(g, center_value, n, p, r0)
-    dt = float(grid.dt) / 2
-    rhs = reference_flux_rhs(n, p, f.scalar_value(-math.inf))
-    nodes = [(u, w)]
-    try:
-        for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
-            for substep, t0 in enumerate((tk, tk + dt), 1):
-                u, w = reference_rk4_step(rhs, t0, u, w, dt)
-                if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > u_guard:
-                    note(f"guard on substep {substep}")
-                    raise BlowUpError(f"|u| exceeded {u_guard:g} at r = {math.exp(t0):.3e}")
-            nodes.append((u, w))
-    except OverflowError as exc:
-        note("overflow")
-        raise BlowUpError(f"overflow during integration: {exc}") from exc
-    except EvaluationError:
-        note("outside the table")
-        raise
-    note("r = 1")
-    u_nodes, w_nodes = map(np.array, zip(*nodes[lead:]))
-    warnings = []
-    if np.any(np.diff(u_nodes) > 1e-10 * (1.0 + np.max(np.abs(u_nodes)))):
-        warnings.append("u is not monotone along the trajectory")
-    if np.any(w_nodes > 0):
-        warnings.append("flux changed sign along the trajectory")
-    profile = RadialProfile(grid=grid, n=n, p=p, u=u_nodes, w=np.minimum(w_nodes, 0.0), check=False)
-    return ShootResult(profile, float(u_nodes[-1]), tuple(warnings))
-
-
 def reference_first_zero(spec, m_val, grid, exits=None):
     """``solver._scaled_first_zero`` as it stepped before its loop took the
     stages in: each step one ``reference_rk4_step``, the slope that ends the
@@ -237,15 +176,18 @@ def reference_first_zero(spec, m_val, grid, exits=None):
 def stepped_by_references(monkeypatch):
     """Make ``bifurcation_curve`` integrate with the two references."""
     monkeypatch.setattr(solver, "_scaled_first_zero", reference_first_zero)
-    monkeypatch.setattr(solver, "shoot", reference_shoot)
+    monkeypatch.setattr(solver, "shoot", reference_certificate)
 
 
-def shot(fn, spec, m_val, grid, **kwargs):
-    try:
-        res = fn(spec, m_val, grid, **kwargs)
-    except (BlowUpError, EvaluationError) as exc:
-        return type(exc).__name__, str(exc)
-    return res.profile.u.tobytes(), res.profile.w.tobytes(), res.boundary_value, res.warnings
+def certified(fn, spec, m_val, grid, guard=None, start=None):
+    """fn(spec, m_val, grid) with ``solver.SHOOT_GUARD`` set to ``guard`` and
+    the startup series replaced by the state ``start``, where given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if guard is not None:
+            patch.setattr(solver, "SHOOT_GUARD", guard)
+        if start is not None:
+            patch.setattr(solver, "_startup_series", lambda *series_args: start)
+        return fn(spec, m_val, grid)
 
 
 def points(spec, centres, grid):
@@ -271,18 +213,20 @@ REACTIONS = {
     u=st.floats(-0.5, 20.0),
     w_sign=st.sampled_from([-1.0, 0.0, 1.0]),
     w_exp=st.floats(-300.0, 3.0),
-    u_guard=st.sampled_from([1e6, 30.0, math.inf]),
+    guard=st.sampled_from([1e6, 30.0, sys.float_info.max]),
     reaction=st.sampled_from(sorted(REACTIONS)),
 )
 def test_short_trajectories_are_bit_identical(
-    n, p, log_r_min, m_val, u, w_sign, w_exp, u_guard, reaction
+    n, p, log_r_min, m_val, u, w_sign, w_exp, guard, reaction
 ):
-    """Both loops over 15 cells of a 16-node grid: the shoot from an
-    arbitrary seed, the scaled route from its startup series."""
+    """Both loops over the 15 cells of a 16-node grid and any inward lead:
+    the shoot from an arbitrary start state, the scaled route from its
+    startup series."""
     grid = make_grid(math.exp(log_r_min), 16)
     spec = ProblemSpec(n, p, REACTIONS[reaction])
-    kwargs = {"seed": (u, w_sign * 10.0**w_exp), "u_guard": u_guard}
-    assert shot(shoot, spec, m_val, grid, **kwargs) == shot(reference_shoot, spec, m_val, grid, **kwargs)
+    kwargs = {"guard": guard, "start": (u, w_sign * 10.0**w_exp)}
+    got = certified(shoot, spec, m_val, grid, **kwargs)
+    assert repr(got) == repr(certified(reference_certificate, spec, m_val, grid, **kwargs))
     got = outcome(solver._scaled_first_zero, spec, m_val, grid)
     assert repr(got) == repr(outcome(reference_first_zero, spec, m_val, grid))
 
@@ -343,19 +287,19 @@ SHOOTS = [
     (ProblemSpec(5.0, 3.0, Exponential(1.0)), 2.0, {}),
     (ProblemSpec(3.0, 1.5, Exponential(0.5)), 1.0, {}),
     (ProblemSpec(12.0, 2.0, Exponential(19.0)), 6.0, {}),
-    # a negative reaction: u rises and the flux is positive, both warnings
+    # a negative reaction: u rises and the flux is positive
     (ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), 0.5, {}),
     # blow-ups: the guard, and an overflow inside a stage
-    (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"u_guard": 100.0}),
-    (ProblemSpec(3.0, 2.0, Power(m=9.0, scale=-1e6)), 5.0, {"u_guard": 1e300}),
+    (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"guard": 100.0}),
+    (ProblemSpec(3.0, 2.0, Power(m=9.0, scale=-1e6)), 5.0, {"guard": 1e300}),
     # above the curve's lambda (1.099 at M = 2), so u falls below the table
     (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(1.2)), 2.0, {}),
-    # the guard on a cell's first step (the case above u_guard = 100 stops
+    # the guard on a cell's first step (the case above at guard 100 stops
     # on a second step)
-    (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"u_guard": 30.0}),
-    # u_guard = inf: u overflows to -inf in a sum of finite stages, no
-    # exception, and the guard must still stop there
-    (ProblemSpec(1.0, 2.0, Power(m=1.0, scale=1e-300)), 1.0, {"seed": (0.0, -1e308), "u_guard": math.inf}),
+    (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"guard": 30.0}),
+    # a guard at the largest float: u overflows to -inf in a sum of finite
+    # stages, no exception, and the guard must still stop there
+    (ProblemSpec(1.0, 2.0, Power(m=1.0, scale=1e-300)), 1.0, {"guard": sys.float_info.max, "start": (0.0, -1e308)}),
     # a negative reaction lifts u past the table's last knot
     (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(-1.0)), 3.5, {}),
 ]
@@ -364,19 +308,26 @@ SHOOTS = [
 @pytest.mark.parametrize("spec, m_val, kwargs", SHOOTS)
 def test_shoot_equals_reference_stepped_run(spec, m_val, kwargs):
     grid = make_grid(1e-8, 500)
-    assert shot(shoot, spec, m_val, grid, **kwargs) == shot(reference_shoot, spec, m_val, grid, **kwargs)
+    got = certified(shoot, spec, m_val, grid, **kwargs)
+    assert repr(got) == repr(certified(reference_certificate, spec, m_val, grid, **kwargs))
 
 
-def test_reference_shoot_cases_cover_warnings_and_blow_ups():
+def test_reference_shoot_cases_cover_blow_ups():
     grid = make_grid(1e-8, 500)
-    results = [shot(shoot, spec, m_val, grid, **kwargs) for spec, m_val, kwargs in SHOOTS]
-    assert len(results[4][3]) == 2
-    assert results[5][1].startswith("|u| exceeded 100 ")
-    assert results[6][1].startswith("overflow during integration")
-    assert all(np.isfinite(np.frombuffer(r[0])).all() for r in results[:4])
-    assert results[7][2] < -1e-3  # so stages ran on the table's clamp
-    assert results[9] == ("BlowUpError", "|u| exceeded inf at r = 3.013e-01")
-    assert results[10][0] == "EvaluationError"
+    exits = []
+    for spec, m_val, kwargs in SHOOTS:
+        certified(functools.partial(reference_certificate, exits=exits), spec, m_val, grid, **kwargs)
+    assert exits == [
+        "r = 1", "r = 1", "r = 1", "r = 1", "r = 1", "guard on substep 2", "overflow", "r = 1",
+        "guard on substep 1", "guard on substep 2", "outside the table",
+    ]
+    values = [certified(shoot, spec, m_val, grid, **kwargs) for spec, m_val, kwargs in SHOOTS]
+    assert [math.isfinite(v) for v in values] == [exit_ == "r = 1" for exit_ in exits]
+    spec, m_val, _ = SHOOTS[7]
+    assert reference_shoot(spec, m_val, grid).boundary_value < -1e-3  # so stages ran on the table's clamp
+    spec, m_val, kwargs = SHOOTS[9]
+    with pytest.raises(BlowUpError, match="at r = 3.013e-01"):
+        certified(reference_shoot, spec, m_val, grid, **kwargs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -385,12 +336,12 @@ def test_reference_cases_reach_every_exit(grid2000, monkeypatch):
     comparisons check each."""
     zero_exits, shoot_exits = [], []
     monkeypatch.setattr(solver, "_scaled_first_zero", functools.partial(reference_first_zero, exits=zero_exits))
-    monkeypatch.setattr(solver, "shoot", functools.partial(reference_shoot, exits=shoot_exits))
+    monkeypatch.setattr(solver, "shoot", functools.partial(reference_certificate, exits=shoot_exits))
     for _, spec, centres in CURVES:
         bifurcation_curve(spec, centres, grid2000)
     grid = make_grid(1e-8, 500)
     for spec, m_val, kwargs in SHOOTS:
-        shot(functools.partial(reference_shoot, exits=shoot_exits), spec, m_val, grid, **kwargs)
+        certified(functools.partial(reference_certificate, exits=shoot_exits), spec, m_val, grid, **kwargs)
     assert set(zero_exits) == {
         "f not positive", "startup flux underflow", "predicted zero", "t > t_max",
         "ArithmeticError", "non-finite state",

@@ -7,7 +7,6 @@ import pytest
 
 from plaplab import solver
 from plaplab import (
-    BlowUpError,
     BracketingError,
     ConsistencyError,
     Exponential,
@@ -25,6 +24,7 @@ from plaplab import (
     minimal_iterate,
     shoot,
 )
+from rk4_reference import reference_shoot
 
 # Gelfand problem on the disk: u = 2 log((1+b)/(1+b r^2)) solves
 # -lap u = lam e^u with lam = 8b/(1+b)^2, u(1) = 0, u(0) = 2 log(1+b);
@@ -42,84 +42,53 @@ def liouville_center(b):
 
 def test_shoot_without_source(grid2000):
     spec = ProblemSpec(2.0, 2.0, Power(m=0.0, scale=0.0))
-    res = shoot(spec, 1.0, grid2000)
-    assert np.max(np.abs(res.profile.u - 1.0)) == 0.0
-    assert np.max(np.abs(res.profile.w)) == 0.0
+    assert shoot(spec, 1.0, grid2000) == 1.0
 
 
 def test_shoot_constant_source(grid2000):
     # closed form: u = M - (p-1)/p (c/n)^(1/(p-1)) r^(p/(p-1))
     c, n, p, m0 = 3.0, 3.0, 2.5, 2.0
     spec = ProblemSpec(n, p, Power(m=0.0, scale=c))
-    res = shoot(spec, m0, grid2000)
-    ref = m0 - (p - 1.0) / p * (c / n) ** (1.0 / (p - 1.0)) * grid2000.r ** (p / (p - 1.0))
-    assert np.max(np.abs(res.profile.u - ref)) < 1e-8
+    ref = m0 - (p - 1.0) / p * (c / n) ** (1.0 / (p - 1.0))
+    assert abs(shoot(spec, m0, grid2000) - abs(ref)) < 1e-8
 
 
 def test_shoot_startup_flux(grid2000):
-    spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
-    res = shoot(spec, 1.0, grid2000)
+    g = Exponential(1.0).scalar_value()
     r0 = grid2000.r_min
     expected = -(r0**12.0) * math.e / 12.0
-    assert abs(res.profile.w[0] - expected) <= 1e-12 * abs(expected)
-
-
-def test_shoot_reproduces_exact_solution_with_exact_seed(grid2000):
-    sol = exact_exponential(12.0, 2.0)
-    spec = ProblemSpec(12.0, 2.0, Exponential(sol.lambda_star))
-    r0 = grid2000.r_min
-    seed = (float(sol.u_at(r0)), float(-(r0**11.0) * abs(sol.u_r_at(r0))))
-    res = shoot(spec, float(sol.u_at(r0)), grid2000, seed=seed)
-    ref = sol.u_at(grid2000.r[:-1])
-    rel = np.max(np.abs(res.profile.u[:-1] - ref) / np.abs(ref))
-    assert rel < 1e-6
-    assert abs(res.boundary_value) < 1e-6
+    _, w0 = solver._startup_series(g, 1.0, 12.0, 2.0, r0)
+    assert abs(w0 - expected) <= 1e-12 * abs(expected)
 
 
 def test_shoot_series_seed_settles_onto_singular_solution(grid2000):
     # the regular-center startup series is wrong for a singular target, but
-    # the deviation decays like a negative power of r/r_min
+    # the deviation decays like a negative power of r/r_min: u(1) = 0
     sol = exact_exponential(12.0, 2.0)
     spec = ProblemSpec(12.0, 2.0, Exponential(sol.lambda_star))
-    res = shoot(spec, float(sol.u_at(grid2000.r_min)), grid2000)
-    mask = (grid2000.r >= 1e-5) & (grid2000.r < 1.0)
-    ref = sol.u_at(grid2000.r[mask])
-    rel = np.max(np.abs(res.profile.u[mask] - ref) / np.abs(ref))
-    assert rel < 1e-6
+    assert shoot(spec, float(sol.u_at(grid2000.r_min)), grid2000) < 1e-6
 
 
-def test_shoot_monotone_profile(grid2000):
-    spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
-    res = shoot(spec, 0.5, grid2000)
-    # nonincreasing everywhere; the deep head is flat below float resolution
-    assert np.all(np.diff(res.profile.u) <= 0)
-    outer = grid2000.r > 1e-4
-    assert np.all(np.diff(res.profile.u[outer]) < 0)
-    assert res.warnings == ()
-
-
-def test_shoot_blowup_guard():
+def test_shoot_blowup_guard(monkeypatch):
     # the slab's trajectory from M = 10 passes -100 near r = 0.52 and
     # reaches u(1) = -198.5 without the guard
     grid = make_grid(1e-8, 500)
     spec = ProblemSpec(1.0, 2.0, Exponential(1.0))
-    with pytest.raises(BlowUpError, match="exceeded 100 at r = 5"):
-        shoot(spec, 10.0, grid, u_guard=100.0)
+    assert abs(shoot(spec, 10.0, grid) - 198.5) < 0.05
+    monkeypatch.setattr(solver, "SHOOT_GUARD", 100.0)
+    assert shoot(spec, 10.0, grid) == math.inf
 
 
 def test_shoot_starts_inward_for_a_large_centre(grid2000):
     # at r_min the startup series' correction is 2.9e-7 M, above 1e-10 M
     b = math.expm1(25.0)
-    res = shoot(ProblemSpec(2.0, 2.0, Exponential(liouville_lambda(b))), liouville_center(b), grid2000)
-    assert abs(res.boundary_value) <= 1e-10
-    assert res.profile.grid is grid2000 and res.profile.u.size == grid2000.size
+    assert shoot(ProblemSpec(2.0, 2.0, Exponential(liouville_lambda(b))), liouville_center(b), grid2000) <= 1e-10
 
 
 def test_shoot_runs_past_a_large_centre_below_the_fold(grid2000):
     # lambda = 1 lies far above the curve's lambda(500) = 8e^-250, so u falls
     # far below zero; an r_min start put the series value below -1000 there
-    res = shoot(ProblemSpec(2.0, 2.0, Exponential(1.0)), 500.0, grid2000)
-    assert -500.0 < res.boundary_value < -490.0
+    assert 490.0 < shoot(ProblemSpec(2.0, 2.0, Exponential(1.0)), 500.0, grid2000) < 500.0
 
 
 def test_minimal_iterate_zero_lambda(grid2000):
@@ -320,8 +289,16 @@ def test_bifurcation_critical_dimension_dichotomy(grid2000):
 def test_minimal_and_shoot_agree(gelfand_disk_spec, grid2000, minimal_disk_lam1):
     center = float(minimal_disk_lam1.u[0])
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
-    res = shoot(spec, center, grid2000)
-    assert abs(res.boundary_value) < 1e-6 * max(center, 1.0)
+    assert shoot(spec, center, grid2000) < 1e-6 * max(center, 1.0)
+
+
+def test_minimal_and_scaled_route_agree(gelfand_disk_spec, grid2000, minimal_disk_lam1):
+    # the monotone iteration's lambda = 1 solution has u(0) = 0.31669...; the
+    # curve through that centre value must come back to lambda = 1
+    center = float(minimal_disk_lam1.u[0])
+    assert abs(center - 0.3166943677) < 1e-9
+    (pt,) = bifurcation_curve(gelfand_disk_spec, [center], grid2000)
+    assert pt.converged and abs(pt.lam - 1.0) <= 1e-8
 
 
 def test_flux_monotone_on_minimal_solutions(minimal_disk_lam1):
@@ -435,10 +412,11 @@ def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid200
         scaled = ProblemSpec(2.0, 2.0, Exponential(pt.lam))
         g = scaled.nonlinearity.scalar_value()
         start = solver._startup_series(g, m_val, 2.0, 2.0, grid2000.r_min)
-        seeded = shoot(scaled, m_val, grid2000, seed=start)
-        run = shoot(scaled, m_val, grid2000)
+        seeded = reference_shoot(scaled, m_val, grid2000, seed=start)
+        run = reference_shoot(scaled, m_val, grid2000)
         assert run.profile.u.tobytes() == seeded.profile.u.tobytes()
         assert run.profile.w.tobytes() == seeded.profile.w.tobytes()
+        assert shoot(scaled, m_val, grid2000) == abs(seeded.boundary_value)
 
 
 def cubic_table(t0, t1, nodes):
@@ -469,14 +447,16 @@ def test_table_clamp_changes_no_evaluation_that_succeeds(t0, m_val, scale, grid2
     if scale is None:  # the curve's lambda, so that u(1) is about 0
         scale = bifurcation_curve(spec, [m_val], grid2000)[0].lam
     scaled = ProblemSpec(3.0, 2.0, spec.nonlinearity.with_scale(scale))
-    clamped = shoot(scaled, m_val, grid2000)
+    clamped = reference_shoot(scaled, m_val, grid2000)
     assert clamped.boundary_value > t0 - 1e-12
+    certificate = shoot(scaled, m_val, grid2000)
     # the same shoot with the closure that raises below the table: no floor
     unclamped = Tabulated.scalar_value
     monkeypatch.setattr(Tabulated, "scalar_value", lambda table, floor=None: unclamped(table))
-    raw = shoot(scaled, m_val, grid2000)
+    raw = reference_shoot(scaled, m_val, grid2000)
     assert np.array_equal(clamped.profile.u, raw.profile.u)
     assert np.array_equal(clamped.profile.w, raw.profile.w)
+    assert shoot(scaled, m_val, grid2000) == certificate
 
 
 def test_coarse_grid_order_loss_blames_the_grid():
@@ -818,7 +798,7 @@ def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
     for _ in range(20):  # the mixing below refines the shoot
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if bifurcation_curve(spec, [mid], grid2000)[0].lam > lam else (lo, mid)
-    shot = shoot(ProblemSpec(5.0, 2.0, Exponential(lam)), lo, grid2000).profile.u
+    shot = reference_shoot(ProblemSpec(5.0, 2.0, Exponential(lam)), lo, grid2000).profile.u
     start = np.maximum(shot - 1e-4, 0.0)
     start[-1] = 0.0
     monkeypatch.setattr(solver, "ACCEL_MAX_SWEEPS", 200)
