@@ -275,6 +275,20 @@ class Tabulated:
         right = 2.0 * c2 + 6.0 * c3 * np.diff(self.t)
         return bool(self.scale >= 0 and c2.min() >= 0 and right.min() >= 0)
 
+    def minimum(self, lo: float, hi: float) -> float:
+        """The least value on [lo, hi] (inside the table), in closed form:
+        each cell's cubic at its knots and at its stationary points x, the
+        roots of c1 + 2 c2 x + 3 c3 x^2 (q = -(c2 + sgn(c2) sqrt(disc)),
+        x = q / 3c3 and c1 / q), each clipped into its cell and into
+        [lo, hi], which only moves it onto another candidate."""
+        left, _, c1, c2, c3 = self._table[1].T
+        with np.errstate(all="ignore"):  # complex or infinite roots become x = 0
+            q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c1 * c3), c2))
+            xs = np.nan_to_num(np.concatenate([q / (3.0 * c3), c1 / q]), nan=0.0, posinf=0.0, neginf=0.0)
+        width = np.tile(np.diff(self.t), 2)
+        points = np.concatenate([[lo, hi], self.t, np.tile(left, 2) + np.clip(xs, 0.0, width)])
+        return float(np.min(self.value(np.clip(points, lo, hi))))
+
     def positive_at_zero(self) -> bool:
         if not (self.t[0] <= 0.0 <= self.t[-1]):
             return False

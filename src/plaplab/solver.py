@@ -7,7 +7,9 @@ turns the equation into the non-degenerate first-order system
 
 avoiding the coefficient |u_r|^(p-2) that is singular (p < 2) or degenerate
 (p > 2) where u_r vanishes.  Each shooting route takes its classical RK4
-steps in one loop, with the four stages written out in the loop body.
+steps in one loop, with the four stages written out in the loop body, and
+starts from the startup series where that is good to 1e-8 M
+(``_series_start``), not at r_min.
 
 Three routes to solutions:
 
@@ -192,9 +194,10 @@ def _startup_series(g, center_value: float, n: float, p: float, r_min: float):
 
 def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
     """log of the radius where the startup series' correction
-    M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M."""
+    M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-8 M: both
+    shooting routes start there."""
     return (p - 1.0) / p * (
-        math.log(1e-10 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
+        math.log(1e-8 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
     )
 
 
@@ -203,9 +206,12 @@ def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
     certificate of a ``bifurcation_curve`` point.
 
     The startup series u(r) ~ M - (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)),
-    w(r) ~ -r^n g(M)/n starts the integration at r_min (error
-    O(r_min^(2p/(p-1)))), or, if M, g(M) > 0 and it is off there by more than
-    1e-10 M, at the first node of spacing dt inward past ``_series_start``.
+    w(r) ~ -r^n g(M)/n starts the integration at node k0 = floor((t_s -
+    t_0)/dt), the last node of spacing dt at or inward of t_s =
+    ``_series_start``, where the series' correction is 1e-8 M.  For k0 > 0
+    the first k0 grid nodes are skipped (the last cell always runs); for
+    k0 < 0 the integration first crosses -k0 cells laid inward of r_min.
+    With M <= 0 or g(M) <= 0 it starts at r_min.
     Each grid cell takes two RK4 steps on ``f.scalar_value(-inf)``, whose
     closure holds the clamp: below its table a ``Tabulated`` reaction takes
     its first knot's value (RK4 stages dip below u = 0 near a zero at r = 1),
@@ -218,16 +224,18 @@ def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
     try:
         g = f.scalar_value()
         g_m = g(center_value) if center_value > 0 else 0.0
-        t_s = _series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
-        lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
-        t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
-        r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
+        t, dt = grid.t.tolist(), float(grid.dt)
+        k0 = 0
+        if g_m > 0:
+            k0 = min(math.floor((_series_start(g_m, center_value, n, p) - t[0]) / dt), len(t) - 2)
+        t_cells = [t[0] + dt * k for k in range(k0, 0)] + t[max(k0, 0):-1]
+        r0 = exp(t_cells[0]) if k0 < 0 else float(grid.r[k0])
         u, w = _startup_series(g, center_value, n, p, r0)
-        dt = float(grid.dt) / 2
+        dt /= 2
         q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, dt / 2, dt / 6
         g = f.scalar_value(-inf)  # the startup series above keeps the unclamped g
         u_lim = SHOOT_GUARD
-        for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
+        for tk in t_cells:
             e = exp(n * tk)
             for x in (tk, tk + dt):
                 du1 = copysign(exp(q * (log(abs(w)) + m * x) + x), w) if w != 0.0 else 0.0
@@ -642,15 +650,17 @@ def lambda_star_estimate(
 def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
-    positive on [0, M] (checked at 0, M and the table nodes between), the
-    startup flux underflows, the integration turns non-finite, or S passes
-    the comparison bound S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
+    positive on [0, M] (its minimum there is exact, for a table the least of
+    each cell's cubic at its ends and stationary points), the startup flux
+    underflows, the integration turns non-finite, or S passes the
+    comparison bound S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
 
-    The startup series starts at r_min, or further in where its correction
-    M - v(r) = (p-1)/p (f(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-10 M when that
-    correction at r_min is larger: the length scale of v shrinks as M grows
-    (like e^(-M/2) for e^v, p = 2), and a start at r_min would then lie
-    outside the series' range or past S itself.
+    The startup series starts at ``_series_start``, where its correction
+    M - v(r) = (p-1)/p (f(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-8 M, whatever
+    r_min is: the length scale of v shrinks as M grows (like e^(-M/2) for
+    e^v, p = 2), so a fixed start would lie outside the series' range or
+    past S itself for large M, and spend steps where the series is exact
+    for small M.  Of the grid only dt enters.
 
     Steps of h = grid.dt/2 in t = log r (t += h), stages inline in the loop
     here, run until the slope at the loop's top, the next step's stage 1,
@@ -658,8 +668,10 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     extended by f(0) below 0, where v never goes, by the clamp inside
     ``f.scalar_value(0.0)``: it runs only on [0, M]."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
-    nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
-    f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
+    if isinstance(f, Tabulated):
+        f_min = f.minimum(0.0, m_val)
+    else:  # monotone in u
+        f_min = float(np.min(f.value(np.asarray([0.0, m_val]))))
     if not f_min > 0.0:
         return None, 0
     t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
@@ -673,11 +685,8 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
         dw = -exp(n * t_) * g(u_)
         return 1.0 / du, dw / du
 
-    t, r0 = float(grid.t[0]), grid.r_min
-    log_r = _series_start(g(m_val), m_val, n, p)
-    if log_r < t:
-        t, r0 = log_r, math.exp(log_r)
-    u, w = _startup_series(g, m_val, n, p, r0)
+    t = _series_start(g(m_val), m_val, n, p)
+    u, w = _startup_series(g, m_val, n, p, exp(t))
     if w == 0.0:
         return None, 0
     steps = 0

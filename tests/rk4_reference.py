@@ -51,26 +51,32 @@ def reference_rk4_step(rhs, x, a, b, h):
 
 
 def reference_shoot(spec, center_value, grid, *, seed=None, exits=None):
-    """``shoot``'s start, then per cell two ``reference_rk4_step`` calls from
-    t_k and t_k + dt/2, the guard after each; (u, w) = ``seed`` at r_min
-    replaces the start.  Returns the profile on ``grid`` and u(1), or raises
-    where ``shoot`` gives inf.  Appends the exit it takes to ``exits``."""
+    """``shoot``'s start node k0 and the startup series there, then per cell
+    two ``reference_rk4_step`` calls from t_k and t_k + dt/2, the guard after
+    each; ``seed`` = (k, (u, w)) starts from node k (k < 0: -k nodes of
+    spacing dt inward of r_min) in state (u, w) instead.  Returns the profile
+    on ``grid``, the startup series at the nodes the start skips, and u(1),
+    or raises where ``shoot`` gives inf.  Appends the exit it takes to
+    ``exits``."""
     note = exits.append if exits is not None else lambda exit_: None
     n, p, f = spec.n, spec.p, spec.nonlinearity
     g = f.scalar_value()
+    t, dt = grid.t.tolist(), float(grid.dt)
+    h = dt / 2
+    k0, state = seed if seed is not None else (0, None)
     g_m = g(center_value) if seed is None and center_value > 0 else 0.0
-    t_s = solver._series_start(g_m, center_value, n, p) if g_m > 0 else grid.t[0]
-    lead = max(math.ceil((grid.t[0] - t_s) / grid.dt), 0)
-    t_lead = grid.t[0] - grid.dt * np.arange(lead, 0, -1)
-    r0 = float(np.exp(t_lead)[0]) if lead else grid.r_min
-    u, w = seed if seed is not None else solver._startup_series(g, center_value, n, p, r0)
-    dt = float(grid.dt) / 2
+    if g_m > 0:
+        k0 = min(math.floor((solver._series_start(g_m, center_value, n, p) - t[0]) / dt), len(t) - 2)
+    t_cells = [t[0] + dt * k for k in range(k0, 0)] + t[max(k0, 0):-1]
+    r0 = math.exp(t_cells[0]) if k0 < 0 else float(grid.r[k0])
+    u, w = state if state is not None else solver._startup_series(g, center_value, n, p, r0)
     rhs = reference_flux_rhs(n, p, f.scalar_value(-math.inf))
-    nodes = [(u, w)]
+    skipped = [solver._startup_series(g, center_value, n, p, r) for r in grid.r[: max(k0, 0)].tolist()]
+    nodes = skipped + [(u, w)]
     try:
-        for tk in t_lead.tolist() + grid.t.tolist()[:-1]:
-            for substep, t0 in enumerate((tk, tk + dt), 1):
-                u, w = reference_rk4_step(rhs, t0, u, w, dt)
+        for tk in t_cells:
+            for substep, t0 in enumerate((tk, tk + h), 1):
+                u, w = reference_rk4_step(rhs, t0, u, w, h)
                 if not (math.isfinite(u) and math.isfinite(w)) or abs(u) > solver.SHOOT_GUARD:
                     note(f"guard on substep {substep}")
                     raise BlowUpError(f"|u| exceeded {solver.SHOOT_GUARD:g} at r = {math.exp(t0):.3e}")
@@ -82,7 +88,7 @@ def reference_shoot(spec, center_value, grid, *, seed=None, exits=None):
         note("outside the table")
         raise
     note("r = 1")
-    u_nodes, w_nodes = map(np.array, zip(*nodes[lead:]))
+    u_nodes, w_nodes = map(np.array, zip(*nodes[max(-k0, 0):]))
     profile = RadialProfile(grid=grid, n=n, p=p, u=u_nodes, w=np.minimum(w_nodes, 0.0), check=False)
     return Shot(profile, float(u_nodes[-1]))
 

@@ -664,15 +664,12 @@ def test_bifurcate_csv_rows_equal_json_points(tmp_path, capsys):
 
 
 def test_bifurcate_startup_overflow_exit0(tmp_path, capsys):
-    # the certifying shoot's startup series overflows at p = 1.2: a recorded
-    # point, not a traceback
-    cfg = tmp_path / "coarse.ini"
-    cfg.write_text("[grid]\nnodes = 129\n")
+    # the certifying shoot's startup series overflows at p = 1.1, M = 72: a
+    # recorded point, not a traceback
     out_dir = tmp_path / "bf"
-    run_cli(capsys, "--config", str(cfg), "--out", str(out_dir),
-            "bifurcate", "--n", "22", "--p", "1.2", "--centers", "22.68")
+    run_cli(capsys, "--out", str(out_dir), "bifurcate", "--n", "5", "--p", "1.1", "--centers", "72")
     (point,) = json.loads((out_dir / "report.json").read_text())["points"]
-    assert point["center_value"] == 22.68 and point["boundary_residual"] == "inf"
+    assert point["center_value"] == 72.0 and point["boundary_residual"] == "inf"
 
 
 def _tiny_config(tmp_path):

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plaplab import (
     ParameterError,
@@ -282,6 +284,31 @@ def test_power_nonlinearity_values():
     assert f.derivative(0.0) == 10.0
     assert f.increasing and f.positive_at_zero()
     assert not Power(m=-1.5).increasing
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-40.0, 40.0)), min_size=2, max_size=6),
+    scale=st.sampled_from([1.0, -2.0, 0.5]),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+@example(data=[(1.0, 0.0), (2.0, -50.0), (1.0, 0.0)], scale=1.0, ends=(0.0, 1.0))
+def test_tabulated_minimum_is_the_least_value(data, scale, ends):
+    """The closed-form minimum over [lo, hi] lies at or below every sampled
+    value and above the sampled least value less the interpolant's bend
+    between samples: the dip table's -5.676 in (1, 2) included."""
+    knots = np.arange(len(data), dtype=float)
+    table = Tabulated(tuple(knots), tuple(g for g, _ in data), tuple(d for _, d in data), scale)
+    lo, hi = sorted(x * knots[-1] for x in ends)
+    u = np.linspace(lo, hi, 20001)
+    sampled = table.value(u)
+    least = table.minimum(lo, hi)
+    bend = np.max(np.abs(2.0 * table._table[1][:, 3]) + np.abs(6.0 * table._table[1][:, 4])) * abs(scale)
+    size = 1e-12 * (1.0 + np.max(np.abs(sampled)))
+    assert least <= np.min(sampled) + size
+    assert least >= np.min(sampled) - bend * (u[1] - u[0]) ** 2 / 8.0 - size
+    if len(data) == 3 and data[1] == (2.0, -50.0):
+        assert abs(least + 5.675861625) < 1e-8
 
 
 def test_convexity_of_each_reaction():

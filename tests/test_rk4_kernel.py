@@ -125,8 +125,7 @@ def reference_first_zero(spec, m_val, grid, exits=None):
     march recomputed after it.  Appends the exit it takes to ``exits``."""
     note = exits.append if exits is not None else lambda exit_: None
     n, p, f = spec.n, spec.p, spec.nonlinearity
-    nodes = [x for x in f.t if 0.0 < x < m_val] if isinstance(f, Tabulated) else []
-    f_min = float(np.min(f.value(np.asarray([0.0, m_val] + nodes))))
+    f_min = f.minimum(0.0, m_val) if isinstance(f, Tabulated) else float(np.min(f.value(np.asarray([0.0, m_val]))))
     if not f_min > 0.0:
         note("f not positive")
         return None, 0
@@ -143,11 +142,8 @@ def reference_first_zero(spec, m_val, grid, exits=None):
         du, dw = rhs(t_, u_, w_)
         return 1.0 / du, dw / du
 
-    t, r0 = float(grid.t[0]), grid.r_min
-    log_r = solver._series_start(g(m_val), m_val, n, p)
-    if log_r < t:
-        t, r0 = log_r, math.exp(log_r)
-    u, w = solver._startup_series(g, m_val, n, p, r0)
+    t = solver._series_start(g(m_val), m_val, n, p)
+    u, w = solver._startup_series(g, m_val, n, p, math.exp(t))
     if w == 0.0:
         note("startup flux underflow")
         return None, 0
@@ -197,6 +193,15 @@ def points(spec, centres, grid):
     ]
 
 
+class Overstated(Power):
+    """A constant reaction whose ``value``, read by the positivity check and
+    for t_max, is four times the closure the march integrates: v then meets
+    zero past the comparison bound, as it would if the march lagged it."""
+
+    def value(self, u):
+        return 4.0 * super().value(u)
+
+
 REACTIONS = {
     "exp": Exponential(1.0),
     "power": Power(m=3.0),
@@ -219,9 +224,9 @@ REACTIONS = {
 def test_short_trajectories_are_bit_identical(
     n, p, log_r_min, m_val, u, w_sign, w_exp, guard, reaction
 ):
-    """Both loops over the 15 cells of a 16-node grid and any inward lead:
-    the shoot from an arbitrary start state, the scaled route from its
-    startup series."""
+    """Both loops over the cells of a 16-node grid that the start leaves,
+    and any inward lead: the shoot from an arbitrary start state, the scaled
+    route from its startup series."""
     grid = make_grid(math.exp(log_r_min), 16)
     spec = ProblemSpec(n, p, REACTIONS[reaction])
     kwargs = {"guard": guard, "start": (u, w_sign * 10.0**w_exp)}
@@ -239,14 +244,16 @@ CURVES = [
     ("negative", ProblemSpec(3.0, 2.0, Power(m=1.0, scale=-1.0)), [0.5, 2.0]),
     # the certifying shoot's RK4 stages dip below the table's first knot
     ("table", ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81)), [0.5, 1.0, 2.0, 3.0]),
-    # the scaled route's other exits: e^(n t) overflows inside a stage at
-    # t = 23.7, long before S; f(M) = 1e100 e^600 overflows to inf (numpy
-    # warns in the positivity check), and so does the startup flux; the
-    # cubic dips below 0 inside (1, 2), so v settles above 1 and the march
-    # runs past t_max
-    ("overflow", ProblemSpec(30.0, 2.0, Exponential(1e-30)), [1.0]),
+    # the scaled route's other exits: from the start at t = 22.2, e^(n t)
+    # overflows inside a stage at t = 23.7, long before S; f(M) = 1e100 e^600
+    # overflows to inf (numpy warns in the positivity check), and so does the
+    # startup flux; the cubic dips to -5.68 inside (1, 2), below its knots, so
+    # the march never starts; a march that lags the comparison bound runs past
+    # t_max (no reaction whose closure and ``value`` agree was found to)
+    ("overflow", ProblemSpec(30.0, 2.0, Exponential(1e-26)), [1.0]),
     ("non-finite", ProblemSpec(2.0, 2.0, Exponential(1e100)), [600.0]),
     ("dip", ProblemSpec(3.0, 2.0, Tabulated((0.0, 1.0, 2.0), (1.0, 2.0, 1.0), (0.0, -50.0, 0.0))), [2.0]),
+    ("lag", ProblemSpec(3.0, 2.0, Overstated(m=0.0)), [1.0]),
 ]
 
 
@@ -262,6 +269,8 @@ def test_bifurcation_points_equal_reference_stepped_run(name, spec, centres, gri
         assert not any(pt[3] for pt in got)
     if name == "n12":
         assert got[-1][3] is False
+    if name in ("dip", "lag"):
+        assert got[0][4] == (0 if name == "dip" else 1849)
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,7 +307,8 @@ SHOOTS = [
     # on a second step)
     (ProblemSpec(1.0, 2.0, Exponential(1.0)), 10.0, {"guard": 30.0}),
     # a guard at the largest float: u overflows to -inf in a sum of finite
-    # stages, no exception, and the guard must still stop there
+    # stages, no exception, and the guard must still stop there (g(M) =
+    # 2e-300 puts the series start past r = 1, so only the last cell runs)
     (ProblemSpec(1.0, 2.0, Power(m=1.0, scale=1e-300)), 1.0, {"guard": sys.float_info.max, "start": (0.0, -1e308)}),
     # a negative reaction lifts u past the table's last knot
     (ProblemSpec(3.0, 2.0, cubic_table(0.0, 4.0, 81).with_scale(-1.0)), 3.5, {}),
@@ -319,14 +329,14 @@ def test_reference_shoot_cases_cover_blow_ups():
         certified(functools.partial(reference_certificate, exits=exits), spec, m_val, grid, **kwargs)
     assert exits == [
         "r = 1", "r = 1", "r = 1", "r = 1", "r = 1", "guard on substep 2", "overflow", "r = 1",
-        "guard on substep 1", "guard on substep 2", "outside the table",
+        "guard on substep 1", "guard on substep 1", "outside the table",
     ]
     values = [certified(shoot, spec, m_val, grid, **kwargs) for spec, m_val, kwargs in SHOOTS]
     assert [math.isfinite(v) for v in values] == [exit_ == "r = 1" for exit_ in exits]
     spec, m_val, _ = SHOOTS[7]
     assert reference_shoot(spec, m_val, grid).boundary_value < -1e-3  # so stages ran on the table's clamp
     spec, m_val, kwargs = SHOOTS[9]
-    with pytest.raises(BlowUpError, match="at r = 3.013e-01"):
+    with pytest.raises(BlowUpError, match="at r = 9.638e-01"):
         certified(reference_shoot, spec, m_val, grid, **kwargs)
 
 

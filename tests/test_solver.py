@@ -80,7 +80,7 @@ def test_shoot_blowup_guard(monkeypatch):
 
 
 def test_shoot_starts_inward_for_a_large_centre(grid2000):
-    # at r_min the startup series' correction is 2.9e-7 M, above 1e-10 M
+    # at r_min the startup series' correction is 2.9e-7 M, above 1e-8 M
     b = math.expm1(25.0)
     assert shoot(ProblemSpec(2.0, 2.0, Exponential(liouville_lambda(b))), liouville_center(b), grid2000) <= 1e-10
 
@@ -260,12 +260,23 @@ def test_bifurcation_negative_reaction_is_unconverged(grid2000):
     assert all(math.isnan(pt.lam) and pt.boundary_residual == math.inf for pt in points)
 
 
-def test_bifurcation_certificate_overflow_is_recorded():
+def test_bifurcation_certificate_overflow_is_recorded(grid2000):
     # the certifying shoot's startup series raises (g(M)/n)^(1/(p-1)) to the
-    # 5th power and overflows: a point with residual inf, not an error
-    spec = ProblemSpec(22.0, 1.2, Exponential(1.0))
-    (pt,) = bifurcation_curve(spec, [22.68], make_grid(1e-8, 129))
-    assert pt.center_value == 22.68 and pt.boundary_residual == math.inf
+    # 10th power and overflows: a point with residual inf, not an error
+    (pt,) = bifurcation_curve(ProblemSpec(5.0, 1.1, Exponential(1.0)), [72.0], grid2000)
+    assert pt.converged and abs(pt.lam - 3.93734865) < 1e-8
+    assert pt.boundary_residual == math.inf
+    with pytest.raises(OverflowError):
+        solver._startup_series(Exponential(pt.lam).scalar_value(), 72.0, 5.0, 1.1, grid2000.r_min)
+
+
+def test_bifurcation_coarse_grid_point_is_finite_but_off():
+    # n = 22, p = 1.2 on 129 nodes: the point is finite and within 6% of the
+    # 8,000-node lambda = 21.5725, and its certificate shows the grid error
+    # (a start at r_min once overflowed it to lambda = 1.2e287)
+    (pt,) = bifurcation_curve(ProblemSpec(22.0, 1.2, Exponential(1.0)), [22.68], make_grid(1e-8, 129))
+    assert math.isfinite(pt.lam) and abs(pt.lam / 21.5725 - 1.0) <= 0.06
+    assert pt.boundary_residual > 1e-5 * 22.68
 
 
 def test_bifurcation_startup_overflow_is_recorded(grid2000):
@@ -407,16 +418,32 @@ def test_lambda_record_says_why_the_probe_ended(lam, controls, reason, gelfand_d
     assert (out is None) == (not record.converged)
 
 
-def test_certificate_keeps_r_min_for_moderate_centres(gelfand_disk_spec, grid2000):
+def test_certificate_starts_at_the_node_the_series_rule_names(gelfand_disk_spec, grid2000):
+    # the series' correction M - u(r) = g(M) r^2 / 4 (n = p = 2) is 1e-8 M at
+    # r_s; the shoot starts at the last node at or inward of r_s, here past
+    # r_min, skipping the nodes the series covers, and from the series there
+    dt = float(grid2000.dt)
     for m_val, pt in zip([0.5, 3.0, 30.0], bifurcation_curve(gelfand_disk_spec, [0.5, 3.0, 30.0], grid2000)):
         scaled = ProblemSpec(2.0, 2.0, Exponential(pt.lam))
         g = scaled.nonlinearity.scalar_value()
-        start = solver._startup_series(g, m_val, 2.0, 2.0, grid2000.r_min)
-        seeded = reference_shoot(scaled, m_val, grid2000, seed=start)
-        run = reference_shoot(scaled, m_val, grid2000)
-        assert run.profile.u.tobytes() == seeded.profile.u.tobytes()
-        assert run.profile.w.tobytes() == seeded.profile.w.tobytes()
+        t_s = 0.5 * math.log(4e-8 * m_val / g(m_val))
+        k = int(np.searchsorted(grid2000.t, t_s, side="right")) - 1
+        assert 0 < k and grid2000.t[k] <= t_s < grid2000.t[k] + dt
+        assert g(m_val) * grid2000.r[k] ** 2 / 4 <= 1e-8 * m_val < g(m_val) * grid2000.r[k + 1] ** 2 / 4
+        start = solver._startup_series(g, m_val, 2.0, 2.0, grid2000.r[k])
+        seeded = reference_shoot(scaled, m_val, grid2000, seed=(k, start))
         assert shoot(scaled, m_val, grid2000) == abs(seeded.boundary_value)
+        assert seeded.profile.u.tobytes() == reference_shoot(scaled, m_val, grid2000).profile.u.tobytes()
+
+
+def test_disk_curve_points_take_half_the_steps(gelfand_disk_spec, grid2000):
+    # the scaled route starts where the series is good to 1e-8 M, about
+    # r = 1e-4 at these centres: about 2,000 of the 4,000 steps from r_min
+    centres = [0.5, 0.9, 1.2, 1.5, 2.0, 3.0]
+    for pt in bifurcation_curve(gelfand_disk_spec, centres, grid2000):
+        b = math.expm1(pt.center_value / 2.0)
+        assert pt.converged and pt.iterations <= 2100
+        assert abs(pt.lam - liouville_lambda(b)) <= 1.1e-11 * liouville_lambda(b)
 
 
 def cubic_table(t0, t1, nodes):
