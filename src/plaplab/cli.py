@@ -19,7 +19,6 @@ required); 4 internal assertion failures.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -45,14 +44,6 @@ from .core import (
     _key,
     make_grid,
 )
-from .estimates import (
-    _default_window,
-    check_regularity_bounds,
-    integrability_threshold,
-    singularity_exponent_fit,
-)
-from .exponents import _pointwise_exponent, exponent_report, m_cs, q_exponent
-from .oracle import exact_exponential, exact_power, ode_residual
 from .solver import (
     UNDECIDED,
     BifurcationPoint,
@@ -63,13 +54,10 @@ from .solver import (
     lambda_star_estimate,
     minimal_iterate,
 )
-from .stability import (
-    SineModes,
-    hardy_inequality_check,
-    reaction_free_identity,
-    random_eta_family,
-    stability_report,
-)
+
+# stability, estimates, exponents, oracle and configparser are imported by
+# the commands that use them: bifurcate, lambda-star and sweep (and every
+# spawned sweep worker) never pay for them
 
 
 class ConfigError(ValueError):
@@ -125,6 +113,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     {section: {key: value}}."""
     values = {s: {k: conv(d) for k, (d, conv) in keys.items()} for s, keys in _SCHEMA.items()}
     if path:
+        import configparser
+
         parser = configparser.ConfigParser()
         read = parser.read(path)
         if not read:
@@ -195,9 +185,21 @@ def _lambda_star(spec: ProblemSpec, grid: RadialGrid, cfg: dict):
     )
 
 
+def __getattr__(name: str):
+    # stability_report is found on first use (PEP 562), so importing the CLI
+    # does not import the stability module; it is still patchable here
+    if name == "stability_report":
+        from .stability import stability_report
+
+        return stability_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _stability(profile: RadialProfile, gp, cfg: dict):
-    """``stability_report`` with the [stability] settings of cfg."""
-    return stability_report(
+    """``stability_report`` with the [stability] settings of cfg, read as
+    this module's attribute at call time, so a patch of it here or in
+    ``plaplab.stability`` takes effect."""
+    return sys.modules[__name__].stability_report(
         profile,
         gp,
         r_trunc=cfg["stability"]["r_trunc"],
@@ -314,12 +316,16 @@ def read_profile_csv(path: Path, n: float, p: float) -> RadialProfile:
 
 
 def cmd_exponents(args, cfg: dict) -> int:
+    from .exponents import exponent_report
+
     report = exponent_report(args.n, args.p)
     print(_dumps(base_report(cfg, exponents=report.as_dict())))
     return 0
 
 
 def cmd_solve(args, cfg: dict) -> int:
+    from .estimates import check_regularity_bounds
+
     spec = _problem(cfg)
     grid = _grid(cfg)
     lam = cfg["problem"]["lambda"]
@@ -387,6 +393,8 @@ def cmd_stability(args, cfg: dict) -> int:
         profile = read_profile_csv(Path(args.profile), n, p)
         gp = _nonlinearity(cfg).with_scale(cfg["problem"]["lambda"]).derivative
     elif args.exact:
+        from .oracle import exact_exponential, exact_power
+
         if args.exact == "exponential":
             sol = exact_exponential(n, p)
         else:
@@ -413,12 +421,17 @@ def cmd_stability(args, cfg: dict) -> int:
 def _residual_check(cfg: dict, sol) -> tuple:
     """The check of a closed form's flux-form residual on a grid of at
     least 4000 nodes."""
+    from .oracle import ode_residual
+
     fine = make_grid(cfg["grid"]["r_min"], max(4000, cfg["grid"]["nodes"]))
     resid = ode_residual(sol.sample(fine), sol.nonlinearity())
     return "closed-form residual < 1e-8", resid < 1e-8, f"{resid:.3e}"
 
 
 def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
+    from .oracle import ode_residual
+    from .stability import SineModes, hardy_inequality_check, random_eta_family, reaction_free_identity
+
     spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = _lambda_star(spec, grid, cfg)
@@ -448,6 +461,8 @@ def _scenario_gelfand_disk(cfg: dict, checks: list) -> None:
 
 
 def _scenario_supercritical(cfg: dict, checks: list) -> None:
+    from .oracle import exact_exponential
+
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     grid = _grid(cfg)
     res = _lambda_star(spec, grid, cfg)
@@ -468,6 +483,10 @@ def _scenario_supercritical(cfg: dict, checks: list) -> None:
 
 
 def _scenario_power_critical(cfg: dict, checks: list) -> None:
+    from .estimates import _default_window, integrability_threshold, singularity_exponent_fit
+    from .exponents import _pointwise_exponent, m_cs, q_exponent
+    from .oracle import exact_power
+
     mc = m_cs(15.0, 2.0)
     sol = exact_power(15.0, 2.0, mc)
     checks.append(_residual_check(cfg, sol))

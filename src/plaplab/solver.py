@@ -195,10 +195,13 @@ def _startup_series(g, center_value: float, n: float, p: float, r_min: float):
 def _series_start(g_m: float, m_val: float, n: float, p: float) -> float:
     """log of the radius where the startup series' correction
     M - u(r) = (p-1)/p (g(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-8 M: both
-    shooting routes start there."""
-    return (p - 1.0) / p * (
-        math.log(1e-8 * m_val * p / (p - 1.0)) - math.log(g_m / n) / (p - 1.0)
-    )
+    shooting routes start there.  Raises FloatingPointError, which both
+    routes take as a failed integration, when 1e-8 M p/(p-1) or g(M)/n
+    underflows to 0, as it does for M below about 1e-316."""
+    scale, flux = 1e-8 * m_val * p / (p - 1.0), g_m / n
+    if scale == 0.0 or flux == 0.0:
+        raise FloatingPointError("the startup series' start radius underflows")
+    return (p - 1.0) / p * (math.log(scale) - math.log(flux) / (p - 1.0))
 
 
 def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
@@ -727,8 +730,8 @@ def bifurcation_curve(
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
     integration per M (see the module docstring); ``boundary_residual`` is
     ``shoot``'s certificate at that lambda.  A center value whose integration
-    fails, or whose startup series overflows, is recorded with lambda = nan,
-    not raised."""
+    fails, whose startup series overflows, or whose series start underflows
+    (M below about 1e-316), is recorded with lambda = nan, not raised."""
     _check_solver_dimension(spec.n)
     ms = [float(m) for m in center_values]
     if any(m <= 0 for m in ms) or any(b >= a for a, b in zip(ms[1:], ms[:-1])):
@@ -737,7 +740,7 @@ def bifurcation_curve(
     for m_val in ms:
         try:
             log_s, steps = _scaled_first_zero(spec, m_val, grid)
-        except ArithmeticError:  # the startup series overflows
+        except ArithmeticError:  # the startup series overflows, or its start underflows
             log_s, steps = None, 0
         if log_s is None:
             points.append(BifurcationPoint(m_val, math.nan, math.inf, False, steps))

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaplab import cli, make_grid
+import plaplab
+from plaplab import cli, make_grid, stability
 from plaplab.cli import main, read_profile_csv
 from plaplab.oracle import exact_exponential
 
@@ -619,14 +621,14 @@ def test_verify_gelfand_disk_sweeps_only_in_its_search(tmp_path, capsys, monkeyp
     ids=["solve", "stability", "verify-gelfand-disk", "verify-supercritical-exp"],
 )
 def test_stability_settings_reach_every_report(tmp_path, capsys, monkeypatch, argv):
-    real = cli.stability_report
+    real = stability.stability_report
     calls = []
 
     def recorded(profile, g_prime, **kwargs):
         calls.append(kwargs)
         return real(profile, g_prime, **kwargs)
 
-    monkeypatch.setattr(cli, "stability_report", recorded)
+    monkeypatch.setattr(stability, "stability_report", recorded)
     cfg = tmp_path / "stab.ini"
     cfg.write_text(
         "[grid]\nnodes = 600\nr_min = 1e-7\n"
@@ -672,6 +674,16 @@ def test_bifurcate_startup_overflow_exit0(tmp_path, capsys):
     assert point["center_value"] == 72.0 and point["boundary_residual"] == "inf"
 
 
+def test_bifurcate_tiny_centre_exit0(tmp_path, capsys):
+    # 1e-8 M underflows at M = 1e-320, so the series has no start: a
+    # recorded point, not a math domain error
+    out_dir = tmp_path / "bf"
+    run_cli(capsys, "--out", str(out_dir), "bifurcate", "--n", "2", "--p", "2", "--centers", "1e-320")
+    (point,) = json.loads((out_dir / "report.json").read_text())["points"]
+    assert point["converged"] is False
+    assert point["lambda"] == "nan" and point["boundary_residual"] == "inf"
+
+
 def _tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
     if not path.exists():
@@ -679,15 +691,24 @@ def _tiny_config(tmp_path):
     return str(path)
 
 
-def _imported_with_cli(module):
-    """Whether a fresh interpreter importing plaplab.cli imports module."""
+def _loaded_after(code, modules, cwd=None):
+    """The modules of ``modules`` that a fresh interpreter running ``code``
+    (after importing plaplab.cli) has imported."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import plaplab.cli; "
-        f"print({module!r} in sys.modules)"
+        f"import json, sys; sys.path.insert(0, {src!r}); import plaplab.cli; {code}; "
+        f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return out.stdout.strip() == "True"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=cwd)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _imported_with_cli(module):
+    """Whether a fresh interpreter importing plaplab.cli imports module."""
+    return _loaded_after("pass", [module]) == [module]
+
+
+_DEFERRED = ("plaplab.stability", "plaplab.estimates", "plaplab.exponents", "plaplab.oracle")
 
 
 def test_cli_import_leaves_the_process_pool_out():
@@ -699,3 +720,52 @@ def test_cli_import_leaves_numpy_polynomial_out():
     # the Gauss-Legendre rules are literals; leggauss's import cost every
     # command a few milliseconds
     assert not _imported_with_cli("numpy.polynomial")
+
+
+def test_cli_import_leaves_deferred_modules_out():
+    # only the commands that run them import them
+    assert _loaded_after("pass", [*_DEFERRED, "configparser"]) == []
+
+
+def test_cli_import_loads_only_core_and_solver():
+    loaded = _loaded_after("pass", ["plaplab", *(f"plaplab.{m}" for m in plaplab._SUBMODULES)])
+    assert sorted(loaded) == ["plaplab", "plaplab.cli", "plaplab.core", "plaplab.solver"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bifurcate", "--n", "2", "--p", "2", "--centers", "0.5,1.2"],
+        ["lambda-star", "--n", "12", "--p", "2"],
+    ],
+    ids=["bifurcate", "lambda-star"],
+)
+def test_curve_and_bracket_runs_load_no_deferred_module(tmp_path, argv):
+    code = f"code = plaplab.cli.main(['--out', 'out', *{argv!r}]); assert code == 0, code"
+    assert _loaded_after(code, _DEFERRED, cwd=tmp_path) == []
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def test_lazy_namespace_is_the_submodules():
+    for name in plaplab.__all__:
+        module = importlib.import_module(f"plaplab.{plaplab._EXPORTS[name]}")
+        assert getattr(plaplab, name) is getattr(module, name), name
+    assert set(plaplab.__all__) <= set(dir(plaplab))
+    assert set(plaplab._SUBMODULES) <= set(dir(plaplab))
+    # in a fresh interpreter a submodule or a public name imports its module
+    lazy = "plaplab.oracle; plaplab.stability_report"
+    assert _loaded_after(lazy, [*_DEFERRED]) == ["plaplab.stability", "plaplab.oracle"]
+    namespace = {}
+    exec("from plaplab import *", namespace)
+    assert all(namespace[name] is getattr(plaplab, name) for name in plaplab.__all__)
+    with pytest.raises(AttributeError):
+        plaplab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from plaplab import no_such_name", {})
+
+
+def test_cli_stability_report_is_the_stability_modules():
+    # read on first use, so the CLI's import leaves the stability module out
+    assert cli.stability_report is stability.stability_report
+    with pytest.raises(AttributeError):
+        cli.no_such_name

@@ -270,6 +270,21 @@ def test_bifurcation_certificate_overflow_is_recorded(grid2000):
         solver._startup_series(Exponential(pt.lam).scalar_value(), 72.0, 5.0, 1.1, grid2000.r_min)
 
 
+def test_bifurcation_tiny_centre_start_underflow_is_recorded(grid2000):
+    # 1e-8 M p/(p-1) underflows to 0 at M = 1e-320: an unconverged point,
+    # not a math domain error, and the next centre gets the point it gets alone
+    spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
+    tiny, pt = bifurcation_curve(spec, [1e-320, 0.5], grid2000)
+    assert repr(dataclasses.astuple(tiny)) == repr((1e-320, math.nan, math.inf, False, 0))
+    assert dataclasses.astuple(pt) == dataclasses.astuple(bifurcation_curve(spec, [0.5], grid2000)[0])
+    with pytest.raises(FloatingPointError):
+        solver._series_start(1.0, 1e-320, 2.0, 2.0)
+    assert shoot(spec, 1e-320, grid2000) == math.inf
+    # where the product is positive the start is finite and the point converges
+    (small,) = bifurcation_curve(spec, [1e-300], grid2000)
+    assert small.converged and abs(small.lam / 4e-300 - 1.0) < 1e-9
+
+
 def test_bifurcation_coarse_grid_point_is_finite_but_off():
     # n = 22, p = 1.2 on 129 nodes: the point is finite and within 6% of the
     # 8,000-node lambda = 21.5725, and its certificate shows the grid error
