@@ -80,6 +80,11 @@ def _jsonable(obj):
 # nonlinearities
 # ---------------------------------------------------------------------------
 
+# ``scalar_value(floor)`` is ``value`` at max(u, floor) on one float, as one
+# closure for the shooting routes' RK4 stages.  It returns a real float or
+# raises an ArithmeticError or ValueError (e^u past u = 709.78, (1 + u)^m off
+# its domain, u outside a table), which both routes record as a failure.
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -90,19 +95,14 @@ class Exponential:
     def value(self, u):
         return self.scale * np.exp(u)
 
-    def derivative(self, u):
-        return self.scale * np.exp(u)
-
-    def antiderivative(self, u):
-        return self.scale * np.exp(u)
+    derivative = antiderivative = value
 
     def with_scale(self, factor: float) -> "Exponential":
         return Exponential(self.scale * factor)
 
     def scalar_value(self, floor: float = -math.inf) -> Callable[[float], float]:
-        # min(max(u, floor), 700) in one frame, bit for bit (nan and -0.0 too)
-        s, exp, floor = self.scale, math.exp, min(floor, 700.0)
-        return lambda u: s * exp(700.0 if 700.0 < u else (floor if floor > u else u))
+        s, exp = self.scale, math.exp
+        return lambda u: s * exp(floor if floor > u else u)
 
     @property
     def increasing(self) -> bool:
@@ -138,8 +138,8 @@ class Power:
         return Power(self.m, self.scale * factor)
 
     def scalar_value(self, floor: float = -math.inf) -> Callable[[float], float]:
-        s, m = self.scale, self.m
-        return lambda u: s * (1.0 + (floor if floor > u else u)) ** m
+        s, m, pow = self.scale, self.m, math.pow
+        return lambda u: s * pow(1.0 + (floor if floor > u else u), m)
 
     @property
     def increasing(self) -> bool:
@@ -526,6 +526,8 @@ def make_rule(grid: RadialGrid, n: float) -> QuadratureRule:
                 _rn_cells=rn_cells,
                 _stencil=stencil,
             )
+    if np.all(weights >= 0):  # none negative, so r_min^n underflowed to 0
+        raise ParameterError(f"r_min^n = ({grid.r_min:g})^{n:g} underflows to 0; raise r_min or lower n")
     raise ConsistencyError("quadrature produced non-positive weights")
 
 

@@ -182,10 +182,9 @@ def _rk4_step(rhs, x, a, b, h):
     return a, b
 
 
-def _startup_series(g, center_value: float, n: float, p: float, r_min: float):
+def _startup_series(g_m: float, center_value: float, n: float, p: float, r_min: float):
     """(u, w) at r_min from the startup series in ``shoot``'s docstring."""
     q = 1.0 / (p - 1.0)
-    g_m = g(center_value)
     u0 = center_value - math.copysign(
         (p - 1.0) / p * (abs(g_m) / n) ** q * r_min ** (p / (p - 1.0)), g_m
     )
@@ -214,29 +213,28 @@ def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
     ``_series_start``, where the series' correction is 1e-8 M.  For k0 > 0
     the first k0 grid nodes are skipped (the last cell always runs); for
     k0 < 0 the integration first crosses -k0 cells laid inward of r_min.
-    With M <= 0 or g(M) <= 0 it starts at r_min.
+    With M <= 0 or g(M) <= 0 it starts at r_min.  g(M) is read once, first.
     Each grid cell takes two RK4 steps on ``f.scalar_value(-inf)``, whose
     closure holds the clamp: below its table a ``Tabulated`` reaction takes
     its first knot's value (RK4 stages dip below u = 0 near a zero at r = 1),
     but M must lie inside.  The loop here takes the steps, stages inline,
     from t_k and t_k + dt/2 of each cell, restarting e^(n t) at t_k.  The
     result is inf once a step ends non-finite or with |u| > SHOOT_GUARD, or
-    when the series or a step overflows or leaves the reaction's domain."""
+    when g raises (an overflow, or u outside the reaction's domain)."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
     log, exp, copysign, inf = math.log, math.exp, math.copysign, math.inf
     try:
-        g = f.scalar_value()
-        g_m = g(center_value) if center_value > 0 else 0.0
+        g_m = f.scalar_value()(center_value)
         t, dt = grid.t.tolist(), float(grid.dt)
         k0 = 0
-        if g_m > 0:
+        if center_value > 0 and g_m > 0:
             k0 = min(math.floor((_series_start(g_m, center_value, n, p) - t[0]) / dt), len(t) - 2)
         t_cells = [t[0] + dt * k for k in range(k0, 0)] + t[max(k0, 0):-1]
         r0 = exp(t_cells[0]) if k0 < 0 else float(grid.r[k0])
-        u, w = _startup_series(g, center_value, n, p, r0)
+        u, w = _startup_series(g_m, center_value, n, p, r0)
         dt /= 2
         q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, dt / 2, dt / 6
-        g = f.scalar_value(-inf)  # the startup series above keeps the unclamped g
+        g = f.scalar_value(-inf)
         u_lim = SHOOT_GUARD
         for tk in t_cells:
             e = exp(n * tk)
@@ -259,7 +257,7 @@ def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
                 w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
                 if not (abs(u) <= u_lim and abs(w) < inf):
                     return inf
-    except (ArithmeticError, EvaluationError):
+    except (ArithmeticError, ValueError):
         return inf
     return abs(u)
 
@@ -654,9 +652,10 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
     positive on [0, M] (its minimum there is exact, for a table the least of
-    each cell's cubic at its ends and stationary points), the startup flux
-    underflows, the integration turns non-finite, or S passes the
-    comparison bound S_max^p = n (pM/(p-1))^(p-1) / min_[0,M] f.
+    each cell's cubic at its ends and stationary points), the startup flux or
+    start underflows, a value overflows, the integration turns non-finite, or
+    the march or its last step in u passes the comparison bound S_max, with
+    S_max^p = min(n (pM/(p-1))^(p-1) / min_[0,M] f, e^709.78) a double.
 
     The startup series starts at ``_series_start``, where its correction
     M - v(r) = (p-1)/p (f(M)/n)^(1/(p-1)) r^(p/(p-1)) is 1e-8 M, whatever
@@ -671,13 +670,6 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     extended by f(0) below 0, where v never goes, by the clamp inside
     ``f.scalar_value(0.0)``: it runs only on [0, M]."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
-    if isinstance(f, Tabulated):
-        f_min = f.minimum(0.0, m_val)
-    else:  # monotone in u
-        f_min = float(np.min(f.value(np.asarray([0.0, m_val]))))
-    if not f_min > 0.0:
-        return None, 0
-    t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
     g = f.scalar_value(0.0)
     h = float(grid.dt) / 2
     q, m, h2, h6 = 1.0 / (p - 1.0), 1.0 - n, h / 2, h / 6
@@ -688,12 +680,20 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
         dw = -exp(n * t_) * g(u_)
         return 1.0 / du, dw / du
 
-    t = _series_start(g(m_val), m_val, n, p)
-    u, w = _startup_series(g, m_val, n, p, exp(t))
-    if w == 0.0:
-        return None, 0
     steps = 0
     try:
+        g_m = g(m_val)
+        if isinstance(f, Tabulated):
+            f_min = f.minimum(0.0, m_val)
+        else:  # monotone in u
+            f_min = float(np.min(f.value(np.asarray([0.0, m_val]))))
+        if not f_min > 0.0:
+            return None, 0
+        t_max = min(math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0)), 709.78) / p
+        t = _series_start(g_m, m_val, n, p)
+        u, w = _startup_series(g_m, m_val, n, p, exp(t))
+        if w == 0.0:
+            return None, 0
         e = exp(n * t)
         while True:
             du = copysign(exp(q * (log(abs(w)) + m * t) + t), w) if w != 0.0 else 0.0
@@ -718,10 +718,10 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
             w += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
             steps += 1
         log_s, w = _rk4_step(rhs_in_u, u, t, w, -u)
-    except ArithmeticError:  # overflow, or a zero slope in the step in u
+    except ArithmeticError:  # overflow, an underflowing start, or a zero slope in u
         return None, steps
-    finite = math.isfinite(log_s) and math.isfinite(w)
-    return (log_s if finite else None), steps + 1
+    found = math.isfinite(log_s) and math.isfinite(w) and log_s <= t_max
+    return (log_s if found else None), steps + 1
 
 
 def bifurcation_curve(
@@ -730,18 +730,15 @@ def bifurcation_curve(
     """Parameter-versus-center-value curve, lambda(M) = S^p from one scaled
     integration per M (see the module docstring); ``boundary_residual`` is
     ``shoot``'s certificate at that lambda.  A center value whose integration
-    fails, whose startup series overflows, or whose series start underflows
-    (M below about 1e-316), is recorded with lambda = nan, not raised."""
+    fails, where f(M) or the startup series overflows, or whose series start
+    underflows (M below about 1e-316), is recorded with lambda = nan."""
     _check_solver_dimension(spec.n)
     ms = [float(m) for m in center_values]
     if any(m <= 0 for m in ms) or any(b >= a for a, b in zip(ms[1:], ms[:-1])):
         raise ParameterError("center values must be positive and increasing")
     points: list[BifurcationPoint] = []
     for m_val in ms:
-        try:
-            log_s, steps = _scaled_first_zero(spec, m_val, grid)
-        except ArithmeticError:  # the startup series overflows, or its start underflows
-            log_s, steps = None, 0
+        log_s, steps = _scaled_first_zero(spec, m_val, grid)
         if log_s is None:
             points.append(BifurcationPoint(m_val, math.nan, math.inf, False, steps))
             continue

@@ -69,9 +69,9 @@ def reference_shoot(spec, center_value, grid, *, seed=None, exits=None):
         k0 = min(math.floor((solver._series_start(g_m, center_value, n, p) - t[0]) / dt), len(t) - 2)
     t_cells = [t[0] + dt * k for k in range(k0, 0)] + t[max(k0, 0):-1]
     r0 = math.exp(t_cells[0]) if k0 < 0 else float(grid.r[k0])
-    u, w = state if state is not None else solver._startup_series(g, center_value, n, p, r0)
+    u, w = state if state is not None else solver._startup_series(g(center_value), center_value, n, p, r0)
     rhs = reference_flux_rhs(n, p, f.scalar_value(-math.inf))
-    skipped = [solver._startup_series(g, center_value, n, p, r) for r in grid.r[: max(k0, 0)].tolist()]
+    skipped = [solver._startup_series(g(center_value), center_value, n, p, r) for r in grid.r[: max(k0, 0)].tolist()]
     nodes = skipped + [(u, w)]
     try:
         for tk in t_cells:
@@ -98,5 +98,5 @@ def reference_certificate(spec, center_value, grid, **kwargs):
     ``solver.shoot`` must return."""
     try:
         return abs(reference_shoot(spec, center_value, grid, **kwargs).boundary_value)
-    except (ArithmeticError, EvaluationError):
+    except (ArithmeticError, ValueError):
         return math.inf

@@ -245,6 +245,14 @@ def test_lambda_star_coarse_grid_order_loss_exit2(tmp_path, capsys):
     assert "16-node grid; refine the grid" in out.err
 
 
+def test_lambda_star_underflowing_r_min_exit2(tmp_path, capsys):
+    cfg = tmp_path / "tiny_r_min.ini"
+    cfg.write_text("[grid]\nr_min = 1e-12\n")
+    out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                  "lambda-star", "--n", "30", "--p", "2", expect=2)
+    assert "r_min^n = (1e-12)^30 underflows" in out.err
+
+
 def test_stability_command_exact(tmp_path, capsys):
     out = run_cli(
         capsys,

@@ -80,6 +80,17 @@ def test_weights_positive():
     assert np.all(make_rule(make_grid(1e-6, 16), 12.0).weights > 0)
 
 
+@pytest.mark.parametrize("n, r_min, count", [(30.0, 1e-12, 2000), (28.0, 1e-12, 500), (30.0, 1e-11, 2000)])
+def test_make_rule_names_an_underflowing_r_min_to_the_n(n, r_min, count):
+    # r_min^n ~ 1e-360 is 0 in double precision, and so are the leading
+    # weights: an input the rule cannot serve, not an internal fault
+    with pytest.raises(ParameterError, match=r"r_min\^n = \(1e-1[12]\)\^(28|30) underflows"):
+        make_rule(make_grid(r_min, count), n)
+    # subnormal but positive weights still make a rule
+    rule = make_rule(make_grid(1e-11, count), 28.0)
+    assert 0.0 < rule.weights[0] < 1e-307 and np.all(rule.weights > 0)
+
+
 def test_integrate_is_linear():
     g = make_grid(1e-6, 500)
     rule = make_rule(g, 3.0)

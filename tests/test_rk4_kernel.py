@@ -10,9 +10,10 @@ Both have a reference written over the generic right-hand side
 ``reference_first_zero`` here.  Every result of the loops must equal theirs
 bit for bit, short trajectories from arbitrary states, whole curves and
 certificates alike, and the cases reach every exit of either loop.  Each
-reaction's ``scalar_value(floor)`` is one closure with its clamps inline; it
-must equal the min/max composition it replaced, nan, -0.0 and errors
-included.
+reaction's ``scalar_value(floor)`` is one closure with its clamp inline; it
+must equal the max composition it replaced, nan, -0.0 and errors included,
+and the power's ``math.pow`` must give the bits of ``**`` wherever that is
+real.
 """
 
 import functools
@@ -46,10 +47,10 @@ from rk4_reference import (
 
 def outcome(fn, *args):
     """fn(*args), or the type and message of the ArithmeticError or
-    EvaluationError it raised."""
+    ValueError it raised."""
     try:
         return fn(*args)
-    except (ArithmeticError, EvaluationError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -60,15 +61,14 @@ def cubic_table(t0, t1, nodes):
 
 
 def composed(f, u, floor):
-    """The reaction at u as evaluated before its closure took the clamps in:
-    min/max around ``math.exp`` and ``**``, and for a table with a floor its
-    first knot below the table (``shoot``'s former wrapper) around the array
-    ``value``."""
+    """The reaction at u in separate steps: max(u, floor), then ``math.exp``
+    or ``math.pow``, and for a table with a floor its first knot below the
+    table (``shoot``'s former wrapper) around the array ``value``."""
     x = u if floor is None else max(u, floor)
     if isinstance(f, Exponential):
-        return f.scale * math.exp(min(x, 700.0))
+        return f.scale * math.exp(x)
     if isinstance(f, Power):
-        return f.scale * (1.0 + x) ** f.m
+        return f.scale * math.pow(1.0 + x, f.m)
     if floor is not None and x < f.t[0] - 1e-12:
         x = f.t[0]
     return float(f.value(x))
@@ -83,9 +83,9 @@ CLOSURE_REACTIONS = [
     cubic_table(0.0, 4.0, 81),
     cubic_table(-0.5, 4.0, 9).with_scale(-3.0),
 ]
-# nan, signed zeros, the exponential's cap, below -1 and around both tables' bands
-SPECIAL = [math.nan, 0.0, -0.0, 700.0, 700.5, 1e300, math.inf, -math.inf, -1.0,
-           -0.5 - 5e-13, -1e-13, -1e-11, 4.0, 4.0 + 5e-13, 5.0]
+# nan, signed zeros, the former cap and e^u's overflow, below -1 and around both tables' bands
+SPECIAL = [math.nan, 0.0, -0.0, 700.0, 700.5, 709.78, 709.79, 1e300, math.inf, -math.inf, -1.0,
+           -2.0, -0.5 - 5e-13, -1e-13, -1e-11, 4.0, 4.0 + 5e-13, 5.0]
 
 
 @settings(max_examples=600, deadline=None)
@@ -104,6 +104,37 @@ def test_scalar_closure_equals_the_composition_it_replaced(index, u, floor):
     closure = f.scalar_value() if floor is None else f.scalar_value(floor)
     # repr tells -0.0 from 0.0, round-trips every float and shows nan
     assert repr(outcome(closure, u)) == repr(outcome(composed, f, u, floor))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    u=st.sampled_from(SPECIAL) | st.floats(),
+    m=st.sampled_from([0.0, 1.0, 3.0, 2.5, -1.5, 0.5, 1e300, -1e300, math.inf, math.nan]) | st.floats(),
+)
+@example(u=-2.0, m=2.5)
+@example(u=-1.0, m=-1.5)
+@example(u=-1e300, m=2.5)
+@example(u=1e300, m=3.0)
+@example(u=-2586638741762876.0, m=20.0)
+def test_power_closure_is_double_star_where_that_is_real(u, m):
+    """Where ``**`` gives a complex (1 + u < 0) or divides by zero (0 to a
+    negative power) the closure raises ValueError; elsewhere it gives the
+    same float, bit for bit, or the same OverflowError."""
+    closure = Power(m=m, scale=-2.0).scalar_value()
+    try:
+        star = -2.0 * (1.0 + u) ** m
+    except ZeroDivisionError:
+        star = 1j
+    except OverflowError as exc:  # a complex that overflows is a complex
+        star = 1j if "complex" in str(exc) else OverflowError
+    if isinstance(star, complex):
+        with pytest.raises(ValueError, match="math domain error"):
+            closure(u)
+    elif star is OverflowError:
+        with pytest.raises(OverflowError):
+            closure(u)
+    else:
+        assert repr(closure(u)) == repr(star)
 
 
 def test_table_closure_clamps_below_and_raises_above_only_with_a_floor():
@@ -125,11 +156,6 @@ def reference_first_zero(spec, m_val, grid, exits=None):
     march recomputed after it.  Appends the exit it takes to ``exits``."""
     note = exits.append if exits is not None else lambda exit_: None
     n, p, f = spec.n, spec.p, spec.nonlinearity
-    f_min = f.minimum(0.0, m_val) if isinstance(f, Tabulated) else float(np.min(f.value(np.asarray([0.0, m_val]))))
-    if not f_min > 0.0:
-        note("f not positive")
-        return None, 0
-    t_max = (math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0))) / p
     g = f.scalar_value(0.0)
     h = float(grid.dt) / 2
     rhs = reference_flux_rhs(n, p, g)
@@ -142,13 +168,19 @@ def reference_first_zero(spec, m_val, grid, exits=None):
         du, dw = rhs(t_, u_, w_)
         return 1.0 / du, dw / du
 
-    t = solver._series_start(g(m_val), m_val, n, p)
-    u, w = solver._startup_series(g, m_val, n, p, math.exp(t))
-    if w == 0.0:
-        note("startup flux underflow")
-        return None, 0
     steps = 0
     try:
+        g_m = g(m_val)
+        f_min = f.minimum(0.0, m_val) if isinstance(f, Tabulated) else float(np.min(f.value(np.asarray([0.0, m_val]))))
+        if not f_min > 0.0:
+            note("f not positive")
+            return None, 0
+        t_max = min(math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0)), 709.78) / p
+        t = solver._series_start(g_m, m_val, n, p)
+        u, w = solver._startup_series(g_m, m_val, n, p, math.exp(t))
+        if w == 0.0:
+            note("startup flux underflow")
+            return None, 0
         du = slope(t, w)
         while u + h * du > 0.0:
             if t > t_max:
@@ -165,8 +197,8 @@ def reference_first_zero(spec, m_val, grid, exits=None):
         return None, steps
     finite = math.isfinite(log_s) and math.isfinite(w)
     if finite:
-        note("predicted zero")
-    return (log_s if finite else None), steps + 1
+        note("predicted zero" if log_s <= t_max else "log S > t_max")
+    return (log_s if finite and log_s <= t_max else None), steps + 1
 
 
 def stepped_by_references(monkeypatch):
@@ -255,6 +287,14 @@ CURVES = [
     ("dip", ProblemSpec(3.0, 2.0, Tabulated((0.0, 1.0, 2.0), (1.0, 2.0, 1.0), (0.0, -50.0, 0.0))), [2.0]),
     ("lag", ProblemSpec(3.0, 2.0, Overstated(m=0.0)), [1.0]),
 ]
+# (spec, centres, nodes): on these coarse grids the final step in u lands
+# past the comparison bound (log S = 1.27e14 and 87.2 against t_max = 2.70 and
+# 1.91); at 2,000 nodes the power curve's certifying shoot meets 1 + u < 0
+COARSE = [
+    (ProblemSpec(12.0, 1.05, Power(m=2.5)), [50.0], 129),
+    (ProblemSpec(2.0, 1.2, Power(m=2.5)), [500.0], 16),
+    (ProblemSpec(30.0, 1.1, Power(m=3.5)), [5000.0], 2000),
+]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -271,6 +311,15 @@ def test_bifurcation_points_equal_reference_stepped_run(name, spec, centres, gri
         assert got[-1][3] is False
     if name in ("dip", "lag"):
         assert got[0][4] == (0 if name == "dip" else 1849)
+
+
+@pytest.mark.parametrize("spec, centres, nodes", COARSE)
+def test_coarse_curve_points_equal_reference_stepped_run(spec, centres, nodes, monkeypatch):
+    grid = make_grid(1e-8, nodes)
+    got = points(spec, centres, grid)
+    stepped_by_references(monkeypatch)
+    assert repr(got) == repr(points(spec, centres, grid))
+    assert all(pt[2] == math.inf for pt in got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,12 +398,14 @@ def test_reference_cases_reach_every_exit(grid2000, monkeypatch):
     monkeypatch.setattr(solver, "shoot", functools.partial(reference_certificate, exits=shoot_exits))
     for _, spec, centres in CURVES:
         bifurcation_curve(spec, centres, grid2000)
+    for spec, centres, nodes in COARSE:
+        bifurcation_curve(spec, centres, make_grid(1e-8, nodes))
     grid = make_grid(1e-8, 500)
     for spec, m_val, kwargs in SHOOTS:
         certified(functools.partial(reference_certificate, exits=shoot_exits), spec, m_val, grid, **kwargs)
     assert set(zero_exits) == {
         "f not positive", "startup flux underflow", "predicted zero", "t > t_max",
-        "ArithmeticError", "non-finite state",
+        "log S > t_max", "ArithmeticError", "non-finite state",
     }
     assert set(shoot_exits) == {
         "guard on substep 1", "guard on substep 2", "overflow", "outside the table", "r = 1",

@@ -54,10 +54,9 @@ def test_shoot_constant_source(grid2000):
 
 
 def test_shoot_startup_flux(grid2000):
-    g = Exponential(1.0).scalar_value()
     r0 = grid2000.r_min
     expected = -(r0**12.0) * math.e / 12.0
-    _, w0 = solver._startup_series(g, 1.0, 12.0, 2.0, r0)
+    _, w0 = solver._startup_series(math.e, 1.0, 12.0, 2.0, r0)
     assert abs(w0 - expected) <= 1e-12 * abs(expected)
 
 
@@ -223,6 +222,42 @@ def test_bifurcation_large_centres_match_liouville(gelfand_disk_spec, grid2000):
         assert pt.boundary_residual <= 1e-8 * m_val
 
 
+def test_bifurcation_curve_reaches_the_overflow_of_e_to_the_m(gelfand_disk_spec, grid2000):
+    # e^M is finite up to M = 709.78, and so far the curve follows Liouville
+    # (on a bound of its own: the start lies near r = 1e-154); past it g(M)
+    # overflows first, and the point is recorded without a numpy warning
+    ms = [701.0, 705.0, 709.7, 710.0, 720.0, 800.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = bifurcation_curve(gelfand_disk_spec, ms, grid2000)
+    for m_val, pt in zip(ms[:3], points):
+        lam = liouville_lambda(math.expm1(m_val / 2.0))
+        assert pt.converged
+        assert abs(pt.lam - lam) <= 1e-8 * lam
+        assert pt.boundary_residual <= 1e-8 * m_val
+    for m_val, pt in zip(ms[3:], points[3:]):
+        assert repr(dataclasses.astuple(pt)) == repr((m_val, math.nan, math.inf, False, 0))
+
+
+@pytest.mark.parametrize(
+    "n, p, m, nodes, m_val, converged",
+    [
+        # the certifying shoot's stages reach 1 + u < 0, where (1 + u)^m is
+        # not real: the point stands, uncertified
+        (30.0, 1.1, 3.5, 2000, 5000.0, True),
+        # the final step in u lands far past the comparison bound S_max
+        (12.0, 1.05, 2.5, 129, 50.0, False),
+        (2.0, 1.2, 2.5, 16, 500.0, False),
+        # S^p would be e^1130: the march stops where S^p passes e^709.78
+        (3.0, 6.0, 0.1, 129, 1e100, False),
+    ],
+)
+def test_bifurcation_power_failures_are_recorded(n, p, m, nodes, m_val, converged):
+    (pt,) = bifurcation_curve(ProblemSpec(n, p, Power(m=m)), [m_val], make_grid(1e-8, nodes))
+    assert pt.converged == converged and math.isfinite(pt.lam) == converged
+    assert pt.boundary_residual == math.inf
+
+
 def test_bifurcation_huge_centre_is_never_falsely_converged(grid2000):
     spec = ProblemSpec(12.0, 2.0, Exponential(1.0))
     points = bifurcation_curve(spec, [100.0, 300.0], grid2000)
@@ -267,7 +302,7 @@ def test_bifurcation_certificate_overflow_is_recorded(grid2000):
     assert pt.converged and abs(pt.lam - 3.93734865) < 1e-8
     assert pt.boundary_residual == math.inf
     with pytest.raises(OverflowError):
-        solver._startup_series(Exponential(pt.lam).scalar_value(), 72.0, 5.0, 1.1, grid2000.r_min)
+        solver._startup_series(pt.lam * math.exp(72.0), 72.0, 5.0, 1.1, grid2000.r_min)
 
 
 def test_bifurcation_tiny_centre_start_underflow_is_recorded(grid2000):
@@ -445,7 +480,7 @@ def test_certificate_starts_at_the_node_the_series_rule_names(gelfand_disk_spec,
         k = int(np.searchsorted(grid2000.t, t_s, side="right")) - 1
         assert 0 < k and grid2000.t[k] <= t_s < grid2000.t[k] + dt
         assert g(m_val) * grid2000.r[k] ** 2 / 4 <= 1e-8 * m_val < g(m_val) * grid2000.r[k + 1] ** 2 / 4
-        start = solver._startup_series(g, m_val, 2.0, 2.0, grid2000.r[k])
+        start = solver._startup_series(g(m_val), m_val, 2.0, 2.0, grid2000.r[k])
         seeded = reference_shoot(scaled, m_val, grid2000, seed=(k, start))
         assert shoot(scaled, m_val, grid2000) == abs(seeded.boundary_value)
         assert seeded.profile.u.tobytes() == reference_shoot(scaled, m_val, grid2000).profile.u.tobytes()
