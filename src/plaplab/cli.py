@@ -546,8 +546,9 @@ def cmd_verify(args, cfg: dict) -> int:
 def _sweep_point(job):
     """One sweep point, (point cfg, n, p, directory): what ``lambda-star
     --out`` writes there, or an "error" report if the point's problem is
-    inadmissible or its iterates leave a tabulated reaction's domain;
-    returns (index status, report)."""
+    inadmissible, or if a table is evaluated outside its range by anything
+    but a probe's plain sweeps, which end the probe instead; returns (index
+    status, report)."""
     cfg, _n, _p, out_dir = job
     out = Path(out_dir)
     try:

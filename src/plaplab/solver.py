@@ -29,8 +29,11 @@ Three routes to solutions:
     solution exists, and the probe stops there as an "unstable iterate";
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
-    never a point value.  Each probe above the last convergent one starts
-    from that probe's solution, a subsolution there.
+    never a point value.  Each probe starts from the highest start known to
+    lie below the minimal solution there: a lower probe's u scaled by the
+    homogeneity of the sweep in lambda or, for p <= 2 and a convex
+    reaction, where the minimal branch is convex in lambda, the chord
+    through the last two converged probes.
 """
 
 from __future__ import annotations
@@ -139,6 +142,10 @@ class LambdaRecord:
     # iterate" the Collatz-Wielandt lower bound min_i delta_(k+1,i) /
     # delta_(k,i) on the spectral radius of T'; nan for every other probe
     certificate: float = math.nan
+    # where the probe's last plain sweeps started: "zero", "scaled" (a lower
+    # probe's u times (lambda/lambda')^(1/(p-1))) or "chord" (see
+    # lambda_star_estimate)
+    start: str = "zero"
 
 
 @dataclass(frozen=True)
@@ -364,16 +371,42 @@ def _growth_bound(step, last, floor: float) -> float:
     return float(np.min(step[:-1] / last[:-1]))
 
 
+def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
+    """(label, u) of a probe's starts, highest first, each where it applies:
+    the chord through the last converged u and the certified supersolution
+    of the converged probe before it, raised to the scaled start where that
+    lies higher, which also keeps it >= 0 near r = 1, where a table would
+    raise (only with ``convex_map``: p <= 2 and f convex); the scaled start
+    (lambda / lambda')^(1/(p-1)) u' from the nearest lower of ``seeds``;
+    and u = 0.  ``pair`` holds (lambda, u, supersolution or None)
+    of the last two converged probes."""
+    out = [("zero", np.zeros(kernel.h.size))]
+    lower = [seed for seed in seeds if seed[0] < lam]
+    if lower:
+        lam_s, u_s = max(lower, key=lambda seed: seed[0])
+        scaled = (lam / lam_s) ** kernel.q * u_s
+        out.insert(0, ("scaled", scaled))
+        one, two = pair
+        if convex_map and one is not None and one[2] is not None and one[0] < two[0] < lam:
+            (lam_1, _, above), (lam_2, u_2, _) = one, two
+            chord = u_2 + (lam - lam_2) / (lam_2 - lam_1) * (u_2 - above)
+            out.insert(0, ("chord", np.maximum(chord, scaled)))
+    return out
+
+
 def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
     """The monotone iteration as a function of lambda, returning (profile,
     LambdaRecord), with None for the profile of a probe that did not
     converge; one ``_SweepKernel`` serves every lambda it is called with,
     after the admission checks that every caller needs.
 
-    The warm starts, the certified Anderson attempt and what ``iterations``
-    counts are described in ``lambda_star_estimate``.  A returned profile
-    owns its arrays; a converged u that rises in r means the grid is too
-    coarse for order preservation."""
+    A probe starts from the highest start known to lie below u*(lambda):
+    the chord, else the scaled start, else u = 0, each tried only when the
+    one before fails the first sweep's order check.  Those starts, the
+    certified Anderson attempt and what ``iterations`` counts are described
+    in ``lambda_star_estimate``.  A returned profile owns its arrays; a
+    converged u that rises in r means the grid is too coarse for order
+    preservation."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
     _check_solver_dimension(n)
     if not f.increasing:
@@ -384,12 +417,20 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     sup_of, min_of, subtract = np.maximum.reduce, np.minimum.reduce, np.subtract
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
     tol_abs, tol_rel, convex = controls.tol_abs, controls.tol_rel, f.convex
-    warm = None  # (lambda, u) of the last converged probe
+    # T is order preserving and convex for p <= 2 and f convex: the
+    # unstable-iterate stop and the chord start rest on that
+    convex_map = convex and p <= 2.0
+    seeds = []  # (lambda, u) of every converged probe and every undecided one
+    pair = [None, None]  # (lambda, u, supersolution or None), last two converged
 
-    def diverged(lam: float, k: int, sup: float, reason: str, rho: float, bound: float = math.nan):
-        return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho, bound)
+    def diverged(
+        lam: float, k: int, sup: float, reason: str, rho: float, start: str, bound: float = math.nan
+    ):
+        return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho, bound, start)
 
-    def converged(lam: float, k: int, rho: float, u, eps: float = math.nan, residual: float = math.inf):
+    def converged(
+        lam: float, k: int, rho: float, u, start: str, eps: float = math.nan, residual: float = math.inf, above=None
+    ):
         """The probe's end after k sweeps and the sweep that makes (u, w) an
         exactly consistent pair.  A plain iterate's step is close to the
         principal mode of T' and shrinks, so one sweep does.  An Anderson
@@ -397,8 +438,8 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
         before they shrink, and until then its error may far exceed a plain
         iterate's (22 times at n = 10, p = 2.5 next to lambda*).  So sweeps
         from it go on until a step passes the stopping test and is no larger
-        than the step, or the residual, before it."""
-        nonlocal warm
+        than the step, or the residual, before it.  ``above`` is the
+        certified supersolution u_A + eps phi, kept for the chord."""
         u_final, F_final = _iteration_step(u, lam, f, kernel)
         k += 1
         while not math.isnan(eps) and k < k_max:
@@ -416,55 +457,62 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                 f"lost order preservation on this {grid.size}-node grid; refine the grid"
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps)
-        warm = (lam, profile.u)
+        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps, start)
+        seeds.append((lam, profile.u))
+        pair[:] = pair[1], (lam, profile.u, above)
         return profile, record
 
     def iterate(lam: float):
         step_of, (diff, diff_alt) = _iteration_step, kernel.diff
-        start = warm[1] if warm is not None and lam > warm[0] else None
-        u = np.zeros(grid.size) if start is None else start
+        pending = _starts(lam, seeds, pair, kernel, convex_map)
+        start, u = pending.pop(0)
         k = sweeps = 0  # plain sweeps since u's start; every sweep of the probe
         prev = rho = rho_old = math.nan  # delta and rho of the sweep before
         last = None  # the plain step of the sweep before
         # the growth that certifies an unstable iterate; inf where the
         # convexity argument fails (p > 2, or f not convex)
-        grows = 1.0 + UNSTABLE_MARGIN if convex and p <= 2.0 else math.inf
+        grows = 1.0 + UNSTABLE_MARGIN if convex_map else math.inf
         tried = not convex
         with np.errstate(over="ignore", invalid="ignore"):
             while k < k_max:
                 k, sweeps = k + 1, sweeps + 1
-                u_next, F = step_of(u, lam, f, kernel)
+                try:
+                    u_next, F = step_of(u, lam, f, kernel)
+                except EvaluationError:
+                    # u lies below u*(lambda), so no minimal solution has
+                    # values inside the table either
+                    return diverged(lam, sweeps, float(sup_of(u)), "left the table", rho, start)
                 sup = float(sup_of(u_next))
                 step = subtract(u_next, u, out=diff_alt if last is diff else diff)
                 drop = float(min_of(step))
                 if not (isfinite(sup) and isfinite(drop)):
                     # a non-finite step is an unbounded multiple of the last
                     rho = math.inf if k > 1 else math.nan
-                    return diverged(lam, sweeps, math.inf, "overflow", rho)
+                    return diverged(lam, sweeps, math.inf, "overflow", rho, start)
                 delta = max(float(sup_of(step)), -drop)
                 rho_old, rho = rho, (delta / prev if prev > 0.0 else math.nan)
                 if drop < -ORDER_SLACK * (1.0 + sup):
-                    if start is None or k > 1:
+                    if not pending or k > 1:
                         raise ConsistencyError(
                             "monotone iteration decreased somewhere; quadrature bug"
                         )
-                    # the warm start is no subsolution at this lambda
-                    u, start, k, rho = np.zeros(grid.size), None, 0, math.nan
+                    # the start is no subsolution at this lambda: one step down
+                    (start, u), k, rho = pending.pop(0), 0, math.nan
                     continue
                 if sup > u_max:
-                    return diverged(lam, sweeps, sup, "exceeded u_max", rho)
+                    return diverged(lam, sweeps, sup, "exceeded u_max", rho, start)
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
-                    return converged(lam, sweeps, rho, u)
+                    return converged(lam, sweeps, rho, u, start)
                 # rho is nan until the second plain sweep since u's start;
                 # the sup-norm ratio bounds the nodewise one from above
                 if rho > grows:
                     bound = _growth_bound(step, last, ORDER_SLACK * (1.0 + sup))
                     if bound > grows:
-                        return diverged(lam, sweeps, sup, "unstable iterate", rho, bound)
+                        return diverged(lam, sweeps, sup, "unstable iterate", rho, start, bound)
                 if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
-                    return diverged(lam, sweeps, sup, "fold ghost", rho)
+                    seeds.append((lam, u.copy()))
+                    return diverged(lam, sweeps, sup, "fold ghost", rho, start)
                 # rho_k < 1 has settled, and plain sweeps have more than
                 # ACCEL_SWEEPS to go at that rate
                 if (
@@ -485,10 +533,12 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                         eps = max(math.sqrt(residual), slack / grip) if grip > 0.0 else math.inf
                         if eps <= ACCEL_EPS_CAP:
                             sweeps += 1
-                            if _supersolution(u_a + eps / delta * lift, lam, f, kernel):
-                                return converged(lam, sweeps, rho, u_a, eps, residual)
+                            above = u_a + eps / delta * lift
+                            if _supersolution(above, lam, f, kernel):
+                                return converged(lam, sweeps, rho, u_a, start, eps, residual, above)
                 prev, last = delta, step
-        return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho)
+        seeds.append((lam, u.copy()))
+        return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho, start)
 
     return iterate
 
@@ -534,8 +584,9 @@ def lambda_star_estimate(
     convergent and smallest divergent iteration outcome.
 
     Each probe is converged (it sets lo), diverged ("exceeded u_max",
-    "overflow" or "unstable iterate"; it sets hi) or undecided ("iteration
-    cap" or "fold ghost"), and an undecided probe is never a bracket end.  The undecided probes
+    "overflow", "unstable iterate" or "left the table"; it sets hi) or
+    undecided ("iteration cap" or "fold ghost"), and an undecided probe is
+    never a bracket end.  The undecided probes
     strictly inside (lo, hi) form a hole [a, b]; with
     step = max(tol_lambda b / 4, b - a, 4 ulp(b)) the next lam is b + step
     while hi is None or above it, else a - step while lo is None or below
@@ -546,10 +597,36 @@ def lambda_star_estimate(
     run.  Every probe is recorded with its norms so the uniform-bound
     behavior of the minimal branch can be audited from the result alone.
 
-    A probe above the last converged lambda starts from that probe's u:
-    minimal solutions increase with lambda and T is order preserving, so it
-    is a subsolution, and the first sweep checks that (a sweep that lowers it
-    anywhere restarts the probe from u = 0).  On a convex reaction (the
+    Every decision comes from plain sweeps started at or below the minimal
+    solution u*(lambda), so a probe starts from the highest start known to
+    lie there whenever u*(lambda) exists.  With q = 1/(p-1) a sweep is
+    homogeneous, T_lambda = (lambda/lambda')^q T_lambda', and T is order
+    preserving.  So for lambda' < lambda and c = (lambda/lambda')^q > 1 the
+    scaled start c u', u' the profile or last plain iterate of the nearest
+    lower probe, converged or undecided, is a subsolution:
+    T_lambda(c u') = c T_lambda'(c u') >= c T_lambda'(u') >= c u'.  It lies
+    below u*(lambda), because u*(lambda)/c is a supersolution at lambda',
+    so u' <= u*(lambda') <= u*(lambda)/c.  For p <= 2 and a convex reaction
+    the minimal branch is also convex in lambda: differentiating
+    u = lambda^q T_1(u) twice gives (I - T')u'' = q(q-1) lambda^(q-2) T_1 +
+    2q lambda^(q-1) T_1' u' + lambda^q T_1''[u', u'] >= 0 for q >= 1, and
+    (I - T')^(-1) >= 0 on the minimal branch, where rho(T') < 1.  So for
+    lambda_1 < lambda_2 < lambda the chord u_2 + (lambda - lambda_2) /
+    (lambda_2 - lambda_1) (u_2 - U_1) through the last converged profile
+    u_2 <= u*(lambda_2) and the certified supersolution U_1 = u_A + eps phi
+    >= u*(lambda_1) of the converged probe before it lies below u*(lambda);
+    it is used only when that probe carries one, raised to the scaled start
+    where that lies higher.  As for the unstable-iterate stop, T' >= 0 is
+    checked, not proved (see UNSTABLE_MARGIN).  The first sweep checks that
+    a start is a subsolution: one that it lowers anywhere falls back one
+    step, chord -> scaled -> u = 0, and u = 0 always is one.  The record's
+    ``start`` names the start of the probe's last plain sweeps.  A sweep
+    that evaluates a tabulated reaction outside its table ends the probe
+    diverged, "left the table": like passing u_max, an iterate below
+    u*(lambda) that leaves the table shows that no minimal solution has its
+    values inside it.
+
+    On a convex reaction (the
     ``convex`` property: for convex f a stable solution is the minimal one),
     once rho_k has settled (k >= ACCEL_SWEEPS, rho_k < 1,
     |rho_k - rho_(k-1)| < ACCEL_SETTLE (1 - rho_k)) and the plain sweeps
@@ -582,15 +659,16 @@ def lambda_star_estimate(
     gives rho(T'(u_k)) > 1 by the Collatz-Wielandt bound, and so at every
     fixed point above u_k, where T' is larger.  The minimal fixed point, which
     the iterates stay below, has rho(T') <= 1, so there is none: the probe
-    ends diverged as "unstable iterate".  A warm start is a subsolution, so
-    the argument covers it.  Neither an Anderson attempt nor the
+    ends diverged as "unstable iterate".  A chord or scaled start is a
+    subsolution below u*(lambda), so the argument covers it.  Neither an Anderson attempt nor the
     certificate's sweep feeds this test.
 
     The record's ``certificate`` holds eps, or for an unstable iterate the
     bound min_i delta_(k+1,i) / delta_(k,i), nan for any other probe, and
-    ``iterations`` counts every sweep of the probe: plain ones, those of an
-    Anderson attempt, failed or not, the certificate's, those from u_A and,
-    for a converged probe, the consistency sweep that builds (u, w).
+    ``iterations`` counts every sweep of the probe: plain ones, the first
+    sweep from each rejected start, those of an Anderson attempt, failed or
+    not, the certificate's, those from u_A and, for a converged probe, the
+    consistency sweep that builds (u, w).
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

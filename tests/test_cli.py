@@ -103,7 +103,8 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
 def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     """The disk probe at lambda = 2 stops as a fold ghost far below u_max: solve
     calls it undecided (exit 3), and lambda-star lists it next to a bracket
-    whose ends both come from decided probes."""
+    whose ends both come from decided probes.  The probe above the ghost
+    starts from the ghost's last iterate, scaled, and overflows."""
     run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
     report = json.loads((tmp_path / "sg" / "report.json").read_text())
     assert report["outcome"] == "undecided"
@@ -113,7 +114,9 @@ def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     assert report["undecided"] == [2.0]
     assert (report["lambda_lo"], report["lambda_hi"]) == (1.9995, 2.0005)
     reasons = {rec["lambda"]: rec["reason"] for rec in report["records"]}
-    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "exceeded u_max")
+    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "overflow")
+    # the probe above the ghost starts from its last iterate, scaled
+    assert {rec["lambda"]: rec["start"] for rec in report["records"]}[2.0005] == "scaled"
 
 
 def test_unknown_config_key_names_it(tmp_path, capsys):
@@ -151,7 +154,10 @@ def test_lambda_star_command(tmp_path, capsys):
     assert report["outcome"] == "bracketed"
     assert 1.9 < report["lambda_lo"] <= report["lambda_hi"] < 2.1
     sweep = (out_dir / "lambda_sweep.csv").read_text().strip().split("\n")
-    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction,certificate"
+    assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction,certificate,start"
+    # each record names where its last plain sweeps started; the first probe's is u = 0
+    starts = {rec["lambda"]: rec["start"] for rec in report["records"]}
+    assert starts[1.0] == "zero" and set(starts.values()) <= {"zero", "scaled", "chord"}
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     # certified accelerated probes carry their eps, unstable iterates their
@@ -478,23 +484,32 @@ def test_sweep_reruns_points_whose_config_changed(tmp_path, capsys, monkeypatch)
 
 def test_sweep_records_a_point_whose_iterates_leave_the_table(tmp_path, capsys):
     """(1+u)^3 tabulated on [0, 5]: n = 3, p = 2 brackets inside the table,
-    while at p = 3 the iterates pass u = 5.  That point is an "error" report
-    and row, and the sweep goes on to write its index."""
+    while at p = 3 the iterates of the probes above lambda* pass u = 5.
+    Those probes end diverged, "left the table", and the point brackets
+    lambda* with the floats of Power(3).  A point whose problem is not
+    admissible (n = 31) is an "error" report and row, and the sweep goes on
+    to write its index."""
     table = tmp_path / "cubic.csv"
     knots = [i / 10 for i in range(51)]
     table.write_text("u,g,gp\n" + "".join(f"{x!r},{(1 + x) ** 3!r},{3 * (1 + x) ** 2!r}\n" for x in knots))
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(
         f"[problem]\nnonlinearity = tabulated\ntabulated_file = {table}\n"
-        "[sweep]\nn_values = 3\np_values = 2, 3\n"
+        "[sweep]\nn_values = 3, 31\np_values = 2, 3\n"
     )
     out = tmp_path / "s"
     run_cli(capsys, "--config", str(cfg), "--out", str(out), "sweep")
     rows = [line.split(",") for line in (out / "index.csv").read_text().strip().split("\n")[1:]]
-    assert [(row[0], row[3]) for row in rows] == [("n3_p2", "ok"), ("n3_p3", "error")]
+    assert [(row[0], row[3]) for row in rows] == [
+        ("n3_p2", "ok"), ("n3_p3", "ok"), ("n31_p2", "error"), ("n31_p3", "error")
+    ]
     report = json.loads((out / "n3_p3" / "report.json").read_text())
+    assert (report["lambda_lo"], report["lambda_hi"]) == (2.697265625, 2.69921875)
+    hi = next(rec for rec in report["records"] if rec["lambda"] == report["lambda_hi"])
+    assert (hi["converged"], hi["reason"]) == (False, "left the table")
+    report = json.loads((out / "n31_p2" / "report.json").read_text())
     assert report["outcome"] == "error"
-    assert report["diagnosis"] == "tabulated nonlinearity evaluated outside [0.0, 5.0]"
+    assert report["diagnosis"].startswith("solver supports n <= 30")
 
 
 def test_sweep_point_is_a_lambda_star_run(tmp_path, capsys):

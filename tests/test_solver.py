@@ -568,7 +568,7 @@ def logged_probes(monkeypatch, key=lambda record: record.converged):
     return probes
 
 
-DIVERGED = ("exceeded u_max", "overflow", "unstable iterate")
+DIVERGED = ("exceeded u_max", "overflow", "unstable iterate", "left the table")
 
 
 def state(record):
@@ -893,12 +893,13 @@ def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
 
 
 def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec, grid2000, monkeypatch):
-    """A probe above the last converged lambda starts from its u, and ends as
-    a probe from u = 0 would, in fewer sweeps.  If that u is no subsolution
-    (here: raised by 1 on the inner half of the grid), the first sweep lowers
-    it, and the probe starts again from u = 0 instead of raising: its record
-    is the cold probe's with one more sweep, and its profile the cold one's
-    bit for bit."""
+    """A probe above the last converged lambda starts from its u, scaled by
+    (lambda / lambda') at p = 2 (no chord without Anderson's certificate),
+    and ends as a probe from u = 0 would, in fewer sweeps.  If that u is no
+    subsolution (here: raised by 1 on the inner half of the grid), the first
+    sweep lowers it, and the probe starts again from u = 0 instead of
+    raising: its record is the cold probe's with one more sweep, and its
+    profile the cold one's bit for bit."""
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     controls = IterationControls()
     cold, cold_record = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)(1.5)
@@ -1017,9 +1018,9 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
 # the grid, the default 1e-8/2000 where None; the coarse cases take a grid and
 # non-integer n outside those that the stop's nonnegativity argument checks
 CROSS_CHECK = {
-    "disk": (2.0, 2.0, Exponential(1.0), 755, None),
-    "slab": (1.0, 2.0, Exponential(1.0), 296, None),
-    "cubic-n3": (3.0, 2.0, Power(m=3.0), 427, None),
+    "disk": (2.0, 2.0, Exponential(1.0), 637, None),
+    "slab": (1.0, 2.0, Exponential(1.0), 247, None),
+    "cubic-n3": (3.0, 2.0, Power(m=3.0), 344, None),
     "square-n4": (4.0, 2.0, Power(m=2.0), None, None),
     "exp-n5": (5.0, 2.0, Exponential(1.0), None, None),
     "exp-n8": (8.0, 2.0, Exponential(1.0), None, None),
@@ -1056,6 +1057,91 @@ def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, 
     if sweeps is not None:
         assert total == sweeps
     assert total <= sum(rec.iterations for rec in plain.records)
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK))
+def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch):
+    """The chord and scaled starts decide no probe otherwise: a cold
+    minimal_iterate at each probe's lambda ends in the same class, and every
+    chord or scaled start offered to a probe whose cold twin converged lies
+    at or below that minimal solution, up to the order slack, at every node."""
+    n, p, f, _, coarse = CROSS_CHECK[name]
+    spec, grid = ProblemSpec(n, p, f), grid2000 if coarse is None else make_grid(*coarse)
+    offered = {}
+    real = solver._starts
+
+    def logged(lam, *args):
+        offered[lam] = real(lam, *args)
+        return offered[lam]
+
+    monkeypatch.setattr(solver, "_starts", logged)
+    res = lambda_star_estimate(spec, grid)
+    monkeypatch.undo()
+    assert {rec.start for rec in res.records} & {"chord", "scaled"}
+    for rec in res.records:
+        cold = minimal_iterate(spec, rec.lam, grid)
+        if not isinstance(cold, RadialProfile):
+            assert state(cold) == state(rec)
+            continue
+        assert rec.converged
+        slack = solver.ORDER_SLACK * (1.0 + float(np.max(cold.u)))
+        for label, start in offered[rec.lam]:
+            if label != "zero":
+                assert np.all(start <= cold.u + slack), (rec.lam, label)
+
+
+def test_a_rejected_start_falls_back_one_step(grid2000, monkeypatch):
+    """(1+u)^3 at n = 3: after the converged probes at 1 (certified by
+    Anderson) and 1.25, the probe at 1.3125 starts from the chord.  A chord
+    raised by 1 on the inner half is no subsolution: the first sweep lowers
+    it, and the probe goes on from the scaled start, ending as the probe
+    offered only that start does, with one more sweep and the same profile
+    bit for bit.  A raised scaled start falls back to u = 0 alike."""
+    spec = ProblemSpec(3.0, 2.0, Power(m=3.0))
+    real = solver._starts
+
+    def third_probe(edit):
+        monkeypatch.setattr(solver, "_starts", real)
+        iterate = solver._monotone_iteration(spec, grid2000, IterationControls())
+        iterate(1.0)
+        iterate(1.25)
+        monkeypatch.setattr(solver, "_starts", lambda *args: edit(real(*args)))
+        return iterate(1.3125)
+
+    def raised(starts):
+        (label, u), rest = starts[0], starts[1:]
+        u = u.copy()
+        u[: grid2000.size // 2] += 1.0
+        return [(label, u)] + rest
+
+    profile, record = third_probe(lambda starts: starts)
+    assert record.converged and record.start == "chord"
+    for drop in (1, 2):
+        alone, alone_record = third_probe(lambda starts: starts[drop:])
+        again, again_record = third_probe(lambda starts: raised(starts[drop - 1 :]))
+        assert alone_record.start == ("scaled", "zero")[drop - 1]
+        assert again_record == dataclasses.replace(alone_record, iterations=alone_record.iterations + 1)
+        for name in ("u", "w", "u_r"):
+            assert np.array_equal(getattr(again, name), getattr(alone, name))
+    assert record.iterations < alone_record.iterations
+
+
+def test_leaving_the_table_ends_the_probe(grid2000):
+    """(1+u)^3 tabulated on [0, 5] with 51 knots, n = 3, p = 3: the probes
+    whose iterates pass u = 5 end diverged, "left the table", and the search
+    brackets lambda* with the same floats as Power(3), whose probes there
+    pass u_max.  A plain sweep from below u*(lambda) that leaves the table
+    shows that no minimal solution has values inside it."""
+    table = cubic_table(0.0, 5.0, 51)
+    res = lambda_star_estimate(ProblemSpec(3.0, 3.0, table), grid2000)
+    power = lambda_star_estimate(ProblemSpec(3.0, 3.0, Power(m=3.0)), grid2000)
+    assert (res.lambda_lo, res.lambda_hi) == (power.lambda_lo, power.lambda_hi) == (2.697265625, 2.69921875)
+    assert_decided_ends(res)
+    left = [rec for rec in res.records if rec.reason == "left the table"]
+    assert left and all(not rec.converged and rec.sup_norm > 5.0 for rec in left)
+    assert [rec.lam for rec in left] == [rec.lam for rec in power.records if not rec.converged]
+    out = minimal_iterate(ProblemSpec(3.0, 3.0, table), 4.0, grid2000)
+    assert isinstance(out, LambdaRecord) and (out.reason, out.start) == ("left the table", "zero")
 
 
 @pytest.mark.parametrize("r_min, count, n", [(1e-6, 400, 1.0), (1e-6, 400, 2.5), (1e-6, 400, 7.5)])
