@@ -497,13 +497,13 @@ def _scenario_power_critical(cfg: dict, checks: list) -> None:
     checks.append(
         ("singularity slope matches within 1e-3", abs(slope - target) < 1e-3, f"{slope:.6f} vs {target:.6f}")
     )
-    thr = integrability_threshold(prof, "u_r", 2.0, 12.0)
+    thr, err = integrability_threshold(prof, "u_r")
     q1 = q_exponent(15.0, 2.0, 1)
     checks.append(
         (
             "gradient integrability threshold within 2%",
             abs(thr - q1) / q1 < 0.02,
-            f"{thr:.4f} vs {q1:.4f}",
+            f"{thr:.4f} +/- {err:.2g} vs {q1:.4f}",
         )
     )
 

@@ -86,6 +86,11 @@ def _jsonable(obj):
 # its domain, u outside a table), which both routes record as a failure.
 
 
+def _monotone_minimum(g, lo: float, hi: float) -> float:
+    """The least value on [lo, hi] of a reaction monotone in u: an end's."""
+    return float(np.min(g.value(np.asarray([lo, hi]))))
+
+
 @dataclass(frozen=True)
 class Exponential:
     """g(u) = scale * e^u."""
@@ -96,6 +101,7 @@ class Exponential:
         return self.scale * np.exp(u)
 
     derivative = antiderivative = value
+    minimum = _monotone_minimum
 
     def with_scale(self, factor: float) -> "Exponential":
         return Exponential(self.scale * factor)
@@ -136,6 +142,8 @@ class Power:
 
     def with_scale(self, factor: float) -> "Power":
         return Power(self.m, self.scale * factor)
+
+    minimum = _monotone_minimum
 
     def scalar_value(self, floor: float = -math.inf) -> Callable[[float], float]:
         s, m, pow = self.scale, self.m, math.pow

@@ -4,9 +4,10 @@ The sharp bounds come with non-explicit constants, so they are verified as
 growth-rate statements: fitted log-log slopes against the closed-form
 exponents (with a slack that absorbs the |log r|^(1/p) factor over the fit
 window), plus boundedness of the implied constants across parameter sweeps.
-Integrability is decided empirically from the head of the grid (does the
-integral keep growing as the lower cutoff shrinks?) so tabulated reaction
-terms are handled uniformly with closed-form ones.
+Integrability is read from the head of the grid: a head |v| ~ r^(-a) lies
+in L^q exactly for q < n/a, and ``integrability_threshold`` estimates n/a
+with its error from the first three decades above r_min, so tabulated
+reaction terms are handled uniformly with closed-form ones.
 """
 
 from __future__ import annotations
@@ -19,83 +20,82 @@ import numpy as np
 from .core import Nonlinearity, ParameterError, ProblemSpec, RadialProfile, _jsonable
 from .exponents import _pointwise_exponent, classify_regime, q_exponent
 
-#: head-growth fraction beyond which an integral is declared divergent
-HEAD_GROWTH_LIMIT = 0.05
+#: relative drift of the head estimates that is rounding, not truncation
+ROUNDING_DRIFT = 1e-12
 
 
-def _scaled_lq_integral(profile: RadialProfile, values: np.ndarray, q: float):
-    """(norm, diverged) for the L^q norm of |values| in the radial measure,
-    the sup norm for q = inf.
+def integrability_threshold(profile: RadialProfile, component: str) -> tuple[float, float]:
+    """(threshold, error): the q from which |u| or |u_r| is not in L^q of
+    the radial measure, read from the head.
+
+    a is the least-squares slope of -log|v| against log r on each of the
+    first three decades above r_min, deepest first; n/a of the deepest
+    decade is the threshold and its drift to the next decade the error (at
+    least rounding level).  A power head's estimates converge toward the
+    origin: the deepest drift is at most half the next one, or rounding.
+    Where they do not (a logarithmic head adds n ln 10 a decade), or where
+    |v| does not grow toward the origin on every decade (a bounded head),
+    there is no finite threshold: (inf, nan).
+    """
+    if component not in ("u", "u_r"):
+        raise ParameterError(f"component must be 'u' or 'u_r', got {component!r}")
+    grid = profile.grid
+    values = np.abs(profile.u if component == "u" else profile.u_r)
+    # decade ends in log r; the 1e-12 slack keeps nodes that rounding put
+    # just past an end
+    ends = grid.t[0] + math.log(10.0) * np.arange(4)
+    if ends[-1] > math.log(0.1) + 1e-12:
+        raise ParameterError(
+            f"the head needs three decades in [r_min, 0.1], got r_min = {grid.r_min:.3g}"
+        )
+    rates = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        mask = (grid.t >= lo - 1e-12) & (grid.t <= hi + 1e-12)
+        if np.count_nonzero(mask) < 2:
+            raise ParameterError("each head decade needs two grid nodes; refine the grid")
+        head = values[mask]
+        if not np.min(head) > 0.0:
+            return math.inf, math.nan
+        rates.append(-_lstsq_slope(grid.t[mask], np.log(head))[0])
+    if not min(rates) > 0.0:
+        return math.inf, math.nan
+    e0, e1, e2 = (profile.n / a for a in rates)
+    drift = abs(e0 - e1)
+    if drift <= 0.5 * abs(e1 - e2) or drift <= ROUNDING_DRIFT * e0:
+        return e0, max(drift, ROUNDING_DRIFT * e0)
+    return math.inf, math.nan
+
+
+def _lq(profile: RadialProfile, component: str, q: float) -> float:
+    """L^q norm of |u| or |u_r| in the radial measure, the sup norm for
+    q = inf; inf from the component's integrability threshold on.
 
     The integrand is scaled by its maximum before exponentiation so that
-    singular heads cannot overflow; divergence is flagged when the head
-    region [r_min, 4 r_min] carries more than HEAD_GROWTH_LIMIT of the
-    integral (the discrete Cauchy test: shrinking the cutoff would keep
-    growing the value).
-    """
+    singular heads cannot overflow."""
     if not q >= 1.0:
         raise ParameterError(f"q must be at least 1, got {q}")
-    if q == math.inf:
-        return float(np.max(np.abs(values))), False
-    rule = profile.rule
-    mags = np.abs(values)
+    mags = np.abs(profile.u if component == "u" else profile.u_r)
     top = float(np.max(mags))
-    if top == 0.0:
-        return 0.0, False
-    scaled = (mags / top) ** q
-    total = rule.integrate(scaled)
-    if total <= 0.0 or not math.isfinite(total):
-        return math.inf, True
-    cum = rule.cumulative_from_zero(scaled)
-    k4 = int(np.searchsorted(profile.grid.r, 4.0 * profile.grid.r_min))
-    head_fraction = float(cum[min(k4, profile.grid.size - 1)] / total)
-    if head_fraction > HEAD_GROWTH_LIMIT:
-        return math.inf, True
-    return top * total ** (1.0 / q), False
+    if q == math.inf or top == 0.0:
+        return top
+    if q >= integrability_threshold(profile, component)[0]:
+        return math.inf
+    return top * profile.rule.integrate((mags / top) ** q) ** (1.0 / q)
 
 
 def lq_norm(profile: RadialProfile, q: float) -> float:
-    """L^q norm in radial units; sup norm for q = inf; math.inf when the
-    integral fails the head Cauchy test."""
-    return _scaled_lq_integral(profile, profile.u, q)[0]
+    """L^q norm of u in radial units; sup norm for q = inf; math.inf from
+    u's integrability threshold on."""
+    return _lq(profile, "u", q)
 
 
 def w1q_norm(profile: RadialProfile, q: float) -> float:
-    """(|u|_q^q + |u_r|_q^q)^(1/q), with the same divergence detection on
-    the gradient term; max(|u|_inf, |u_r|_inf) for q = inf."""
-    nu, du = _scaled_lq_integral(profile, profile.u, q)
-    ng, dg = _scaled_lq_integral(profile, profile.u_r, q)
-    if du or dg:
-        return math.inf
+    """(|u|_q^q + |u_r|_q^q)^(1/q), math.inf from either component's
+    integrability threshold on; max(|u|_inf, |u_r|_inf) for q = inf."""
+    nu, ng = _lq(profile, "u", q), _lq(profile, "u_r", q)
     if q == math.inf:
         return max(nu, ng)
     return (nu**q + ng**q) ** (1.0 / q)
-
-
-def integrability_threshold(
-    profile: RadialProfile, component: str, q_lo: float, q_hi: float
-) -> float:
-    """Empirical L^q divergence threshold of u or u_r by bisection on the head flag."""
-    if component not in ("u", "u_r"):
-        raise ParameterError(f"component must be 'u' or 'u_r', got {component!r}")
-    if not math.isfinite(q_hi):
-        raise ParameterError(f"q_hi must be finite, got {q_hi}")
-    values = profile.u if component == "u" else profile.u_r
-
-    def diverged(q: float) -> bool:
-        return _scaled_lq_integral(profile, values, q)[1]
-
-    if diverged(q_lo):
-        raise ParameterError(f"integral already divergent at q = {q_lo}")
-    if not diverged(q_hi):
-        raise ParameterError(f"integral still convergent at q = {q_hi}")
-    for _ in range(50):
-        mid = 0.5 * (q_lo + q_hi)
-        if diverged(mid):
-            q_hi = mid
-        else:
-            q_lo = mid
-    return 0.5 * (q_lo + q_hi)
 
 
 # ---------------------------------------------------------------------------

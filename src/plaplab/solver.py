@@ -52,7 +52,6 @@ from .core import (
     QuadratureRule,
     RadialGrid,
     RadialProfile,
-    Tabulated,
     _CellSums,
     make_rule,
 )
@@ -729,10 +728,11 @@ def lambda_star_estimate(
 def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     """(log S, RK4 steps) for the lambda = 1 problem -Delta_p v = f(v),
     v(0) = M, with S the first zero of v.  log S is None when f is not
-    positive on [0, M] (its minimum there is exact, for a table the least of
-    each cell's cubic at its ends and stationary points), the startup flux or
-    start underflows, a value overflows, the integration turns non-finite, or
-    the march or its last step in u passes the comparison bound S_max, with
+    positive on [0, M] (``f.minimum`` is exact: an end's for a monotone
+    reaction, for a table the least of each cell's cubic at its ends and
+    stationary points), the startup flux or start underflows, a value
+    overflows, the integration turns non-finite, or the march or its last
+    step in u passes the comparison bound S_max, with
     S_max^p = min(n (pM/(p-1))^(p-1) / min_[0,M] f, e^709.78) a double.
 
     The startup series starts at ``_series_start``, where its correction
@@ -761,10 +761,7 @@ def _scaled_first_zero(spec: ProblemSpec, m_val: float, grid: RadialGrid):
     steps = 0
     try:
         g_m = g(m_val)
-        if isinstance(f, Tabulated):
-            f_min = f.minimum(0.0, m_val)
-        else:  # monotone in u
-            f_min = float(np.min(f.value(np.asarray([0.0, m_val]))))
+        f_min = f.minimum(0.0, m_val)
         if not f_min > 0.0:
             return None, 0
         t_max = min(math.log(n / f_min) + (p - 1.0) * math.log(p * m_val / (p - 1.0)), 709.78) / p

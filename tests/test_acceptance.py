@@ -199,16 +199,18 @@ def test_criterion_10_singularity_exponents(grid2000):
 
 def test_criterion_11_integrability_thresholds(grid2000):
     prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
-    thr_u = integrability_threshold(prof, "u", 5.0, 50.0)
+    thr_u, err_u = integrability_threshold(prof, "u")
     prof_c = exact_power(15.0, 2.0, m_cs(15.0, 2.0)).sample(grid2000)
-    thr_g = integrability_threshold(prof_c, "u_r", 2.0, 12.0)
+    thr_g, err_g = integrability_threshold(prof_c, "u_r")
     q1 = q_exponent(15.0, 2.0, 1)
     ok = abs(thr_u - 30.0) / 30.0 < 0.02 and abs(thr_g - q1) / q1 < 0.02
+    # each reported error bounds the distance to the closed form
+    ok = ok and abs(thr_u - 30.0) <= err_u and abs(thr_g - q1) <= err_g
     _criterion(
         11,
         "empirical integrability thresholds within 2%",
         ok,
-        f"L^q {thr_u:.3f} vs 30; gradient {thr_g:.3f} vs {q1:.3f}",
+        f"L^q {thr_u:.4f} +/- {err_u:.2g} vs 30; gradient {thr_g:.5f} +/- {err_g:.2g} vs {q1:.5f}",
     )
 
 

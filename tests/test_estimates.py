@@ -59,20 +59,22 @@ def test_integrability_threshold_rejects_unknown_component(grid2000):
     prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
     for component in ("grad", "U", "ur", ""):
         with pytest.raises(ParameterError, match="component must be 'u' or 'u_r'"):
-            integrability_threshold(prof, component, 2.0, 12.0)
+            integrability_threshold(prof, component)
 
 
-def test_integrability_threshold_needs_finite_q_hi(grid2000):
-    # the sup norm never fails the head test, so q_hi = inf could not bracket
-    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
-    for q_hi in (math.inf, math.nan):
-        with pytest.raises(ParameterError, match="q_hi must be finite"):
-            integrability_threshold(prof, "u", 2.0, q_hi)
+def test_integrability_threshold_needs_three_decades_below_a_tenth():
+    prof = exact_power(15.0, 2.0, 5.0).sample(make_grid(2e-4, 200))
+    with pytest.raises(ParameterError, match="three decades"):
+        integrability_threshold(prof, "u")
+    deep_enough = exact_power(15.0, 2.0, 5.0).sample(make_grid(1e-4, 200))
+    assert integrability_threshold(deep_enough, "u")[0] < 30.0
+    coarse = exact_power(15.0, 2.0, 5.0).sample(make_grid(1e-12, 16))  # 1.3 nodes a decade
+    with pytest.raises(ParameterError, match="two grid nodes"):
+        integrability_threshold(coarse, "u")
 
 
-def test_integrability_threshold_builds_one_rule(grid2000, monkeypatch):
-    # the profile's rule is built on first use and kept: the 52 head tests
-    # of one bisection share it
+def test_integrability_threshold_builds_no_rule(grid2000, monkeypatch):
+    # the head estimate is a fit of nodal values: no quadrature rule
     built = []
     real = plaplab.core.make_rule
 
@@ -82,10 +84,56 @@ def test_integrability_threshold_builds_one_rule(grid2000, monkeypatch):
 
     monkeypatch.setattr(plaplab.core, "make_rule", counting)
     prof = exact_power(15.0, 2.0, m_cs(15.0, 2.0)).sample(grid2000)
-    thr = integrability_threshold(prof, "u_r", 2.0, 12.0)
-    assert len(built) == 1
-    assert prof.rule is prof.rule
-    assert abs(thr - q_exponent(15.0, 2.0, 1)) / thr < 0.02
+    thr, err = integrability_threshold(prof, "u_r")
+    assert built == []
+    assert abs(thr - q_exponent(15.0, 2.0, 1)) <= err
+
+
+@pytest.mark.parametrize("r_min", [1e-4, 1e-8, 1e-12])
+def test_integrability_threshold_error_bounds_the_closed_form(r_min):
+    # criterion 11's profiles: u in L^q iff q < 30 (m = 5), u_r iff q < q1 (m_cs)
+    grid = make_grid(r_min, 2000)
+    thr, err = integrability_threshold(exact_power(15.0, 2.0, 5.0).sample(grid), "u")
+    assert abs(thr - 30.0) <= err < 0.05 * 30.0
+    q1 = q_exponent(15.0, 2.0, 1)
+    thr, err = integrability_threshold(exact_power(15.0, 2.0, m_cs(15.0, 2.0)).sample(grid), "u_r")
+    assert abs(thr - q1) <= err <= 1e-11 * q1
+
+
+@pytest.mark.parametrize("r_min", [1e-4, 1e-8, 1e-12])
+def test_integrability_threshold_of_the_exponential_profile(r_min):
+    # u_r = -2/r is an exact power head, in L^q iff q < n = 12; u = -2 log r
+    # is a logarithmic head, in every L^q: its decade estimates n/a grow by
+    # n ln 10 a decade toward the origin and never converge
+    prof = exact_exponential(12.0, 2.0).sample(make_grid(r_min, 2000))
+    thr, err = integrability_threshold(prof, "u_r")
+    assert abs(thr - 12.0) <= 1e-12 * 12.0 and abs(thr - 12.0) <= err
+    thr, err = integrability_threshold(prof, "u")
+    assert thr == math.inf and math.isnan(err)
+
+
+def test_integrability_threshold_of_bounded_profiles(minimal_disk_lam1):
+    grid = make_grid(1e-8, 1000)
+    for prof in (constant_profile(grid, 1.0), constant_profile(grid, 0.0), minimal_disk_lam1):
+        for component in ("u", "u_r"):
+            thr, err = integrability_threshold(prof, component)
+            assert thr == math.inf and math.isnan(err)
+
+
+def test_norms_turn_infinite_at_the_threshold(grid2000):
+    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
+    thr = integrability_threshold(prof, "u")[0]
+    assert math.isfinite(lq_norm(prof, math.nextafter(thr, 0.0)))
+    assert lq_norm(prof, thr) == math.inf
+    # w1q_norm turns at the lesser threshold, here u_r's n/(gamma + 1) = 10
+    thr_g = integrability_threshold(prof, "u_r")[0]
+    assert thr_g < thr
+    assert math.isfinite(w1q_norm(prof, math.nextafter(thr_g, 0.0)))
+    assert w1q_norm(prof, thr_g) == math.inf
+    # a logarithmic u-head lies in every L^q; the sup norm is never flagged
+    log_head = exact_exponential(12.0, 2.0).sample(grid2000)
+    assert math.isfinite(lq_norm(log_head, 1e3))
+    assert lq_norm(prof, math.inf) == float(np.max(np.abs(prof.u)))
 
 
 def test_lq_integrability_of_power_solution(grid2000):
@@ -97,7 +145,7 @@ def test_lq_integrability_of_power_solution(grid2000):
 
 def test_lq_threshold_matches_prediction(grid2000):
     prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
-    thr = integrability_threshold(prof, "u", 5.0, 50.0)
+    thr, _ = integrability_threshold(prof, "u")
     assert abs(thr - 30.0) / 30.0 < 0.02
 
 
@@ -111,7 +159,7 @@ def test_w1q_threshold_exponential(grid2000):
     # u_r = -2/r lies in L^q iff q < n = 12; the gradient-exponent
     # prediction q1 must stay below that analytic threshold
     prof = exact_exponential(12.0, 2.0).sample(grid2000)
-    thr = integrability_threshold(prof, "u_r", 2.0, 20.0)
+    thr, _ = integrability_threshold(prof, "u_r")
     assert abs(thr - 12.0) / 12.0 < 0.02
     assert q_exponent(12.0, 2.0, 1) <= 12.0 * 1.02
 
