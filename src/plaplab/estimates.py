@@ -23,6 +23,9 @@ from .exponents import _pointwise_exponent, classify_regime, q_exponent
 #: relative drift of the head estimates that is rounding, not truncation
 ROUNDING_DRIFT = 1e-12
 
+#: drift ratio of converging head estimates; a log head's stays below 1.009
+CONVERGENT_RATIO = 1.02
+
 
 def integrability_threshold(profile: RadialProfile, component: str) -> tuple[float, float]:
     """(threshold, error): the q from which |u| or |u_r| is not in L^q of
@@ -30,12 +33,13 @@ def integrability_threshold(profile: RadialProfile, component: str) -> tuple[flo
 
     a is the least-squares slope of -log|v| against log r on each of the
     first three decades above r_min, deepest first; n/a of the deepest
-    decade is the threshold and its drift to the next decade the error (at
-    least rounding level).  A power head's estimates converge toward the
-    origin: the deepest drift is at most half the next one, or rounding.
-    Where they do not (a logarithmic head adds n ln 10 a decade), or where
-    |v| does not grow toward the origin on every decade (a bounded head),
-    there is no finite threshold: (inf, nan).
+    decade is the threshold.  A power head r^(-g)'s drifts shrink by a ratio
+    near 10^g a decade toward the origin.  The error is the drift to the
+    next decade or, where larger, the drifts' geometric tail at half the
+    ratio's excess over 1 (the first ratio overstates the shrinking deeper
+    in).  Where the ratio is at most CONVERGENT_RATIO (a logarithmic head,
+    or a power head with g < 0.0086), or |v| does not grow toward the
+    origin (a bounded head), there is no finite threshold: (inf, nan).
     """
     if component not in ("u", "u_r"):
         raise ParameterError(f"component must be 'u' or 'u_r', got {component!r}")
@@ -61,14 +65,19 @@ def integrability_threshold(profile: RadialProfile, component: str) -> tuple[flo
         return math.inf, math.nan
     e0, e1, e2 = (profile.n / a for a in rates)
     drift = abs(e0 - e1)
-    if drift <= 0.5 * abs(e1 - e2) or drift <= ROUNDING_DRIFT * e0:
-        return e0, max(drift, ROUNDING_DRIFT * e0)
+    if drift <= ROUNDING_DRIFT * e0:
+        return e0, ROUNDING_DRIFT * e0
+    ratio = abs(e1 - e2) / drift
+    if ratio > CONVERGENT_RATIO:
+        return e0, max(drift, 2.0 * drift / (ratio - 1.0))
     return math.inf, math.nan
 
 
 def _lq(profile: RadialProfile, component: str, q: float) -> float:
     """L^q norm of |u| or |u_r| in the radial measure, the sup norm for
-    q = inf; inf from the component's integrability threshold on.
+    q = inf; inf from the component's integrability threshold on.  On a
+    grid too shallow or coarse to read the head it is the quadrature over
+    [r_min, 1], never flagged.
 
     The integrand is scaled by its maximum before exponentiation so that
     singular heads cannot overflow."""
@@ -78,7 +87,11 @@ def _lq(profile: RadialProfile, component: str, q: float) -> float:
     top = float(np.max(mags))
     if q == math.inf or top == 0.0:
         return top
-    if q >= integrability_threshold(profile, component)[0]:
+    try:
+        threshold = integrability_threshold(profile, component)[0]
+    except ParameterError:  # the component is valid: the grid cannot read the head
+        threshold = math.inf
+    if q >= threshold:
         return math.inf
     return top * profile.rule.integrate((mags / top) ** q) ** (1.0 / q)
 

@@ -87,6 +87,10 @@ def test_integrability_threshold_builds_no_rule(grid2000, monkeypatch):
     thr, err = integrability_threshold(prof, "u_r")
     assert built == []
     assert abs(thr - q_exponent(15.0, 2.0, 1)) <= err
+    # the norms share the profile's one cached rule
+    assert math.isfinite(w1q_norm(prof, 3.0))
+    assert len(built) == 1
+    assert prof.rule is prof.rule
 
 
 @pytest.mark.parametrize("r_min", [1e-4, 1e-8, 1e-12])
@@ -98,6 +102,18 @@ def test_integrability_threshold_error_bounds_the_closed_form(r_min):
     q1 = q_exponent(15.0, 2.0, 1)
     thr, err = integrability_threshold(exact_power(15.0, 2.0, m_cs(15.0, 2.0)).sample(grid), "u_r")
     assert abs(thr - q1) <= err <= 1e-11 * q1
+
+
+@pytest.mark.parametrize("r_min", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("m", [9.0, 41.0, 101.0])
+def test_integrability_threshold_of_slowly_converging_power_heads(r_min, m):
+    # u = r^(-g) - 1 with g = 2/(m - 1): in L^q iff q < 15/g; the decade
+    # estimates' drifts shrink only by about 10^g (1.78, 1.12, 1.05) a decade
+    prof = exact_power(15.0, 2.0, m).sample(make_grid(r_min, 2000))
+    closed = 15.0 * (m - 1.0) / 2.0
+    thr, err = integrability_threshold(prof, "u")
+    assert thr < closed and abs(thr - closed) <= err
+    assert lq_norm(prof, thr) == math.inf and lq_norm(prof, closed) == math.inf
 
 
 @pytest.mark.parametrize("r_min", [1e-4, 1e-8, 1e-12])
@@ -118,6 +134,28 @@ def test_integrability_threshold_of_bounded_profiles(minimal_disk_lam1):
         for component in ("u", "u_r"):
             thr, err = integrability_threshold(prof, component)
             assert thr == math.inf and math.isnan(err)
+
+
+def test_norms_on_a_grid_too_shallow_to_read_the_head():
+    # regime C (n = 12), bounded: the norms are the quadratures on [1e-3, 1]
+    grid = make_grid(1e-3, 400)
+    prof = minimal_iterate(ProblemSpec(12.0, 2.0, Exponential(1.0)), 10.0, grid)
+    with pytest.raises(ParameterError, match="three decades"):
+        integrability_threshold(prof, "u")
+    u = np.abs(prof.u)
+    quad = float(np.max(u)) * prof.rule.integrate((u / np.max(u)) ** 5.0) ** 0.2
+    assert lq_norm(prof, 5.0) == quad
+    for q in (5.0, 200.0):
+        assert math.isfinite(lq_norm(prof, q)) and math.isfinite(w1q_norm(prof, q))
+
+
+def test_check_reports_norms_on_a_grid_too_shallow_to_read_the_head():
+    spec = ProblemSpec(2.0, 2.0, Exponential(1.0))
+    prof = minimal_iterate(spec, 1.0, make_grid(1e-3, 400))
+    rep = stability_report(prof, Exponential(1.0).derivative, r_trunc=1e-3)
+    est = check_regularity_bounds(prof, spec, rep, q_values=(5.0, 200.0))
+    assert est.passed
+    assert all(math.isfinite(est.norms[k]) for k in ("lq_5", "w1q_5", "lq_200", "w1q_200"))
 
 
 def test_norms_turn_infinite_at_the_threshold(grid2000):
