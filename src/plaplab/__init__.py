@@ -74,7 +74,6 @@ _EXPORTS = {
             "integrability_threshold",
             "lq_norm",
             "log_singularity_fit",
-            "singularity_exponent_fit",
             "w1q_norm",
         ),
     }.items()

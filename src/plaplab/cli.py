@@ -138,7 +138,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    values = []
+    for tok in raw.replace(",", " ").split():
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"not a number: {tok!r} in list {raw!r}") from None
+    return values
 
 
 def _nonlinearity(cfg: dict):
@@ -483,7 +489,7 @@ def _scenario_supercritical(cfg: dict, checks: list) -> None:
 
 
 def _scenario_power_critical(cfg: dict, checks: list) -> None:
-    from .estimates import _default_window, integrability_threshold, singularity_exponent_fit
+    from .estimates import integrability_threshold
     from .exponents import _pointwise_exponent, m_cs, q_exponent
     from .oracle import exact_power
 
@@ -492,7 +498,7 @@ def _scenario_power_critical(cfg: dict, checks: list) -> None:
     checks.append(_residual_check(cfg, sol))
     grid = _grid(cfg)
     prof = sol.sample(grid)
-    slope, _ = singularity_exponent_fit(prof, _default_window(prof))
+    slope = -15.0 / integrability_threshold(prof, "u")[0]  # the head r^(-a) has a = n/threshold
     target = -_pointwise_exponent(15.0, 2.0, 0)
     checks.append(
         ("singularity slope matches within 1e-3", abs(slope - target) < 1e-3, f"{slope:.6f} vs {target:.6f}")
@@ -578,6 +584,11 @@ def cmd_sweep(args, cfg: dict) -> int:
         for n_val in n_values or [cfg["problem"]["n"]]
         for p_val in p_values or [cfg["problem"]["p"]]
     ]
+    seen: dict = {}
+    for name, n_val, p_val in points:  # a shared directory would hold only the later point
+        if name in seen:
+            raise ConfigError(f"sweep points (n, p) = {seen[name]} and {(n_val, p_val)} share the directory {name}")
+        seen[name] = (n_val, p_val)
     rows, names, jobs = {}, [], []
     for name, n_val, p_val in points:
         point_cfg = {**cfg, "problem": {**cfg["problem"], "n": n_val, "p": p_val}}

@@ -1,13 +1,15 @@
-"""Norms, singularity fits, and the regime-dependent bound checks.
+"""Norms, head exponents, and the regime-dependent bound checks.
 
 The sharp bounds come with non-explicit constants, so they are verified as
-growth-rate statements: fitted log-log slopes against the closed-form
-exponents (with a slack that absorbs the |log r|^(1/p) factor over the fit
-window), plus boundedness of the implied constants across parameter sweeps.
-Integrability is read from the head of the grid: a head |v| ~ r^(-a) lies
-in L^q exactly for q < n/a, and ``integrability_threshold`` estimates n/a
-with its error from the first three decades above r_min, so tabulated
-reaction terms are handled uniformly with closed-form ones.
+growth-rate statements.  Exponents are read from the head of the grid: a
+head |v| ~ r^(-a) lies in L^q exactly for q < n/a, and
+``integrability_threshold`` estimates n/a with its error from the first
+three decades above r_min.  That one estimate per component gives both the
+integrability of u and u_r and the head exponents -a checked against the
+closed-form pointwise exponents (with a slack that absorbs the
+|log r|^(1/p) factor), so tabulated reaction terms are handled uniformly
+with closed-form ones.  Implied constants are reported for boundedness
+across parameter sweeps.
 """
 
 from __future__ import annotations
@@ -73,11 +75,18 @@ def integrability_threshold(profile: RadialProfile, component: str) -> tuple[flo
     return math.inf, math.nan
 
 
-def _lq(profile: RadialProfile, component: str, q: float) -> float:
+def _read_head(profile: RadialProfile, component: str) -> tuple[float, str | None]:
+    """(threshold, None), or (inf, why) on a grid too shallow or coarse to
+    read the head."""
+    try:
+        return integrability_threshold(profile, component)[0], None
+    except ParameterError as exc:  # the component is valid: the grid cannot read the head
+        return math.inf, str(exc)
+
+
+def _lq(profile: RadialProfile, component: str, q: float, threshold: float) -> float:
     """L^q norm of |u| or |u_r| in the radial measure, the sup norm for
-    q = inf; inf from the component's integrability threshold on.  On a
-    grid too shallow or coarse to read the head it is the quadrature over
-    [r_min, 1], never flagged.
+    q = inf; inf from the component's integrability threshold on.
 
     The integrand is scaled by its maximum before exponentiation so that
     singular heads cannot overflow."""
@@ -87,44 +96,34 @@ def _lq(profile: RadialProfile, component: str, q: float) -> float:
     top = float(np.max(mags))
     if q == math.inf or top == 0.0:
         return top
-    try:
-        threshold = integrability_threshold(profile, component)[0]
-    except ParameterError:  # the component is valid: the grid cannot read the head
-        threshold = math.inf
     if q >= threshold:
         return math.inf
     return top * profile.rule.integrate((mags / top) ** q) ** (1.0 / q)
 
 
-def lq_norm(profile: RadialProfile, q: float) -> float:
-    """L^q norm of u in radial units; sup norm for q = inf; math.inf from
-    u's integrability threshold on."""
-    return _lq(profile, "u", q)
-
-
-def w1q_norm(profile: RadialProfile, q: float) -> float:
-    """(|u|_q^q + |u_r|_q^q)^(1/q), math.inf from either component's
-    integrability threshold on; max(|u|_inf, |u_r|_inf) for q = inf."""
-    nu, ng = _lq(profile, "u", q), _lq(profile, "u_r", q)
+def _w1q(profile: RadialProfile, q: float, threshold_u: float, threshold_ur: float) -> float:
+    nu, ng = _lq(profile, "u", q, threshold_u), _lq(profile, "u_r", q, threshold_ur)
     if q == math.inf:
         return max(nu, ng)
     return (nu**q + ng**q) ** (1.0 / q)
 
 
-# ---------------------------------------------------------------------------
-# singularity fits
-# ---------------------------------------------------------------------------
+def lq_norm(profile: RadialProfile, q: float) -> float:
+    """L^q norm of u in radial units; sup norm for q = inf; math.inf from
+    u's integrability threshold on.  On a grid too shallow or coarse to
+    read the head it is the quadrature over [r_min, 1], never flagged."""
+    return _lq(profile, "u", q, _read_head(profile, "u")[0])
 
 
-def _window_mask(profile: RadialProfile, r_a: float, r_b: float) -> np.ndarray:
-    grid = profile.grid
-    if r_a < 10.0 * grid.r_min * (1.0 - 1e-12) or r_b > 0.1 * (1.0 + 1e-12):
-        raise ParameterError(
-            f"fit window must lie inside [{10 * grid.r_min:.3g}, 0.1]"
-        )
-    if r_b < 10.0 * r_a:
-        raise ParameterError("fit window must span at least one decade")
-    return (grid.r >= r_a) & (grid.r <= r_b)
+def w1q_norm(profile: RadialProfile, q: float) -> float:
+    """(|u|_q^q + |u_r|_q^q)^(1/q), math.inf from either component's
+    integrability threshold on; max(|u|_inf, |u_r|_inf) for q = inf."""
+    return _w1q(profile, q, _read_head(profile, "u")[0], _read_head(profile, "u_r")[0])
+
+
+# ---------------------------------------------------------------------------
+# logarithmic heads
+# ---------------------------------------------------------------------------
 
 
 def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -142,49 +141,20 @@ def _shifted(profile: RadialProfile) -> np.ndarray:
     return profile.u - profile.u[-1]
 
 
-def singularity_exponent_fit(
-    profile: RadialProfile, window: tuple[float, float]
-) -> tuple[float, float]:
-    """Least-squares slope of log(1 + u - u(1)) against log r on the window.
-
-    The +1 offset removes the boundary normalization so a pure power-law
-    head fits exactly.  Windows whose two halves disagree by more than 20%
-    are rejected: the head is not a power law (logarithmic singularities
-    land here and belong to log_singularity_fit).
-    """
-    r_a, r_b = window
-    mask = _window_mask(profile, r_a, r_b)
-    us = _shifted(profile)
-    if not us[0] > 10.0 * float(np.max(us[mask][-1:])):
-        raise ParameterError("profile is not singular enough for an exponent fit")
-    x = profile.grid.t[mask]
-    y = np.log1p(us[mask])
-    slope, stderr = _lstsq_slope(x, y)
-    mid = 0.5 * (math.log(r_a) + math.log(r_b))
-    lo_half = x <= mid
-    s1, _ = _lstsq_slope(x[lo_half], y[lo_half])
-    s2, _ = _lstsq_slope(x[~lo_half], y[~lo_half])
-    if abs(s1 - s2) > 0.2 * max(abs(slope), 0.05):
-        raise ParameterError(
-            f"slope drifts across the window ({s1:.4g} vs {s2:.4g}); "
-            "head is not a power law"
-        )
-    return slope, stderr
-
-
-def _window_fit(profile: RadialProfile, window, y, x=None) -> tuple[float, float]:
-    """(slope, stderr) of the nodal values y against x (default log r) over
-    the grid nodes in the window."""
-    mask = _window_mask(profile, *window)
-    return _lstsq_slope((profile.grid.t if x is None else x)[mask], y[mask])
-
-
 def log_singularity_fit(
     profile: RadialProfile, window: tuple[float, float]
 ) -> tuple[float, float]:
-    """Slope of (u - u(1)) against |log r|: the companion fit for
-    logarithmic heads."""
-    return _window_fit(profile, window, _shifted(profile), x=-profile.grid.t)
+    """(slope, stderr) of (u - u(1)) against |log r| over the grid nodes in
+    the window, which must span a decade inside [10 r_min, 0.1]: the
+    coefficient of a logarithmic head, which has no finite threshold."""
+    r_a, r_b = window
+    grid = profile.grid
+    if r_a < 10.0 * grid.r_min * (1.0 - 1e-12) or r_b > 0.1 * (1.0 + 1e-12):
+        raise ParameterError(f"fit window must lie inside [{10 * grid.r_min:.3g}, 0.1]")
+    if r_b < 10.0 * r_a:
+        raise ParameterError("fit window must span at least one decade")
+    mask = (grid.r >= r_a) & (grid.r <= r_b)
+    return _lstsq_slope(-grid.t[mask], _shifted(profile)[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +225,8 @@ class EstimateReport:
         return {**_jsonable(self), "passed": self.passed}
 
 
-#: slope slack absorbing the |log r|^(1/p) factor over the fit window
+#: slope slack absorbing the |log r|^(1/p) factor of the pointwise bounds
 SLOPE_SLACK = 0.05
-
-
-def _default_window(profile: RadialProfile) -> tuple[float, float]:
-    lo = max(10.0 * profile.grid.r_min, 1e-5)
-    return lo, 0.01
 
 
 def check_regularity_bounds(
@@ -274,8 +239,12 @@ def check_regularity_bounds(
 
     Refuses profiles without a semi-stability certificate: every bound here
     assumes it.  Pointwise bounds with unknown constants are checked as
-    slope inequalities (slack SLOPE_SLACK); implied constants are reported,
-    never asserted against fixed numbers.
+    head exponents: a head r^(-a) has a = n/threshold (0 for a bounded or
+    logarithmic head), and -a must be at least -(e + SLOPE_SLACK) for the
+    sharp exponent e.  Each head is read once, for these slopes and every
+    norm.  On a grid that cannot read the head the head checks are left
+    out with a note.  Implied constants are reported, never asserted
+    against fixed numbers.
     """
     if stability is None:
         raise ParameterError("a stability report is required")
@@ -288,14 +257,16 @@ def check_regularity_bounds(
     rule = profile.rule
     us = _shifted(profile)
     grid = profile.grid
+    (thr_u, why_u), (thr_ur, why_ur) = (_read_head(profile, c) for c in ("u", "u_r"))
+    unread = why_u or why_ur
 
     grad_lp = rule.integrate(np.abs(profile.u_r) ** p) ** (1.0 / p)
     w1p = (rule.integrate(np.abs(us) ** p) + grad_lp**p) ** (1.0 / p)
     linf = float(us[0])
     norms = {"linf": linf, "grad_lp": grad_lp, "w1p": w1p}
     for q in q_values:
-        norms[f"lq_{q:g}"] = lq_norm(profile, q)
-        norms[f"w1q_{q:g}"] = w1q_norm(profile, q)
+        norms[f"lq_{q:g}"] = _lq(profile, "u", q, thr_u)
+        norms[f"w1q_{q:g}"] = _w1q(profile, q, thr_u, thr_ur)
 
     checks: dict = {}
     implied: dict = {}
@@ -319,22 +290,18 @@ def check_regularity_bounds(
         implied["log_bound_ratio"] = ratio_all
     else:
         target = _pointwise_exponent(n, p, 0)
-        if singular:
-            # lenient (no drift rejection): upper bounds apply to any head,
-            # logarithmic ones simply land far inside the bound
-            head = np.log1p(np.maximum(us, 0.0))
-            fitted = _window_fit(profile, _default_window(profile), head)[0]
+        if unread is None:
+            fitted = -n / thr_u
             checks["pointwise_slope"] = fitted >= -(target + SLOPE_SLACK)
-        else:
-            # bounded heads sit strictly inside any power bound
-            checks["pointwise_slope"] = True
-            notes.append("head not singular; pointwise bound holds trivially")
-        q0 = q_exponent(n, p, 0)
-        q_probe = 0.95 * q0 if math.isfinite(q0) else 2.0
-        value = lq_norm(profile, q_probe)
-        norms[f"lq_{q_probe:g}"] = value
-        checks["lq_below_q0"] = math.isfinite(value)
-        implied["lq_over_w1p"] = value / w1p if math.isfinite(value) and w1p > 0 else math.inf
+            q0 = q_exponent(n, p, 0)
+            q_probe = 0.95 * q0 if math.isfinite(q0) else 2.0
+            value = _lq(profile, "u", q_probe, thr_u)
+            norms[f"lq_{q_probe:g}"] = value
+            checks["lq_below_q0"] = math.isfinite(value)
+            implied["lq_over_w1p"] = value / w1p if math.isfinite(value) and w1p > 0 else math.inf
+    if regime != "A" and unread is not None:
+        skipped = "pointwise_slope, lq_below_q0 and " if regime == "C" else ""
+        notes.append(f"{skipped}gradient_slope skipped: {unread}")
 
     try:
         const = gradient_L1_bound(profile, spec.nonlinearity)[2]
@@ -345,11 +312,9 @@ def check_regularity_bounds(
         checks["gradient_bound_finite"] = math.isfinite(const)
         flux = flux_monotonicity_check(profile)
         checks["flux_monotone"] = flux.monotone
-        if regime != "A":
-            grad = np.log(np.maximum(np.abs(profile.u_r), 1e-300))
-            slope_ur, _ = _window_fit(profile, _default_window(profile), grad)
-            target_d3 = _pointwise_exponent(n, p, 1)
-            checks["gradient_slope"] = slope_ur >= -(target_d3 + SLOPE_SLACK)
+        if regime != "A" and unread is None:
+            slope_ur = -n / thr_ur
+            checks["gradient_slope"] = slope_ur >= -(_pointwise_exponent(n, p, 1) + SLOPE_SLACK)
             implied["gradient_slope"] = slope_ur
 
     return EstimateReport(

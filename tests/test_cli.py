@@ -542,6 +542,45 @@ def test_solve_record_is_a_lambda_sweep_row(tmp_path, capsys):
     assert math.isfinite(record["contraction"])
 
 
+def test_solve_on_a_grid_too_shallow_to_read_the_head(tmp_path, capsys):
+    # regime C at r_min = 3e-4: the three head checks are left out, with a note
+    cfg = tmp_path / "shallow.ini"
+    cfg.write_text("[grid]\nr_min = 3e-4\n[stability]\nr_trunc = 3e-4\n")
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "s"), "solve", "--n", "12", "--p", "2", "--lam", "10")
+    est = json.loads((tmp_path / "s" / "report.json").read_text())["estimates"]
+    assert est["regime"] == "C" and est["passed"] and est["fitted_exponent"] is None
+    assert not {"pointwise_slope", "lq_below_q0", "gradient_slope"} & set(est["checks"])
+    assert est["notes"] == [
+        "pointwise_slope, lq_below_q0 and gradient_slope skipped: "
+        "the head needs three decades in [r_min, 0.1], got r_min = 0.0003"
+    ]
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ("", ["bifurcate", "--centers", "1,abc"]),
+        ("[estimates]\nq_values = 5, abc\n", ["solve", "--n", "12", "--p", "2", "--lam", "10"]),
+        ("[sweep]\np_values = 2, abc\n", ["sweep"]),
+    ],
+)
+def test_number_lists_name_the_bad_token(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "list.ini"
+    cfg.write_text(config)
+    out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), *argv, expect=2)
+    assert "not a number: 'abc'" in out.err
+
+
+def test_sweep_rejects_points_sharing_a_directory(tmp_path, capsys, monkeypatch):
+    # n{n:g}_p{p:g} reads n12_p2.5 for both p values: neither point runs
+    monkeypatch.setattr(cli, "_sweep_point", lambda job: pytest.fail("a point ran"))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nn_values = 12\np_values = 2.5, 2.5000001\n")
+    out = run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"), "sweep", expect=2)
+    assert "share the directory n12_p2.5" in out.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     cfg = tmp_path / "empty.ini"
     cfg.write_text("[sweep]\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import plaplab.core
+import plaplab.estimates
 from plaplab import (
     Exponential,
     ParameterError,
@@ -23,7 +24,6 @@ from plaplab import (
     make_grid,
     minimal_iterate,
     q_exponent,
-    singularity_exponent_fit,
     stability_report,
     w1q_norm,
 )
@@ -210,43 +210,22 @@ def test_w1q_threshold_at_critical_power(grid2000):
     assert w1q_norm(prof, 1.05 * q1) == math.inf
 
 
-def test_singularity_fit_pure_power(grid2000):
-    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
-    slope, stderr = singularity_exponent_fit(prof, (1e-5, 0.01))
-    assert abs(slope + 0.5) < 1e-6
-    assert stderr < 1e-6
-
-
-def test_singularity_fit_critical_power(grid2000):
-    n, p = 15.0, 2.0
-    prof = exact_power(n, p, m_cs(n, p)).sample(grid2000)
-    slope, _ = singularity_exponent_fit(prof, (1e-5, 0.01))
-    target = -(n - 2.0 * math.sqrt(14.0) - 4.0) / 2.0
-    assert abs(slope - target) < 1e-3
-
-
-def test_singularity_fit_rejects_log_head(grid2000):
+def test_log_singularity_fit_of_the_exponential_head(grid2000):
+    # u = -2 log r: coefficient 2 of |log r|, a head with no finite threshold
     prof = exact_exponential(12.0, 2.0).sample(grid2000)
-    with pytest.raises(ParameterError):
-        singularity_exponent_fit(prof, (1e-5, 0.01))
-    slope, _ = log_singularity_fit(prof, (1e-5, 0.01))
-    assert abs(slope - 2.0) < 1e-3
+    slope, stderr = log_singularity_fit(prof, (1e-5, 0.01))
+    assert abs(slope - 2.0) < 1e-3 and stderr < 1e-3
+    assert integrability_threshold(prof, "u")[0] == math.inf
 
 
-def test_singularity_fit_window_validation(grid2000):
-    prof = exact_power(15.0, 2.0, 5.0).sample(grid2000)
-    with pytest.raises(ParameterError):
-        singularity_exponent_fit(prof, (1e-5, 2e-5))  # less than a decade
-    with pytest.raises(ParameterError):
-        singularity_exponent_fit(prof, (1e-9, 0.01))  # undercuts 10 r_min
-    with pytest.raises(ParameterError):
-        singularity_exponent_fit(prof, (1e-4, 0.5))  # beyond 0.1
-
-
-def test_singularity_fit_rejects_flat_profile():
-    grid = make_grid(1e-8, 1000)
-    with pytest.raises(ParameterError):
-        singularity_exponent_fit(constant_profile(grid, 1.0), (1e-5, 0.01))
+def test_log_singularity_fit_window_validation(grid2000):
+    prof = exact_exponential(12.0, 2.0).sample(grid2000)
+    with pytest.raises(ParameterError, match="one decade"):
+        log_singularity_fit(prof, (1e-5, 2e-5))
+    with pytest.raises(ParameterError, match="inside"):
+        log_singularity_fit(prof, (1e-9, 0.01))  # undercuts 10 r_min
+    with pytest.raises(ParameterError, match="inside"):
+        log_singularity_fit(prof, (1e-4, 0.5))  # beyond 0.1
 
 
 def test_flux_check_solver_output(minimal_disk_lam1):
@@ -358,8 +337,55 @@ def test_check_singular_regime_log_head_passes_inequality(grid2000):
     assert est.checks["pointwise_slope"]
     assert est.checks["lq_below_q0"]
     assert est.checks["gradient_slope"]
-    # logarithmic head sits far inside the power bound
-    assert est.fitted_exponent > -(est.exponent_target + 0.05)
+    # a logarithmic head has no finite threshold: exponent 0, far inside the
+    # power bound; u_r = -2/r is the exact power head r^(-1)
+    assert est.fitted_exponent == 0.0 and est.fitted_exponent > -(est.exponent_target + 0.05)
+    assert abs(est.implied_constants["gradient_slope"] + 1.0) < 1e-11
+
+
+def test_check_singular_regime_bounded_head(grid2000):
+    # the n = 12 minimal solution at lambda = 10 is bounded: neither head
+    # grows toward the origin, so both read exponent 0 and pass
+    spec = ProblemSpec(12.0, 2.0, Exponential(10.0))
+    prof = minimal_iterate(ProblemSpec(12.0, 2.0, Exponential(1.0)), 10.0, grid2000)
+    est = check_regularity_bounds(prof, spec, stability_report(prof, spec.nonlinearity.derivative))
+    assert est.regime == "C" and est.passed and not est.singular
+    assert est.fitted_exponent == 0.0 and est.implied_constants["gradient_slope"] == 0.0
+    assert est.notes == ()
+
+
+def test_check_reads_each_head_once(grid2000, monkeypatch):
+    sol = exact_exponential(12.0, 2.0)
+    prof = sol.sample(grid2000)
+    rep = stability_report(prof, sol.g_prime())
+    spec = ProblemSpec(12.0, 2.0, Exponential(sol.lambda_star))
+    calls = []
+    real = plaplab.estimates.integrability_threshold
+
+    def counting(profile, component):
+        calls.append(component)
+        return real(profile, component)
+
+    monkeypatch.setattr(plaplab.estimates, "integrability_threshold", counting)
+    est = check_regularity_bounds(prof, spec, rep, q_values=(5.0, 200.0))
+    assert sorted(calls) == ["u", "u_r"]
+    # the shared reads give the norms the public functions give
+    monkeypatch.undo()
+    for q in (5.0, 200.0):
+        assert est.norms[f"lq_{q:g}"] == lq_norm(prof, q)
+        assert est.norms[f"w1q_{q:g}"] == w1q_norm(prof, q)
+
+
+def test_check_skips_head_checks_on_a_grid_too_shallow_to_read_the_head():
+    # regime B at r_min = 3e-4: only gradient_slope reads a head
+    sol = exact_exponential(10.0, 2.0)
+    prof = sol.sample(make_grid(3e-4, 400))
+    rep = stability_report(prof, sol.g_prime(), r_trunc=3e-4)
+    est = check_regularity_bounds(prof, ProblemSpec(10.0, 2.0, Exponential(sol.lambda_star)), rep)
+    assert est.regime == "B" and "gradient_slope" not in est.checks
+    assert est.notes == (
+        "gradient_slope skipped: the head needs three decades in [r_min, 0.1], got r_min = 0.0003",
+    )
 
 
 def test_check_singular_regime_saturated(grid2000):
