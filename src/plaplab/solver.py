@@ -69,8 +69,26 @@ SHOOT_GUARD = 1e6
 #: climbs, on a divergent one rho_k passes 1 and it turns negative.  From
 #: sweep FOLD_GHOST_SWEEPS on, a probe with 0 < k (1 - rho_k) < FOLD_GHOST_RATE
 #: stops as "fold ghost", which leaves it undecided and never decides it.
+#: Such a record keeps nan as its certificate.
+#:
+#: A search with a tolerance (``lambda_star_estimate``) stops a ghost
+#: earlier, where the saddle-node law puts the fold within a quarter of its
+#: hole step; ``minimal_iterate`` has none and keeps only the stop above.
+#: On a probe with the fold signature whose Anderson answer u_A fails its
+#: certificate, power steps on sweep differences (T(u_A + FOLD_TAU v) -
+#: T(u_A)) / FOLD_TAU from the last plain step give rho = rho(T') at u_A once
+#: |rho_j - rho_(j-1)| < ACCEL_SETTLE (1 - rho_j), within ACCEL_MAX_SWEEPS
+#: steps (7 at the disk's lambda = 2).  At a saddle-node (1 - rho)^2 is
+#: proportional to lambda_f - lambda (Crandall & Rabinowitz, ARMA 58
+#: (1975)), so through the highest converged probe below, lambda_c with
+#: contraction rho_c, the fold lies about (1 - rho)^2 / C past lambda, with
+#: C = ((1 - rho_c)^2 - (1 - rho)^2) / (lambda - lambda_c).  Below
+#: tol_lambda lambda / 16 the probe stops as "fold ghost" with contraction
+#: rho and certificate the relative distance |lambda_f - lambda| / lambda:
+#: an estimate, never a bracket end.
 FOLD_GHOST_SWEEPS = 500
 FOLD_GHOST_RATE = 3.0
+FOLD_TAU = 1e-6
 
 #: probe outcomes that neither converged nor diverged; never a bracket end
 UNDECIDED = ("iteration cap", "fold ghost")
@@ -137,9 +155,12 @@ class LambdaRecord:
     reason: str  # "converged", or why the probe diverged or stayed undecided
     contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
     # eps of the accepted supersolution u_A + eps phi (sqrt(delta_A), or more
-    # to clear the order slack, at most ACCEL_EPS_CAP), or for an "unstable
+    # to clear the order slack, at most ACCEL_EPS_CAP); for an "unstable
     # iterate" the Collatz-Wielandt lower bound min_i delta_(k+1,i) /
-    # delta_(k,i) on the spectral radius of T'; nan for every other probe
+    # delta_(k,i) on the spectral radius of T'; for a "fold ghost" stopped
+    # by the saddle-node law the estimated relative fold distance
+    # |lambda_f - lambda| / lambda (its contraction is then rho(T') at u_A;
+    # see FOLD_GHOST_SWEEPS); nan for every other probe
     certificate: float = math.nan
     # where the probe's last plain sweeps started: "zero", "scaled" (a lower
     # probe's u times (lambda/lambda')^(1/(p-1))) or "chord" (see
@@ -362,6 +383,27 @@ def _supersolution(u_bar, lam: float, f, kernel: _SweepKernel) -> bool:
     return bool(np.all(gap[:-1] >= ORDER_SLACK * (1.0 + float(np.max(u_bar)))))
 
 
+def _spectral_radius(u, v, lam: float, f, kernel: _SweepKernel):
+    """(sweeps, rho): power steps on sweep differences (T(u + FOLD_TAU v) -
+    T(u)) / FOLD_TAU from v, for at most ACCEL_MAX_SWEEPS steps, until
+    |rho_j - rho_(j-1)| < ACCEL_SETTLE (1 - rho_j) with rho_j < 1; rho is
+    nan when they do not settle or a sweep leaves a table.  The first sweep,
+    T(u), is copied out of ``kernel``'s arrays, which every sweep reuses."""
+    v, sweeps, rho = v / float(np.max(v)), 1, math.nan
+    try:
+        base = _iteration_step(u, lam, f, kernel)[0].copy()
+        while sweeps <= ACCEL_MAX_SWEEPS:
+            sweeps += 1
+            w = (_iteration_step(u + FOLD_TAU * v, lam, f, kernel)[0] - base) / FOLD_TAU
+            rho_old, rho = rho, float(np.max(w))
+            if abs(rho - rho_old) < ACCEL_SETTLE * (1.0 - rho):
+                return sweeps, rho
+            v = w / rho
+    except EvaluationError:
+        pass
+    return sweeps, math.nan
+
+
 def _growth_bound(step, last, floor: float) -> float:
     """min_i step_i / last_i over every node but r = 1, where both are 0, or
     nan when some last_i <= floor: a step at rounding level never votes."""
@@ -393,11 +435,15 @@ def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
     return out
 
 
-def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: IterationControls):
+def _monotone_iteration(
+    spec: ProblemSpec, grid: RadialGrid, controls: IterationControls, tol_lambda: float = 0.0
+):
     """The monotone iteration as a function of lambda, returning (profile,
     LambdaRecord), with None for the profile of a probe that did not
     converge; one ``_SweepKernel`` serves every lambda it is called with,
-    after the admission checks that every caller needs.
+    after the admission checks that every caller needs.  A search's
+    ``tol_lambda`` > 0 lets a fold ghost stop by the saddle-node law (see
+    FOLD_GHOST_SWEEPS); at 0 only the FOLD_GHOST_SWEEPS stop runs.
 
     A probe starts from the highest start known to lie below u*(lambda):
     the chord, else the scaled start, else u = 0, each tried only when the
@@ -421,6 +467,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
     convex_map = convex and p <= 2.0
     seeds = []  # (lambda, u) of every converged probe and every undecided one
     pair = [None, None]  # (lambda, u, supersolution or None), last two converged
+    rates = {}  # lambda: contraction of every converged probe
 
     def diverged(
         lam: float, k: int, sup: float, reason: str, rho: float, start: str, bound: float = math.nan
@@ -459,6 +506,7 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
         record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps, start)
         seeds.append((lam, profile.u))
         pair[:] = pair[1], (lam, profile.u, above)
+        rates[lam] = rho
         return profile, record
 
     def iterate(lam: float):
@@ -535,6 +583,19 @@ def _monotone_iteration(spec: ProblemSpec, grid: RadialGrid, controls: Iteration
                             above = u_a + eps / delta * lift
                             if _supersolution(above, lam, f, kernel):
                                 return converged(lam, sweeps, rho, u_a, start, eps, residual, above)
+                            # the fold signature: stop once the saddle-node law
+                            # puts the fold within a quarter of the hole step
+                            lam_c = max((x for x in rates if x < lam), default=None)
+                            if tol_lambda > 0.0 and lam_c is not None and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
+                                used, rate = _spectral_radius(u_a, lift, lam, f, kernel)
+                                sweeps += used
+                                # C (lambda_f - lambda) = (1 - rate)^2, and through
+                                # lambda_c, C (lambda - lambda_c) = gap
+                                near = (1.0 - rate) ** 2 * (lam - lam_c)
+                                gap = (1.0 - rates[lam_c]) ** 2 - (1.0 - rate) ** 2
+                                if 0.0 < near < gap * tol_lambda * lam / 16.0:
+                                    seeds.append((lam, u))
+                                    return diverged(lam, sweeps, sup, "fold ghost", rate, start, near / gap / lam)
                 prev, last = delta, step
         seeds.append((lam, u.copy()))
         return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho, start)
@@ -647,8 +708,15 @@ def lambda_star_estimate(
     below the supersolution and converges, so the probe is decided as the
     plain one would be, and plain sweeps from u_A, until a step passes the
     stopping test without growing, build its profile.  Otherwise the plain
-    sweeps resume where they stopped, so every divergent, fold-ghost and
-    capped outcome comes from plain sweeps.
+    sweeps resume where they stopped, so every divergent and capped outcome
+    comes from plain sweeps.  A probe whose certificate fails while it shows
+    the fold signature 0 < k (1 - rho_k) < FOLD_GHOST_RATE may stop first,
+    as a fold ghost: power steps on sweep differences at u_A give rho(T'),
+    and where the saddle-node law through the highest converged probe below
+    puts the fold within tol_lambda lambda / 16, a quarter of the hole step,
+    the probes a hole step away lie clear of it (see FOLD_GHOST_SWEEPS).  Like
+    every ghost it stays undecided and seeds the next probe with its plain
+    iterate, never with u_A, which may lie above u*(lambda).
 
     For p <= 2 and a convex reaction, T is order preserving and convex, so
     delta_(k+1) <= T'(u_k) delta_k for consecutive plain steps.  From the
@@ -662,16 +730,19 @@ def lambda_star_estimate(
     subsolution below u*(lambda), so the argument covers it.  Neither an Anderson attempt nor the
     certificate's sweep feeds this test.
 
-    The record's ``certificate`` holds eps, or for an unstable iterate the
-    bound min_i delta_(k+1,i) / delta_(k,i), nan for any other probe, and
+    The record's ``certificate`` holds eps; for an unstable iterate the
+    bound min_i delta_(k+1,i) / delta_(k,i); for a fold ghost stopped by the
+    saddle-node law the estimated relative fold distance
+    |lambda_f - lambda| / lambda, an estimate and never a bracket end, with
+    rho(T') at u_A as its ``contraction``; nan for any other probe.
     ``iterations`` counts every sweep of the probe: plain ones, the first
     sweep from each rejected start, those of an Anderson attempt, failed or
-    not, the certificate's, those from u_A and, for a converged probe, the
-    consistency sweep that builds (u, w).
+    not, the certificate's, T(u_A) and the power steps, those from u_A and,
+    for a converged probe, the consistency sweep that builds (u, w).
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")
-    iterate = _monotone_iteration(spec, grid, controls or IterationControls())
+    iterate = _monotone_iteration(spec, grid, controls or IterationControls(), tol_lambda)
     records: list[LambdaRecord] = []
     undecided: list[float] = []
     lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's

@@ -364,9 +364,10 @@ def min_eigenvalue(
     scale, or 8 ulps) up to the rounding of hi, appended to ``bracket`` when
     one is given.
 
-    From the basis-vector Rayleigh bound, doubling steps down find a lower
-    end with no negative pivot.  Laguerre steps on det(T - mu M) rise from
-    it; the characteristic polynomial is real-rooted, so they climb
+    From the basis-vector Rayleigh bound, steps down by doubling gaps find a
+    lower end with no negative pivot; the first such step is found by
+    doubling and then bisecting its index.  Laguerre steps on det(T - mu M)
+    rise from it; the characteristic polynomial is real-rooted, so they climb
     monotonically to mu_1 from below, and each pass counts pivots too: a
     count of 0 raises lo, one of at least 1 lowers hi.  A step that leaves
     (lo, hi) falls back to the midpoint.  Once a step is below half the width
@@ -379,13 +380,27 @@ def min_eigenvalue(
     hi = float(np.min(t.diag / m.diag))  # basis-vector Rayleigh quotient
     while _negative_count(t, m, hi) < 1:
         hi = hi + max(1.0, abs(hi))
-    # step down from hi by doubling gaps until T - lo M has no negative pivot;
-    # a step that still counts one is a certified upper end, so it becomes hi
-    gap = max(1.0, abs(hi))
-    lo = hi - gap
-    while _negative_count(t, m, lo) > 0:
-        hi, gap = lo, 2.0 * gap
-        lo = hi - gap
+    # the step-down's ends, ends[j] = hi - gap (2^j - 1) by the recurrence
+    # lo = hi - gap with gap doubled each step: lo is the first with no
+    # negative pivot in T - lo M, hi the end before it, a certified upper end.
+    # Doubling j and then bisecting finds it in O(log j) counts, the same end
+    # wherever the counts are monotone in the shift.
+    ends, gap = [hi], max(1.0, abs(hi))
+    above, j = 0, 1  # ends[above] counts a negative pivot
+    while True:
+        while len(ends) <= j:
+            ends.append(ends[-1] - gap)
+            gap *= 2.0
+        if _negative_count(t, m, ends[j]) == 0:
+            break
+        above, j = j, 2 * j
+    while j - above > 1:
+        mid = (above + j) // 2
+        if _negative_count(t, m, ends[mid]) > 0:
+            above = mid
+        else:
+            j = mid
+    lo, hi = ends[j], ends[above]
     k = len(t.diag)
     x = lo
     while hi - lo > _width(lo, hi):

@@ -104,7 +104,7 @@ def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     """The disk probe at lambda = 2 stops as a fold ghost far below u_max: solve
     calls it undecided (exit 3), and lambda-star lists it next to a bracket
     whose ends both come from decided probes.  The probe above the ghost
-    starts from the ghost's last iterate, scaled, and overflows."""
+    starts from the ghost's last iterate, scaled, and passes u_max."""
     run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
     report = json.loads((tmp_path / "sg" / "report.json").read_text())
     assert report["outcome"] == "undecided"
@@ -114,7 +114,7 @@ def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     assert report["undecided"] == [2.0]
     assert (report["lambda_lo"], report["lambda_hi"]) == (1.9995, 2.0005)
     reasons = {rec["lambda"]: rec["reason"] for rec in report["records"]}
-    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "overflow")
+    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "exceeded u_max")
     # the probe above the ghost starts from its last iterate, scaled
     assert {rec["lambda"]: rec["start"] for rec in report["records"]}[2.0005] == "scaled"
 
@@ -161,11 +161,17 @@ def test_lambda_star_command(tmp_path, capsys):
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     # certified accelerated probes carry their eps, unstable iterates their
-    # growth bound, plain ones "nan"
+    # growth bound, fold ghosts stopped by the saddle-node law their relative
+    # fold distance, inside tol_lambda / 16 (default 1e-3), plain ones "nan"
     certified = [rec for rec in report["records"] if rec["certificate"] != "nan"]
     assert any(rec["converged"] for rec in certified)
     for rec in certified:
-        assert rec["certificate"] > 0 if rec["converged"] else rec["reason"] == "unstable iterate"
+        if rec["converged"]:
+            assert rec["certificate"] > 0
+        elif rec["reason"] == "fold ghost":
+            assert 0 < rec["certificate"] < 1e-3 / 16
+        else:
+            assert rec["reason"] == "unstable iterate"
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
 
 

@@ -582,8 +582,8 @@ def forced_cap(monkeypatch, lams):
     """Every probe at a lambda in ``lams`` ends at the iteration cap."""
     real = solver._monotone_iteration
 
-    def forced(spec, grid, controls):
-        iterate = real(spec, grid, controls)
+    def forced(spec, grid, controls, *tolerance):
+        iterate = real(spec, grid, controls, *tolerance)
 
         def run(lam):
             if lam not in lams:
@@ -687,7 +687,9 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     for bit as the iteration without the stop.  Both on the plain path; with
     acceleration the ghost's Anderson attempt fails its certificate and the
     probe still stops at plain sweep 500, while 1.99995 converges certified,
-    within the plain probe's stopping error, in a fraction of its sweeps."""
+    within the plain probe's stopping error, in a fraction of its sweeps.
+    With no converged probe below it, a search's tolerance does not stop the
+    ghost earlier: the saddle-node law has no second point."""
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
     out, record = iterate(2.0)
@@ -704,7 +706,8 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
         assert np.array_equal(getattr(profile, name), getattr(plain, name))
 
     monkeypatch.undo()
-    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
+    # a search's tolerance cannot stop it earlier: no converged probe lies below
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls(), 1e-3)
     _, ghost = iterate(2.0)
     assert ghost.reason == "fold ghost" and math.isnan(ghost.certificate)
     # the failed attempt and its certificate sweep are counted
@@ -713,6 +716,45 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     assert fast_record.converged and 0.0 < fast_record.certificate < 1e-4
     assert fast_record.iterations < 1842 / 10
     assert np.max(np.abs(fast.u - plain.u)) <= stopping_error(plain_record)
+
+
+def test_saddle_node_law_stops_the_fold_ghost(continuation_disk):
+    """At the default tol_lambda the disk's probe at 2.0 stops as a fold ghost
+    long before sweep FOLD_GHOST_SWEEPS: power steps at its Anderson answer
+    give rho(T') = 0.99997, and the saddle-node law through the converged
+    probe at 1 (rho = 0.2212) puts the fold about 1e-9 past 2.0, inside
+    tol_lambda lambda / 16.  The certificate, that estimated relative
+    distance, is within a factor 10 of the discrete fold's, 2.000000001.  The
+    probe stays undecided, so the bracket and the undecided list are those of
+    the 500-sweep stop."""
+    res = continuation_disk
+    ghost = next(rec for rec in res.records if rec.lam == 2.0)
+    assert ghost.reason == "fold ghost" and ghost.iterations < solver.FOLD_GHOST_SWEEPS
+    assert 0.0 < 1.0 - ghost.contraction < 1e-4
+    fold = (2.000000001 - 2.0) / 2.0
+    assert ghost.certificate <= 1e-8 and fold / 10 <= ghost.certificate <= 10 * fold
+    assert [rec.lam for rec in res.records if state(rec) == "undecided"] == [2.0]
+    assert (res.lambda_lo, res.lambda_hi) == (1.9995, 2.0005)
+
+
+@pytest.mark.parametrize(
+    "n, f, bracket",
+    [
+        (2.0, Exponential(1.0), (1.999998463999873, 2.0000010240000847)),
+        (3.0, Power(m=3.0), (1.3699228595287423, 1.3699340823737336)),
+    ],
+    ids=["disk", "cubic-n3"],
+)
+def test_saddle_node_stop_keeps_tight_brackets(n, f, bracket, grid2000):
+    """At tol_lambda 1e-9 a quarter of the hole step, 1.25e-10 lambda, lies
+    below the law's fold distances (1.7e-9 at the disk's 2.0), so no ghost
+    stops early: each keeps a nan certificate and its FOLD_GHOST_SWEEPS
+    sweeps, and the brackets are those of the 500-sweep stop alone."""
+    res = lambda_star_estimate(ProblemSpec(n, 2.0, f), grid2000, tol_lambda=1e-9)
+    assert (res.lambda_lo, res.lambda_hi) == bracket
+    ghosts = [rec for rec in res.records if rec.reason == "fold ghost"]
+    assert ghosts and all(math.isnan(rec.certificate) for rec in ghosts)
+    assert all(rec.iterations >= solver.FOLD_GHOST_SWEEPS for rec in ghosts)
 
 
 def test_no_bracket_end_is_undecided(gelfand_disk_spec, grid2000, continuation_disk):
@@ -935,7 +977,8 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     ended: converged plainly or through a certified Anderson attempt, after a
     warm start that fell back to u = 0, at an unstable iterate, past u_max,
     by overflow (those two with the unstable-iterate stop off), or as a fold
-    ghost whose attempt failed its certificate."""
+    ghost whose attempt failed its certificate, at sweep FOLD_GHOST_SWEEPS
+    or by the saddle-node law."""
     real_step = solver._iteration_step
     calls, raised = 0, None  # raised: the call whose output gains 1 on the inner half
 
@@ -965,6 +1008,10 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     assert probe(iterate, 1.9, "converged").certificate > 0.0
     ghost = probe(disk(), 2.0, "fold ghost")
     assert ghost.iterations > solver.FOLD_GHOST_SWEEPS
+    # T(u_A) and the power steps of the saddle-node stop are counted
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls(), 1e-3)
+    probe(iterate, 1.0, "converged")
+    assert probe(iterate, 2.0, "fold ghost").iterations < solver.FOLD_GHOST_SWEEPS
     # from u = 0, the certified stop halves the sweeps of the probe just above the fold
     assert probe(disk(), 2.0005, "unstable iterate").iterations == 131
     assert probe(disk(), 5.0, "unstable iterate").iterations == 2
@@ -1018,7 +1065,7 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
 # the grid, the default 1e-8/2000 where None; the coarse cases take a grid and
 # non-integer n outside those that the stop's nonnegativity argument checks
 CROSS_CHECK = {
-    "disk": (2.0, 2.0, Exponential(1.0), 637, None),
+    "disk": (2.0, 2.0, Exponential(1.0), 288, None),
     "slab": (1.0, 2.0, Exponential(1.0), 247, None),
     "cubic-n3": (3.0, 2.0, Power(m=3.0), 344, None),
     "square-n4": (4.0, 2.0, Power(m=2.0), None, None),

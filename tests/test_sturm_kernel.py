@@ -202,11 +202,10 @@ def test_pivot_sums_match_dense_spectrum():
 # --- the Laguerre route against the bisection it replaced ---------------------
 
 
-def _bisect_reference(a, b, m):
-    """The Sturm bisection ``min_eigenvalue`` ran before its Laguerre steps:
-    the same Rayleigh bound and doubling step-down, then midpoints until the
-    bracket is narrower than 1e-10 of its ends' scale (or 8 ulps)."""
-    t = a - b
+def _step_down_reference(t, m):
+    """(lo, hi) of the step-down ``min_eigenvalue`` ran before it doubled and
+    bisected the step index: from the Rayleigh bound, one doubling step at a
+    time until a count of 0."""
     hi = float(np.min(t.diag / m.diag))
     while _negative_count(t, m, hi) < 1:
         hi = hi + max(1.0, abs(hi))
@@ -215,6 +214,15 @@ def _bisect_reference(a, b, m):
     while _negative_count(t, m, lo) > 0:
         hi, gap = lo, 2.0 * gap
         lo = hi - gap
+    return lo, hi
+
+
+def _bisect_reference(a, b, m):
+    """The Sturm bisection ``min_eigenvalue`` ran before its Laguerre steps:
+    the same Rayleigh bound and doubling step-down, then midpoints until the
+    bracket is narrower than 1e-10 of its ends' scale (or 8 ulps)."""
+    t = a - b
+    lo, hi = _step_down_reference(t, m)
     while True:
         target = max(
             1e-10 * max(abs(lo), abs(hi), 1.0), 8 * math.ulp(max(abs(lo), abs(hi)))
@@ -227,6 +235,35 @@ def _bisect_reference(a, b, m):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def step_down_counts(a, b, m):
+    """Checks that ``min_eigenvalue``'s step-down hands its Laguerre steps the
+    (lo, hi) of ``_step_down_reference``: lo is where the first step starts,
+    hi the lowest shift counted before it with a negative pivot.  Returns
+    the number of counts the step-down and the reference make."""
+    t = a - b
+    calls = []
+    real_count, real_sums = stability._negative_count, stability._pivot_sums
+
+    def count(t_, m_, mu):
+        calls.append(("count", mu, real_count(t_, m_, mu)))
+        return calls[-1][2]
+
+    def sums(t_, m_, mu):
+        calls.append(("sums", mu, None))
+        return real_sums(t_, m_, mu)
+
+    with mock.patch.object(stability, "_negative_count", count), mock.patch.object(stability, "_pivot_sums", sums):
+        min_eigenvalue(a, b, m)
+    first = next(i for i, call in enumerate(calls) if call[0] == "sums")
+    with mock.patch.dict(globals(), {"_negative_count": count}):
+        calls_before = len(calls)
+        lo_ref, hi_ref = _step_down_reference(t, m)
+        reference = len(calls) - calls_before
+    assert calls[first][1] == lo_ref
+    assert min(mu for _, mu, c in calls[:first] if c > 0) == hi_ref
+    return first, reference
 
 
 def rounded_width(lo, hi):
@@ -263,6 +300,7 @@ def test_laguerre_matches_bisection_on_random_pencils(seed, k, decades, reaction
     b = pencil.b if reaction else Tridiagonal(0.0 * pencil.b.diag, 0.0 * pencil.b.off)
     mu, lo, hi = certified(pencil.a, b, pencil.m)
     assert abs(mu - _bisect_reference(pencil.a, b, pencil.m)) <= rounded_width(lo, hi)
+    step_down_counts(pencil.a, b, pencil.m)
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +329,25 @@ def test_report_eigenvalues_match_bisection(report_problems, index):
         mu_alt, lo, hi = certified(a, b, m)
         assert rep.mu_1_alt == mu_alt
     assert abs(rep.mu_1_alt - _bisect_reference(a, b, m)) <= rounded_width(lo, hi)
+
+
+@pytest.mark.parametrize("index", range(4), ids=["disk-near-fold", "exp9", "exp11", "power12"])
+def test_step_down_bisects_its_index(report_problems, index):
+    """The step-down doubles and then bisects the index of its first step
+    without a negative pivot, and finds the ends the one-step-at-a-time loop
+    found.  On exact n = 9, mu_1 ~ -2.4e10 lies 23 doubling steps below the
+    Rayleigh bound: 11 counts instead of 24, and 9 instead of 17 for its
+    trailing block's mu_1_alt."""
+    profile, g_prime = report_problems[index]
+    rep = stability_report(profile, g_prime)
+    pencil = assemble_q(profile, g_prime, rep.r_trunc, rep.n_eig)
+    j = int(np.searchsorted(pencil.nodes, rep.r_trunc_alt))
+    block = [Tridiagonal(t.diag[j:], t.off[j:]) for t in (pencil.a, pencil.b, pencil.m)]
+    for a, b, m in ((pencil.a, pencil.b, pencil.m), block):
+        counts, reference = step_down_counts(a, b, m)
+        assert counts <= reference
+        if reference > 12:
+            assert counts <= 2 * math.log2(reference) + 2
 
 
 @pytest.mark.parametrize("scale", [1e12, 1e-12, math.nan], ids=["short", "long", "nan"])
