@@ -356,27 +356,31 @@ def cmd_solve(args, cfg: dict) -> int:
     return 0
 
 
-def _lambda_star_report(cfg: dict, out: Path) -> dict:
-    """The lambda* search of cfg's problem: the "bracketed" report, after
-    writing its records to ``out``/lambda_sweep.csv, or the "no-bracket"
-    one with the search's diagnosis."""
+def _lambda_star_report(cfg: dict, out: Path, grid: RadialGrid) -> dict:
+    """The lambda* search of cfg's problem on ``grid``, cfg's [grid]: the
+    "bracketed" report, after writing its records to ``out``/lambda_sweep.csv,
+    or the "no-bracket" one with the search's diagnosis.
+    ``tolerance_reached`` says whether hi - lo <= tol_lambda lo: a hole of
+    undecided probes, or max_bisect, can end a search short of it."""
     try:
-        result = _lambda_star(_problem(cfg), _grid(cfg), cfg)
+        result = _lambda_star(_problem(cfg), grid, cfg)
     except BracketingError as exc:
         return base_report(cfg, outcome="no-bracket", diagnosis=str(exc))
     _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))
+    lo, hi = result.lambda_lo, result.lambda_hi
     return base_report(
         cfg,
         outcome="bracketed",
-        lambda_lo=result.lambda_lo,
-        lambda_hi=result.lambda_hi,
+        lambda_lo=lo,
+        lambda_hi=hi,
+        tolerance_reached=hi - lo <= cfg["solver"]["tol_lambda"] * lo,
         undecided=[rec.lam for rec in result.records if rec.reason in UNDECIDED],
         records=result.records,
     )
 
 
 def cmd_lambda_star(args, cfg: dict) -> int:
-    report = _lambda_star_report(cfg, args.out)
+    report = _lambda_star_report(cfg, args.out, _grid(cfg))
     _emit(args.out / "report.json", report)
     return 0 if report["outcome"] == "bracketed" else 3
 
@@ -550,15 +554,16 @@ def cmd_verify(args, cfg: dict) -> int:
 
 
 def _sweep_point(job):
-    """One sweep point, (point cfg, n, p, directory): what ``lambda-star
+    """One sweep point, (point cfg, n, p, directory, grid): what ``lambda-star
     --out`` writes there, or an "error" report if the point's problem is
     inadmissible, or if a table is evaluated outside its range by anything
     but a probe's plain sweeps, which end the probe instead; returns (index
-    status, report)."""
-    cfg, _n, _p, out_dir = job
+    status, report).  The points run in one process share the grid, and
+    with it its quadrature rules."""
+    cfg, _n, _p, out_dir, grid = job
     out = Path(out_dir)
     try:
-        report = _lambda_star_report(cfg, out)
+        report = _lambda_star_report(cfg, out, grid)
     except (ParameterError, EvaluationError) as exc:
         report = base_report(cfg, outcome="error", diagnosis=str(exc))
     write_json(out / "report.json", report)
@@ -578,7 +583,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     n_values = _float_list(cfg["sweep"]["n_values"])
     if not p_values and not n_values:
         raise ConfigError("sweep grid is empty: set p_values and/or n_values")
-    _grid(cfg)  # a bad [grid] fails the sweep, not each point
+    grid = _grid(cfg)  # a bad [grid] fails the sweep, not each point
     points = [
         (f"n{n_val:g}_p{p_val:g}", n_val, p_val)
         for n_val in n_values or [cfg["problem"]["n"]]
@@ -599,7 +604,7 @@ def cmd_sweep(args, cfg: dict) -> int:
                 rows[name] = ("ok" if cached.get("outcome") == "bracketed" else "error", cached)
                 continue
         names.append(name)
-        jobs.append((point_cfg, n_val, p_val, str(out / name)))
+        jobs.append((point_cfg, n_val, p_val, str(out / name), grid))
     if args.jobs > 1 and jobs:
         import multiprocessing  # like the pool, only for --jobs N
         from concurrent.futures import ProcessPoolExecutor

@@ -27,6 +27,8 @@ Three routes to solutions:
     sweep certifies a supersolution just above it.  For p <= 2 and a convex
     reaction, a step that grows at every node certifies that no minimal
     solution exists, and the probe stops there as an "unstable iterate";
+    while the steps shrink ever more slowly, the iterate leaps ahead by the
+    distance that convexity proves it still has to climb;
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
     never a point value.  Each probe starts from the highest start known to
@@ -107,7 +109,12 @@ ORDER_SLACK = 1e-12
 #: is checked, not proved: at p = 2 on the default grid and on 1e-6/400 for
 #: the dimensions README lists, and at the stops of its cross-check searches.
 #: Elsewhere the stop rests on the margin absorbing any small negative part.
-#: UNSTABLE_MARGIN = math.inf switches the stop off.
+#:
+#: Certified leaps.  Under the same hypotheses, a bound m = min_i
+#: delta_(k+1,i) / delta_(k,i) in (0, 1) gives delta_(j+1) >= m delta_j for
+#: every later step, so u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1): while
+#: rho_k > rho_(k-1), the iterate leaps there (see lambda_star_estimate).
+#: UNSTABLE_MARGIN = math.inf switches the stop and the leaps off.
 UNSTABLE_MARGIN = 1e-6
 
 #: Accelerated convergent probes.  On a convex reaction, once the plain
@@ -153,7 +160,9 @@ class LambdaRecord:
     w1p_norm: float
     f_l1_norm: float
     reason: str  # "converged", or why the probe diverged or stayed undecided
-    contraction: float = math.nan  # rho_k of the last plain sweep; nan before two sweeps
+    # rho_k of the last plain sweep; nan before two sweeps, and where two
+    # have not followed the probe's last leap, rho_k before that leap
+    contraction: float = math.nan
     # eps of the accepted supersolution u_A + eps phi (sqrt(delta_A), or more
     # to clear the order slack, at most ACCEL_EPS_CAP); for an "unstable
     # iterate" the Collatz-Wielandt lower bound min_i delta_(k+1,i) /
@@ -294,10 +303,27 @@ def shoot(spec: ProblemSpec, center_value: float, grid: RadialGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: the grid of the last sweep kernel and its rules, by n: searches on one
+#: grid object, such as a sweep's points, share them.  One slot, so no grid
+#: outlives the next search on another, and no rule refers back to a cache
+_RULES: list = [None, {}]
+
+
+def _grid_rule(grid: RadialGrid, n: float) -> QuadratureRule:
+    """``make_rule(grid, n)``, built once while ``grid`` is the last grid."""
+    if _RULES[0] is not grid:
+        _RULES[:] = [grid, {}]
+    rules = _RULES[1]
+    if n not in rules:
+        rules[n] = make_rule(grid, n)
+    return rules[n]
+
+
 class _SweepKernel:
     """What every sweep of one lambda* search reuses: the source rule (weight
-    r^(n-1)) and the unweighted outer rule, each with its ``_CellSums`` over
-    a work array, r^(1-n), q = 1/(p-1), and the work arrays themselves.
+    r^(n-1)) and the unweighted outer rule, shared with every search on the
+    same grid (``_grid_rule``), each with its ``_CellSums`` over a work array,
+    r^(1-n), q = 1/(p-1), and the work arrays themselves.
 
     A sweep allocates only the correlation inside each cumulative sum.  The
     next iterate alternates between the two ``u`` arrays, so a sweep never
@@ -306,12 +332,12 @@ class _SweepKernel:
 
     def __init__(self, grid: RadialGrid, n: float, p: float):
         m = grid.size
-        self.rule_src = make_rule(grid, n)
+        self.rule_src = _grid_rule(grid, n)
         self.rpow = grid.r ** (1.0 - n)
         self.q = 1.0 / (p - 1.0)
         self.h, self.F, self.slope = (np.empty(m) for _ in range(3))
         self.source = _CellSums(self.rule_src, self.h)
-        self.outer = _CellSums(make_rule(grid, 1.0), self.slope)
+        self.outer = _CellSums(_grid_rule(grid, 1.0), self.slope)
         self.u = (np.empty(m), np.empty(m))
         self.diff = (np.empty(m), np.empty(m))
 
@@ -412,6 +438,13 @@ def _growth_bound(step, last, floor: float) -> float:
     return float(np.min(step[:-1] / last[:-1]))
 
 
+def _leap(u, step, bound: float):
+    """u + bound / (1 - bound) step, a subsolution at or below u*(lambda)
+    when every later plain step is at least ``bound`` < 1 times the one
+    before it (see ``lambda_star_estimate``)."""
+    return u + bound / (1.0 - bound) * step
+
+
 def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
     """(label, u) of a probe's starts, highest first, each where it applies:
     the chord through the last converged u and the certified supersolution
@@ -448,8 +481,8 @@ def _monotone_iteration(
     A probe starts from the highest start known to lie below u*(lambda):
     the chord, else the scaled start, else u = 0, each tried only when the
     one before fails the first sweep's order check.  Those starts, the
-    certified Anderson attempt and what ``iterations`` counts are described
-    in ``lambda_star_estimate``.  A returned profile owns its arrays; a
+    certified Anderson attempt, the leaps and what ``iterations`` counts are
+    described in ``lambda_star_estimate``.  A returned profile owns its arrays; a
     converged u that rises in r means the grid is too coarse for order
     preservation."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
@@ -519,7 +552,14 @@ def _monotone_iteration(
         # the growth that certifies an unstable iterate; inf where the
         # convexity argument fails (p > 2, or f not convex)
         grows = 1.0 + UNSTABLE_MARGIN if convex_map else math.inf
+        leaps = grows < math.inf  # the same argument bounds the leaps
+        back = None  # u before a leap, until the leap's first sweep passes
+        held = math.nan  # rho before the last leap, for a record without a newer one
         tried = not convex
+
+        def contraction():
+            return held if math.isnan(rho) else rho
+
         with np.errstate(over="ignore", invalid="ignore"):
             while k < k_max:
                 k, sweeps = k + 1, sweeps + 1
@@ -528,7 +568,7 @@ def _monotone_iteration(
                 except EvaluationError:
                     # u lies below u*(lambda), so no minimal solution has
                     # values inside the table either
-                    return diverged(lam, sweeps, float(sup_of(u)), "left the table", rho, start)
+                    return diverged(lam, sweeps, float(sup_of(u)), "left the table", contraction(), start)
                 sup = float(sup_of(u_next))
                 step = subtract(u_next, u, out=diff_alt if last is diff else diff)
                 drop = float(min_of(step))
@@ -539,6 +579,10 @@ def _monotone_iteration(
                 delta = max(float(sup_of(step)), -drop)
                 rho_old, rho = rho, (delta / prev if prev > 0.0 else math.nan)
                 if drop < -ORDER_SLACK * (1.0 + sup):
+                    if back is not None:
+                        # the leap overshot u*(lambda): undo it, leap no more
+                        u, back, k, leaps = back, None, k - 1, False
+                        continue
                     if not pending or k > 1:
                         raise ConsistencyError(
                             "monotone iteration decreased somewhere; quadrature bug"
@@ -546,14 +590,17 @@ def _monotone_iteration(
                     # the start is no subsolution at this lambda: one step down
                     (start, u), k, rho = pending.pop(0), 0, math.nan
                     continue
+                back = None
                 if sup > u_max:
-                    return diverged(lam, sweeps, sup, "exceeded u_max", rho, start)
+                    return diverged(lam, sweeps, sup, "exceeded u_max", contraction(), start)
                 u = u_next
                 if delta < tol_abs + tol_rel * sup:
-                    return converged(lam, sweeps, rho, u, start)
-                # rho is nan until the second plain sweep since u's start;
-                # the sup-norm ratio bounds the nodewise one from above
-                if rho > grows:
+                    return converged(lam, sweeps, contraction(), u, start)
+                # rho is nan until the second plain sweep since u's start or
+                # leap; the sup-norm ratio bounds the nodewise one from above.
+                # One growth bound serves the stop and, while rho rises, a leap
+                bound = math.nan
+                if rho > grows or (leaps and rho > rho_old):
                     bound = _growth_bound(step, last, ORDER_SLACK * (1.0 + sup))
                     if bound > grows:
                         return diverged(lam, sweeps, sup, "unstable iterate", rho, start, bound)
@@ -596,9 +643,13 @@ def _monotone_iteration(
                                 if 0.0 < near < gap * tol_lambda * lam / 16.0:
                                     seeds.append((lam, u))
                                     return diverged(lam, sweeps, sup, "fold ghost", rate, start, near / gap / lam)
-                prev, last = delta, step
+                if leaps and rho > rho_old and 0.0 < bound < 1.0:
+                    held, back, u = rho, u.copy(), _leap(u, step, bound)
+                    prev, rho, last = math.nan, math.nan, None
+                else:
+                    prev, last = delta, step
         seeds.append((lam, u.copy()))
-        return diverged(lam, sweeps, float(np.max(u)), "iteration cap", rho, start)
+        return diverged(lam, sweeps, float(np.max(u)), "iteration cap", contraction(), start)
 
     return iterate
 
@@ -730,15 +781,39 @@ def lambda_star_estimate(
     subsolution below u*(lambda), so the argument covers it.  Neither an Anderson attempt nor the
     certificate's sweep feeds this test.
 
+    The same convexity bounds how far the iterate still has to climb, and
+    the probe leaps there (Amann, SIAM Rev. 18 (1976)).  Convexity gives
+    delta_(j+1) <= T'(u_j) delta_j and delta_(j+2) >= T'(u_j) delta_(j+1),
+    so delta_(j+1) >= m delta_j implies delta_(j+2) >= m T'(u_j) delta_j >=
+    m delta_(j+1): with m = min_i delta_(k+1,i) / delta_(k,i) in (0, 1), the
+    growth bound above, every later step is at least m times the one
+    before.  So u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1), and
+    v = u_(k+1) + m / (1 - m) delta_(k+1) is a subsolution,
+    T(v) - v >= (1 + m / (1 - m)) delta_(k+2) - m / (1 - m) delta_(k+1) >= 0,
+    at or below u*(lambda) where that exists: the iteration from v decides
+    as the one from u_(k+1), and every argument above covers it.  The probe
+    leaps to v only while rho_k > rho_(k-1), in the slow passage next to
+    the fold; where rho_k has settled, the leaps would keep restarting the
+    ratios that Anderson mixing waits for.  One growth bound per sweep
+    serves the stop and the leap.  After a leap the ratios restart: rho is
+    nan until two plain sweeps follow, and a record that ends before then
+    carries the rho before the leap.  k keeps counting plain sweeps, so
+    Anderson mixing and both fold-ghost stops keep their triggers.  A leap
+    whose first sweep lowers the iterate by more than ORDER_SLACK
+    (1 + sup), which rounding can cause next to the fold, is undone: the
+    probe goes on from the iterate before it and leaps no more.  Leaps run
+    exactly where the unstable-iterate stop does.
+
     The record's ``certificate`` holds eps; for an unstable iterate the
     bound min_i delta_(k+1,i) / delta_(k,i); for a fold ghost stopped by the
     saddle-node law the estimated relative fold distance
     |lambda_f - lambda| / lambda, an estimate and never a bracket end, with
     rho(T') at u_A as its ``contraction``; nan for any other probe.
     ``iterations`` counts every sweep of the probe: plain ones, the first
-    sweep from each rejected start, those of an Anderson attempt, failed or
-    not, the certificate's, T(u_A) and the power steps, those from u_A and,
-    for a converged probe, the consistency sweep that builds (u, w).
+    sweep from each rejected start and from an undone leap, those of an
+    Anderson attempt, failed or not, the certificate's, T(u_A) and the power
+    steps, those from u_A and, for a converged probe, the consistency sweep
+    that builds (u, w).  A leap itself is no sweep.
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")

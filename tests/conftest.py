@@ -51,8 +51,9 @@ def continuation_10_3(grid2000):
 
 @pytest.fixture
 def without_unstable_stop(monkeypatch):
-    """Switches the certified unstable-iterate stop off, so that a divergent
-    probe runs on until it passes u_max or overflows."""
+    """Switches the certified unstable-iterate stop off, and with it the
+    leaps, so that a divergent probe runs on until it passes u_max or
+    overflows, and a probe at the fold runs to a ghost stop."""
     monkeypatch.setattr(solver, "UNSTABLE_MARGIN", math.inf)
 
 

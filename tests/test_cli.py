@@ -101,7 +101,8 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
 
 @pytest.mark.usefixtures("without_unstable_stop")
 def test_undecided_outcomes_are_labelled(tmp_path, capsys):
-    """The disk probe at lambda = 2 stops as a fold ghost far below u_max: solve
+    """Without leaps (the fixture switches them off with the stop) the disk
+    probe at lambda = 2 stops as a fold ghost far below u_max: solve
     calls it undecided (exit 3), and lambda-star lists it next to a bracket
     whose ends both come from decided probes.  The probe above the ghost
     starts from the ghost's last iterate, scaled, and passes u_max."""
@@ -173,6 +174,33 @@ def test_lambda_star_command(tmp_path, capsys):
         else:
             assert rec["reason"] == "unstable iterate"
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
+
+
+def test_lambda_star_flags_an_unreached_tolerance(tmp_path, capsys):
+    """At tol_lambda 1e-9 the disk's bracket meets the tolerance, while a
+    hole of fold ghosts stops the (1+u)^3 search at n = 3 with a bracket
+    2.5 times as wide: both are "bracketed" (exit 0, sweep status "ok"),
+    and ``tolerance_reached`` tells them apart, in the lambda-star report
+    and in a sweep point's."""
+    cfg = tmp_path / "tight.ini"
+    cfg.write_text("[solver]\ntol_lambda = 1e-9\n[problem]\nnonlinearity = power\nm = 3\n[sweep]\nn_values = 3\np_values = 2\n")
+    disk = tmp_path / "disk.ini"
+    disk.write_text("[solver]\ntol_lambda = 1e-9\n")
+    run_cli(capsys, "--config", str(disk), "--out", str(tmp_path / "d"), "lambda-star", "--n", "2", "--p", "2")
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert report["tolerance_reached"] is True and report["lambda_lo"] >= 1.9999995
+    assert report["lambda_hi"] - report["lambda_lo"] <= 1e-9 * report["lambda_lo"]
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "c"), "lambda-star", "--n", "3", "--p", "2")
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["outcome"] == "bracketed" and report["undecided"]
+    assert report["tolerance_reached"] is False
+    assert report["lambda_hi"] - report["lambda_lo"] > 1e-9 * report["lambda_lo"]
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "s"), "sweep")
+    point = json.loads((tmp_path / "s" / "n3_p2" / "report.json").read_text())
+    assert point["tolerance_reached"] is False
+    assert (point["lambda_lo"], point["lambda_hi"]) == (report["lambda_lo"], report["lambda_hi"])
+    rows = list(csv.DictReader((tmp_path / "s" / "index.csv").open()))
+    assert [row["status"] for row in rows] == ["ok"]
 
 
 @pytest.mark.parametrize("n, p", [("5", "1.5"), ("3", "1.3")])
@@ -539,8 +567,11 @@ def test_sweep_point_is_a_lambda_star_run(tmp_path, capsys):
 
 
 def test_solve_record_is_a_lambda_sweep_row(tmp_path, capsys):
-    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
+    # at the disk's discrete fold, about 2.000000001, the probe stops as a
+    # fold ghost; 2.0 itself converges, its slow passage cut short by leaps
+    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2.000000001", expect=3)
     record = json.loads((tmp_path / "sg" / "report.json").read_text())["record"]
+    assert record["reason"] == "fold ghost"
     run_cli(capsys, "--out", str(tmp_path / "ls"), "--config", _tiny_config(tmp_path),
             "lambda-star", "--n", "2", "--p", "2")
     header = (tmp_path / "ls" / "lambda_sweep.csv").read_text().split("\n")[0]

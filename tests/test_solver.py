@@ -681,23 +681,24 @@ def stopping_error(record, controls=IterationControls()):
 
 
 def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, monkeypatch):
-    """At lambda = 2 the disk iteration passes the saddle-node bottleneck,
-    where k (1 - rho_k) stays near 2: it stops as a fold ghost at sweep 500.
-    The slowest convergent probe, 1.99995, still converges, and does so bit
+    """At the discrete fold, about lambda = 2.000000001, the disk iteration
+    passes the saddle-node bottleneck, where k (1 - rho_k) stays near 2: it
+    stops as a fold ghost at sweep 500, leaps and all.  The probe at 1.99995
+    still converges, in 108 sweeps (1,842 without leaps), and does so bit
     for bit as the iteration without the stop.  Both on the plain path; with
     acceleration the ghost's Anderson attempt fails its certificate and the
     probe still stops at plain sweep 500, while 1.99995 converges certified,
-    within the plain probe's stopping error, in a fraction of its sweeps.
-    With no converged probe below it, a search's tolerance does not stop the
-    ghost earlier: the saddle-node law has no second point."""
+    within the plain probe's stopping error, in 34 sweeps.  With no
+    converged probe below it, a search's tolerance does not stop the ghost
+    earlier: the saddle-node law has no second point."""
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
-    out, record = iterate(2.0)
+    out, record = iterate(2.000000001)
     assert out is None and not record.converged
     assert (record.reason, record.iterations) == ("fold ghost", 500)
     assert 0.0 < 500 * (1.0 - record.contraction) < solver.FOLD_GHOST_RATE
     profile, record = iterate(1.99995)
-    assert (record.reason, record.iterations) == ("converged", 1842)
+    assert (record.reason, record.iterations) == ("converged", 108)
     assert math.isnan(record.certificate)
     monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
     plain, plain_record = iterate(1.99995)
@@ -708,13 +709,13 @@ def test_fold_ghost_stops_the_probe_at_the_fold(gelfand_disk_spec, grid2000, mon
     monkeypatch.undo()
     # a search's tolerance cannot stop it earlier: no converged probe lies below
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls(), 1e-3)
-    _, ghost = iterate(2.0)
+    _, ghost = iterate(2.000000001)
     assert ghost.reason == "fold ghost" and math.isnan(ghost.certificate)
     # the failed attempt and its certificate sweep are counted
     assert 500 < ghost.iterations <= 500 + solver.ACCEL_MAX_SWEEPS + 1
     fast, fast_record = iterate(1.99995)
     assert fast_record.converged and 0.0 < fast_record.certificate < 1e-4
-    assert fast_record.iterations < 1842 / 10
+    assert fast_record.iterations == 34
     assert np.max(np.abs(fast.u - plain.u)) <= stopping_error(plain_record)
 
 
@@ -738,23 +739,37 @@ def test_saddle_node_law_stops_the_fold_ghost(continuation_disk):
 
 
 @pytest.mark.parametrize(
-    "n, f, bracket",
+    "n, f, bracket, early",
     [
-        (2.0, Exponential(1.0), (1.999998463999873, 2.0000010240000847)),
-        (3.0, Power(m=3.0), (1.3699228595287423, 1.3699340823737336)),
+        (2.0, Exponential(1.0), (2.0000000005, 2.000000002362645), 0),
+        (3.0, Power(m=3.0), (1.3699255043580947, 1.3699255077829084), 3),
     ],
     ids=["disk", "cubic-n3"],
 )
-def test_saddle_node_stop_keeps_tight_brackets(n, f, bracket, grid2000):
-    """At tol_lambda 1e-9 a quarter of the hole step, 1.25e-10 lambda, lies
-    below the law's fold distances (1.7e-9 at the disk's 2.0), so no ghost
-    stops early: each keeps a nan certificate and its FOLD_GHOST_SWEEPS
-    sweeps, and the brackets are those of the 500-sweep stop alone."""
-    res = lambda_star_estimate(ProblemSpec(n, 2.0, f), grid2000, tol_lambda=1e-9)
+def test_saddle_node_stop_keeps_tight_brackets(n, f, bracket, early, grid2000, monkeypatch):
+    """At tol_lambda 1e-9 the saddle-node stop changes no bracket and no
+    probe's outcome class: the search with its power steps switched off
+    probes the same lambdas with the same outcomes.  Leaps carry the probes
+    next to the fold to Anderson answers, so the law may stop a ghost early
+    where it puts the fold within tol_lambda lambda / 16, with that relative
+    distance as its certificate: three of the (1+u)^3 search's four ghosts,
+    in 27-30 sweeps instead of 509-540.  The disk's ghost at 2.0 runs to
+    sweep 500 with a nan certificate.  The disk's lambda_lo converges above
+    1.9999995, and its bracket meets the tolerance."""
+    spec = ProblemSpec(n, 2.0, f)
+    probes = logged_probes(monkeypatch, state)
+    res = lambda_star_estimate(spec, grid2000, tol_lambda=1e-9)
+    stopped, probes[:] = probes[:], []
     assert (res.lambda_lo, res.lambda_hi) == bracket
+    assert_decided_ends(res)
     ghosts = [rec for rec in res.records if rec.reason == "fold ghost"]
-    assert ghosts and all(math.isnan(rec.certificate) for rec in ghosts)
-    assert all(rec.iterations >= solver.FOLD_GHOST_SWEEPS for rec in ghosts)
+    law = [rec.certificate for rec in ghosts if not math.isnan(rec.certificate)]
+    assert len(law) == early and all(0.0 < cert < 1e-9 / 16 for cert in law)
+    assert sum(rec.iterations >= solver.FOLD_GHOST_SWEEPS for rec in ghosts) == len(ghosts) - early
+    monkeypatch.setattr(solver, "_spectral_radius", lambda *args: (1, math.nan))
+    plain = lambda_star_estimate(spec, grid2000, tol_lambda=1e-9)
+    assert (plain.lambda_lo, plain.lambda_hi) == bracket
+    assert probes == stopped
 
 
 def test_no_bracket_end_is_undecided(gelfand_disk_spec, grid2000, continuation_disk):
@@ -958,14 +973,14 @@ def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec,
         nonlocal sweeps
         sweeps += 1
         u_next, F = real_step(u, *args)
-        if sweeps == 17:  # lambda = 1 passes the stopping test at sweep 16
+        if sweeps == 13:  # lambda = 1 passes the stopping test at sweep 12
             u_next[: grid2000.size // 2] += 1.0
         return u_next, F
 
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, controls)
     monkeypatch.setattr(solver, "_iteration_step", raised_consistency_sweep)
     first, first_record = iterate(1.0)
-    assert first_record.iterations == 17 and np.max(first.u) > 1.0
+    assert first_record.iterations == 13 and np.max(first.u) > 1.0
     again, again_record = iterate(1.5)
     assert again_record == dataclasses.replace(cold_record, iterations=cold_record.iterations + 1)
     for name in ("u", "w", "u_r"):
@@ -1006,14 +1021,15 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     plain = probe(iterate, 1.0, "converged")
     assert math.isnan(plain.certificate)
     assert probe(iterate, 1.9, "converged").certificate > 0.0
-    ghost = probe(disk(), 2.0, "fold ghost")
+    ghost = probe(disk(), 2.000000001, "fold ghost")
     assert ghost.iterations > solver.FOLD_GHOST_SWEEPS
     # T(u_A) and the power steps of the saddle-node stop are counted
     iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls(), 1e-3)
     probe(iterate, 1.0, "converged")
     assert probe(iterate, 2.0, "fold ghost").iterations < solver.FOLD_GHOST_SWEEPS
-    # from u = 0, the certified stop halves the sweeps of the probe just above the fold
-    assert probe(disk(), 2.0005, "unstable iterate").iterations == 131
+    # from u = 0, the certified stop and the leaps cut the sweeps of the
+    # probe just above the fold from 265 to 18 (131 without the leaps)
+    assert probe(disk(), 2.0005, "unstable iterate").iterations == 18
     assert probe(disk(), 5.0, "unstable iterate").iterations == 2
     with monkeypatch.context() as stop_off:
         stop_off.setattr(solver, "UNSTABLE_MARGIN", math.inf)
@@ -1060,14 +1076,14 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     assert calls
 
 
-# the lambda* cross-check problems of the unstable-iterate stop: (n, p, f),
-# the sweeps their searches run with it, pinned where the stop saves most, and
-# the grid, the default 1e-8/2000 where None; the coarse cases take a grid and
-# non-integer n outside those that the stop's nonnegativity argument checks
+# the lambda* cross-check problems of the unstable-iterate stop and the leaps:
+# (n, p, f), the sweeps their searches run with both, pinned where they save
+# most, and the grid, the default 1e-8/2000 where None; the coarse cases take a
+# grid and non-integer n outside those that the nonnegativity argument checks
 CROSS_CHECK = {
-    "disk": (2.0, 2.0, Exponential(1.0), 288, None),
-    "slab": (1.0, 2.0, Exponential(1.0), 247, None),
-    "cubic-n3": (3.0, 2.0, Power(m=3.0), 344, None),
+    "disk": (2.0, 2.0, Exponential(1.0), 100, None),
+    "slab": (1.0, 2.0, Exponential(1.0), 142, None),
+    "cubic-n3": (3.0, 2.0, Power(m=3.0), 182, None),
     "square-n4": (4.0, 2.0, Power(m=2.0), None, None),
     "exp-n5": (5.0, 2.0, Exponential(1.0), None, None),
     "exp-n8": (8.0, 2.0, Exponential(1.0), None, None),
@@ -1081,11 +1097,12 @@ CROSS_CHECK = {
 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK))
 def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, monkeypatch):
-    """The certified stop changes no bracket and no probe's outcome class: the
-    search with it switched off probes the same lambdas with the same
-    outcomes, and every probe it calls an unstable iterate passes u_max or
-    overflows there.  Each such record's certificate is its growth bound,
-    above 1 + UNSTABLE_MARGIN; a converged probe never carries the reason."""
+    """The certified stop and the leaps change no bracket and no probe's
+    outcome class: the search with both switched off probes the same lambdas
+    with the same outcomes, and every probe it calls an unstable iterate
+    passes u_max or overflows there.  Each such record's certificate is its
+    growth bound, above 1 + UNSTABLE_MARGIN; a converged probe never carries
+    the reason."""
     n, p, f, sweeps, coarse = CROSS_CHECK[name]
     spec, grid = ProblemSpec(n, p, f), grid2000 if coarse is None else make_grid(*coarse)
     probes = logged_probes(monkeypatch, lambda record: (state(record), record.reason))
@@ -1109,9 +1126,11 @@ def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK))
 def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch):
     """The chord and scaled starts decide no probe otherwise: a cold
-    minimal_iterate at each probe's lambda ends in the same class, and every
-    chord or scaled start offered to a probe whose cold twin converged lies
-    at or below that minimal solution, up to the order slack, at every node."""
+    minimal_iterate at each probe's lambda ends in the same class, or the
+    probe is a ghost that the search's saddle-node stop left undecided (the
+    disk's 2.0, whose cold twin converges), and every chord or scaled start
+    offered to a probe whose cold twin converged lies at or below that
+    minimal solution, up to the order slack, at every node."""
     n, p, f, _, coarse = CROSS_CHECK[name]
     spec, grid = ProblemSpec(n, p, f), grid2000 if coarse is None else make_grid(*coarse)
     offered = {}
@@ -1130,11 +1149,133 @@ def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch)
         if not isinstance(cold, RadialProfile):
             assert state(cold) == state(rec)
             continue
-        assert rec.converged
+        assert rec.converged or (rec.reason == "fold ghost" and rec.certificate > 0.0)
         slack = solver.ORDER_SLACK * (1.0 + float(np.max(cold.u)))
         for label, start in offered[rec.lam]:
             if label != "zero":
                 assert np.all(start <= cold.u + slack), (rec.lam, label)
+
+
+def leap_log(monkeypatch):
+    """The (lambda, u) of every leap that the lambda* searches and probes
+    make from here on, in order; u is the leap's landing point."""
+    leaps, current = [], [None]
+    real_leap, real_iteration = solver._leap, solver._monotone_iteration
+
+    def logged_leap(u, step, bound):
+        out = real_leap(u, step, bound)
+        leaps.append((current[0], out.copy()))
+        return out
+
+    def tracked(*args):
+        iterate = real_iteration(*args)
+
+        def run(lam):
+            current[0] = lam
+            return iterate(lam)
+
+        return run
+
+    monkeypatch.setattr(solver, "_leap", logged_leap)
+    monkeypatch.setattr(solver, "_monotone_iteration", tracked)
+    return leaps
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+@pytest.mark.parametrize("name", ["disk", "cubic-n3", "exp-n3-p1.5"])
+def test_leaps_land_below_the_minimal_solution(name, tol, grid2000, monkeypatch):
+    """Every leap u + m/(1 - m) delta lands at or below u*(lambda): wherever
+    a cold minimal_iterate at tolerance 1e-14 converges, each leap of the
+    search's probe at that lambda lies at or below it, up to the order slack,
+    at every node.  No record's contraction is nan: a probe that ends before
+    two sweeps follow its last leap reports the contraction before it."""
+    n, p, f, _, _ = CROSS_CHECK[name]
+    spec = ProblemSpec(n, p, f)
+    leaps = leap_log(monkeypatch)
+    res = lambda_star_estimate(spec, grid2000, tol_lambda=tol)
+    monkeypatch.undo()
+    assert leaps and not any(math.isnan(rec.contraction) for rec in res.records)
+    tight, cold, compared = IterationControls(tol_abs=1e-14, tol_rel=1e-14), {}, 0
+    for lam, u in leaps:
+        if lam not in cold:
+            cold[lam] = minimal_iterate(spec, lam, grid2000, tight)
+        if isinstance(cold[lam], RadialProfile):
+            ref = cold[lam].u
+            assert np.all(u <= ref + solver.ORDER_SLACK * (1.0 + float(np.max(ref)))), lam
+            compared += 1
+    assert compared
+
+
+def test_a_leap_above_the_minimal_solution_is_undone(gelfand_disk_spec, grid2000, monkeypatch):
+    """A leap raised by 1 on the inner half of the grid lies above u*(1.5)
+    and is no subsolution: its first sweep lowers it, and the probe goes on
+    from the iterate before the leap, with no more leaps, instead of raising
+    ConsistencyError.  It converges as the probe without the raise does, to
+    within its stopping error; the undone sweep is counted in iterations.
+    The slab's search at tol_lambda 1e-15, where a leap next to the fold
+    overshoots unforced (its first sweep lowers it by 3.4e-11), still ends
+    with decided bracket ends."""
+    calls = 0
+    real_step, real_leap = solver._iteration_step, solver._leap
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "_iteration_step", counted)
+    leaps = leap_log(monkeypatch)
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
+    plain, plain_record = iterate(1.5)
+    assert plain_record.converged and len(leaps) > 1
+
+    def raised(u, step, bound):
+        out = real_leap(u, step, bound)
+        if not leaps:
+            out[: grid2000.size // 2] += 1.0
+        leaps.append((1.5, out))
+        return out
+
+    monkeypatch.setattr(solver, "_leap", raised)
+    leaps.clear()
+    calls = 0
+    iterate = solver._monotone_iteration(gelfand_disk_spec, grid2000, IterationControls())
+    again, record = iterate(1.5)
+    assert len(leaps) == 1 and record.converged and record.iterations == calls
+    assert np.max(np.abs(again.u - plain.u)) <= stopping_error(plain_record) + stopping_error(record)
+
+    monkeypatch.undo()
+    slab = lambda_star_estimate(ProblemSpec(1.0, 2.0, Exponential(1.0)), grid2000, tol_lambda=1e-15)
+    assert_decided_ends(slab)
+
+
+def test_sweep_rules_are_built_once_per_grid(tmp_path, monkeypatch):
+    """Searches on one grid object share its rules, one per dimension and one
+    for the outer sum (n = 1): two disk searches and an n = 5 one build 3
+    rules, not 6, and give the records and profile of searches on fresh
+    rules bit for bit.  An equal grid built anew gets its own.  The points
+    of a sweep over n = 10, 12 and p = 3, 3.5 share one grid: 3 rules, not
+    8."""
+    from plaplab.cli import main
+
+    built = []
+    real = solver.make_rule
+    monkeypatch.setattr(solver, "make_rule", lambda grid, n: built.append(n) or real(grid, n))
+    grid, disk = make_grid(1e-8, 2000), ProblemSpec(2.0, 2.0, Exponential(1.0))
+    first = lambda_star_estimate(disk, grid)
+    again = lambda_star_estimate(disk, grid)
+    lambda_star_estimate(ProblemSpec(5.0, 2.0, Exponential(1.0)), grid)
+    assert built == [2.0, 1.0, 5.0]
+    fresh = lambda_star_estimate(disk, make_grid(1e-8, 2000))
+    assert built == [2.0, 1.0, 5.0, 2.0, 1.0]
+    assert repr(first.records) == repr(again.records) == repr(fresh.records)
+    for name in ("u", "w", "u_r"):
+        assert np.array_equal(getattr(again.profile_lo, name), getattr(fresh.profile_lo, name))
+    built.clear()
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\nn_values = 10, 12\np_values = 3, 3.5\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "s"), "sweep"]) == 0
+    assert built == [10.0, 1.0, 12.0]
 
 
 def test_a_rejected_start_falls_back_one_step(grid2000, monkeypatch):
