@@ -360,20 +360,20 @@ def _lambda_star_report(cfg: dict, out: Path, grid: RadialGrid) -> dict:
     """The lambda* search of cfg's problem on ``grid``, cfg's [grid]: the
     "bracketed" report, after writing its records to ``out``/lambda_sweep.csv,
     or the "no-bracket" one with the search's diagnosis.
-    ``tolerance_reached`` says whether hi - lo <= tol_lambda lo: a hole of
-    undecided probes, or max_bisect, can end a search short of it."""
+    ``tolerance_reached`` says whether the bracket passed the search's
+    width test: a hole of undecided probes, or max_bisect, can end a search
+    short of it."""
     try:
         result = _lambda_star(_problem(cfg), grid, cfg)
     except BracketingError as exc:
         return base_report(cfg, outcome="no-bracket", diagnosis=str(exc))
     _write_csv(out / "lambda_sweep.csv", _columns(LambdaRecord), map(astuple, result.records))
-    lo, hi = result.lambda_lo, result.lambda_hi
     return base_report(
         cfg,
         outcome="bracketed",
-        lambda_lo=lo,
-        lambda_hi=hi,
-        tolerance_reached=hi - lo <= cfg["solver"]["tol_lambda"] * lo,
+        lambda_lo=result.lambda_lo,
+        lambda_hi=result.lambda_hi,
+        tolerance_reached=result.tolerance_reached,
         undecided=[rec.lam for rec in result.records if rec.reason in UNDECIDED],
         records=result.records,
     )

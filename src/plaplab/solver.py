@@ -113,7 +113,8 @@ ORDER_SLACK = 1e-12
 #: Certified leaps.  Under the same hypotheses, a bound m = min_i
 #: delta_(k+1,i) / delta_(k,i) in (0, 1) gives delta_(j+1) >= m delta_j for
 #: every later step, so u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1): while
-#: rho_k > rho_(k-1), the iterate leaps there (see lambda_star_estimate).
+#: rho_k > rho_(k-1), the iterate leaps there with m shrunk to
+#: m (1 - UNSTABLE_MARGIN), the stop's margin (see lambda_star_estimate).
 #: UNSTABLE_MARGIN = math.inf switches the stop and the leaps off.
 UNSTABLE_MARGIN = 1e-6
 
@@ -192,6 +193,9 @@ class ContinuationResult:
     lambda_hi: float
     records: tuple
     profile_lo: RadialProfile
+    # whether the bracket passed the search's width test; a hole of
+    # undecided probes, or max_bisect, can end a search short of it
+    tolerance_reached: bool
 
 
 def _check_solver_dimension(n: float) -> None:
@@ -439,10 +443,14 @@ def _growth_bound(step, last, floor: float) -> float:
 
 
 def _leap(u, step, bound: float):
-    """u + bound / (1 - bound) step, a subsolution at or below u*(lambda)
-    when every later plain step is at least ``bound`` < 1 times the one
-    before it (see ``lambda_star_estimate``)."""
-    return u + bound / (1.0 - bound) * step
+    """u + m / (1 - m) step with m = bound (1 - UNSTABLE_MARGIN): a
+    subsolution at or below u*(lambda) when every later plain step is at
+    least ``bound`` < 1 times the one before it (see
+    ``lambda_star_estimate``).  The margin that the unstable-iterate stop
+    keeps against small non-convex parts of the discrete map shortens the
+    leap, by about 1% at bound = 1 - 1e-4."""
+    m = bound * (1.0 - UNSTABLE_MARGIN)
+    return u + m / (1.0 - m) * step
 
 
 def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
@@ -704,9 +712,11 @@ def lambda_star_estimate(
     it, else the search stops; a bracket then left wider than tol_lambda has
     undecided probes inside.  Without a hole the next lam is 2 lo while
     there is no hi, hi / 2 while there is no lo, and otherwise the midpoint,
-    until the bracket passes the width test or max_bisect midpoints have
-    run.  Every probe is recorded with its norms so the uniform-bound
-    behavior of the minimal branch can be audited from the result alone.
+    until the bracket passes the width test, hi - lo <= tol_lambda lo or
+    8 ulp(hi), or max_bisect midpoints have run; the result's
+    ``tolerance_reached`` says whether its bracket passes that test.
+    Every probe is recorded with its norms so the uniform-bound behavior of
+    the minimal branch can be audited from the result alone.
 
     Every decision comes from plain sweeps started at or below the minimal
     solution u*(lambda), so a probe starts from the highest start known to
@@ -795,7 +805,9 @@ def lambda_star_estimate(
     leaps to v only while rho_k > rho_(k-1), in the slow passage next to
     the fold; where rho_k has settled, the leaps would keep restarting the
     ratios that Anderson mixing waits for.  One growth bound per sweep
-    serves the stop and the leap.  After a leap the ratios restart: rho is
+    serves the stop and the leap.  As the stop rests on its margin where
+    T' >= 0 is checked rather than proved, the leap takes m (1 -
+    UNSTABLE_MARGIN) for m, about 1% short at m = 1 - 1e-4.  After a leap the ratios restart: rho is
     nan until two plain sweeps follow, and a record that ends before then
     carries the rho before the leap.  k keeps counting plain sweeps, so
     Anderson mixing and both fold-ghost stops keep their triggers.  A leap
@@ -821,6 +833,10 @@ def lambda_star_estimate(
     records: list[LambdaRecord] = []
     undecided: list[float] = []
     lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's
+
+    def narrow(lo, hi):  # the width test
+        return hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi)
+
     lam, midpoints = lam_init, 0
     while True:
         out, record = iterate(lam)
@@ -845,7 +861,7 @@ def lambda_star_estimate(
             lam = 2.0 * lo
         elif lo is None:
             lam = 0.5 * hi
-        elif midpoints >= max_bisect or hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi):
+        elif midpoints >= max_bisect or narrow(lo, hi):
             break
         else:
             lam, midpoints = 0.5 * (lo + hi), midpoints + 1
@@ -862,7 +878,8 @@ def lambda_star_estimate(
 
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
     return ContinuationResult(
-        lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profile_lo
+        lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profile_lo,
+        tolerance_reached=narrow(lo, hi),
     )
 
 

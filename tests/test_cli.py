@@ -99,14 +99,14 @@ def test_solve_divergence_exit_code(tmp_path, capsys):
     assert report["record"]["reason"] in ("exceeded u_max", "overflow", "unstable iterate")
 
 
-@pytest.mark.usefixtures("without_unstable_stop")
 def test_undecided_outcomes_are_labelled(tmp_path, capsys):
-    """Without leaps (the fixture switches them off with the stop) the disk
-    probe at lambda = 2 stops as a fold ghost far below u_max: solve
-    calls it undecided (exit 3), and lambda-star lists it next to a bracket
-    whose ends both come from decided probes.  The probe above the ghost
-    starts from the ghost's last iterate, scaled, and passes u_max."""
-    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2", expect=3)
+    """The disk probe at lambda = 2.000000001, at the discrete fold, runs to
+    the 500-sweep fold-ghost stop, leaps and all, far below u_max: solve
+    calls it undecided (exit 3).  lambda-star lists its ghost at 2.0, stopped
+    by the saddle-node law, next to a bracket whose ends both come from
+    decided probes.  The probe above the ghost starts from the ghost's last
+    iterate, scaled, and stops as an unstable iterate."""
+    run_cli(capsys, "--out", str(tmp_path / "sg"), "solve", "--n", "2", "--p", "2", "--lam", "2.000000001", expect=3)
     report = json.loads((tmp_path / "sg" / "report.json").read_text())
     assert report["outcome"] == "undecided"
     assert report["record"]["reason"] == "fold ghost" and report["record"]["sup_norm"] < 2.0
@@ -115,7 +115,7 @@ def test_undecided_outcomes_are_labelled(tmp_path, capsys):
     assert report["undecided"] == [2.0]
     assert (report["lambda_lo"], report["lambda_hi"]) == (1.9995, 2.0005)
     reasons = {rec["lambda"]: rec["reason"] for rec in report["records"]}
-    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "exceeded u_max")
+    assert (reasons[1.9995], reasons[2.0], reasons[2.0005]) == ("converged", "fold ghost", "unstable iterate")
     # the probe above the ghost starts from its last iterate, scaled
     assert {rec["lambda"]: rec["start"] for rec in report["records"]}[2.0005] == "scaled"
 
