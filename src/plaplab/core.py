@@ -118,6 +118,10 @@ class Exponential:
     def convex(self) -> bool:
         return self.scale >= 0
 
+    def convex_root(self, p: float) -> bool:
+        """Whether g^(1/max(1, p - 1)) is convex: e^(u/a) is for every a."""
+        return self.convex
+
     def positive_at_zero(self) -> bool:
         return self.scale > 0
 
@@ -157,6 +161,11 @@ class Power:
     def convex(self) -> bool:
         """On u > -1; (1 + u)^m with 0 < m < 1 is concave."""
         return self.scale >= 0 and self.m >= 1.0
+
+    def convex_root(self, p: float) -> bool:
+        """Whether g^(1/max(1, p - 1)) = (1 + u)^(m/a) times a constant is
+        convex on u > -1: iff m >= a = max(1, p - 1)."""
+        return self.scale >= 0 and self.m >= max(1.0, p - 1.0)
 
     def positive_at_zero(self) -> bool:
         return self.scale > 0
@@ -282,6 +291,11 @@ class Tabulated:
         c2, c3 = self._table[1][:, 3:].T
         right = 2.0 * c2 + 6.0 * c3 * np.diff(self.t)
         return bool(self.scale >= 0 and c2.min() >= 0 and right.min() >= 0)
+
+    def convex_root(self, p: float) -> bool:
+        """Whether g^(1/max(1, p - 1)) is convex: ``convex`` for p <= 2;
+        never claimed for p > 2, where g^(1/(p-1)) would need its own test."""
+        return self.convex and p <= 2.0
 
     def minimum(self, lo: float, hi: float) -> float:
         """The least value on [lo, hi] (inside the table), in closed form:

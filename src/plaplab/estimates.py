@@ -283,11 +283,16 @@ def check_regularity_bounds(
         checks["bounded"] = not singular
         implied["linf_over_w1p"] = linf / w1p if w1p > 0 else 0.0
     elif regime == "B":
-        ratios = us / (np.abs(grid.t) + 1.0)
-        ratio_all = float(np.max(ratios))
-        ratio_away = float(np.max(ratios[grid.r >= 100.0 * grid.r_min]))
-        checks["log_bound"] = ratio_all <= 1.1 * ratio_away
-        implied["log_bound_ratio"] = ratio_all
+        # u <= C (|log r| + 1): u grows no faster than |log r| toward the
+        # origin, so its slope against |log r| over the deepest decade (half
+        # the grid, if shorter) is at most 1.1 times that over the next; a
+        # power head r^(-a) rises 10^a times, a log head not at all
+        t, width = grid.t, min(math.log(10.0), -float(grid.t[0]) / 2.0)
+        deep = t <= t[0] + width
+        above = (t >= t[0] + width) & (t <= t[0] + 2.0 * width)
+        slope_deep, slope_above = (_lstsq_slope(-t[mask], us[mask])[0] for mask in (deep, above))
+        checks["log_bound"] = slope_deep <= 1.1 * slope_above + ROUNDING_DRIFT * float(us[0])
+        implied["log_bound_ratio"] = float(np.max(us / (np.abs(grid.t) + 1.0)))
     else:
         target = _pointwise_exponent(n, p, 0)
         if unread is None:

@@ -24,11 +24,12 @@ Three routes to solutions:
     sweeps write into the work arrays of one ``_SweepKernel`` per search.
     On a convex reaction, once the sweeps contract at a settled rate, Anderson
     mixing may finish the iteration; its answer counts only when one more
-    sweep certifies a supersolution just above it.  For p <= 2 and a convex
-    reaction, a step that grows at every node certifies that no minimal
-    solution exists, and the probe stops there as an "unstable iterate";
-    while the steps shrink ever more slowly, the iterate leaps ahead by the
-    distance that convexity proves it still has to climb;
+    sweep certifies a supersolution just above it.  Where f^(1/max(1, p-1))
+    is convex, and with it the sweep map, a step that grows at every node
+    certifies that no minimal solution exists, and the probe stops there as
+    an "unstable iterate"; while the steps shrink ever more slowly, the
+    iterate leaps ahead by the distance that convexity proves it still has
+    to climb;
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
     never a point value.  Each probe starts from the highest start known to
@@ -99,22 +100,32 @@ UNDECIDED = ("iteration cap", "fold ghost")
 #: lower u by rounding: up to ORDER_SLACK (1 + sup u) passes, more raises.
 ORDER_SLACK = 1e-12
 
-#: Certified divergence.  For p <= 2 and a convex reaction the sweep map T is
-#: order preserving and convex, so a plain step delta_(k+1) with
-#: min_i delta_(k+1,i) / delta_(k,i) > 1 + UNSTABLE_MARGIN over every node but
-#: r = 1, where each delta_(k,i) > ORDER_SLACK (1 + sup u), bounds the
-#: spectral radius of T' above 1 at u_k and at every fixed point above it:
-#: no minimal solution exists, and the probe stops as "unstable iterate".
-#: T' >= 0 although each cumulative sum has negative weights (see ORDER_SLACK)
-#: is checked, not proved: at p = 2 on the default grid and on 1e-6/400 for
-#: the dimensions README lists, and at the stops of its cross-check searches.
-#: Elsewhere the stop rests on the margin absorbing any small negative part.
+#: Certified divergence.  The sweep map T(u)_i = sum_j D_ij (r_j^(1-n) lambda
+#: F_j)^q, F_j = sum_l C_jl f(u_l), is order preserving, and convex wherever
+#: f^(1/a) is, a = max(1, p - 1) (``convex_root``): F_j^(1/a) is a weighted
+#: l_a norm of the convex f(u_l)^(1/a), and F_j^q = (F_j^(1/a))^(a q) with
+#: a q >= 1 (Boyd & Vandenberghe, Convex Optimization (2004), 3.2).  Then
+#: delta_(j+1) <= T'(u_j) delta_j and delta_(j+2) >= T'(u_j) delta_(j+1), so
+#: with T' >= 0, delta_(j+1) >= mu delta_j implies delta_(j+2) >= mu
+#: delta_(j+1), for any mu.  A plain step with min_i delta_(k+1,i) /
+#: delta_(k,i) > 1 + UNSTABLE_MARGIN over every node but r = 1, where each
+#: delta_(k,i) > ORDER_SLACK (1 + sup u), makes every later step grow by that
+#: factor, so no fixed point lies above u_k: no minimal solution exists, and
+#: the probe stops as "unstable iterate".  T' >= 0 although each cumulative
+#: sum has negative weights (see ORDER_SLACK) is checked, not proved: every
+#: entry of D diag(w) C off the r = 1 row is at least 0.3 of the same product
+#: with |D| and |C|, with w = r^(1-n) at p = 2 on the default grid and on
+#: 1e-6/400 for the dimensions README lists, and with w = q (r^(1-n) F)^(q-1)
+#: r^(1-n) at p = 3 at the stopped iterates of e^u (n = 5) and (1+u)^3
+#: (n = 3), at least 0.34 on the default grid and 0.38 on 1e-6/400; and at
+#: the stops of its cross-check searches.  Elsewhere the stop rests on the
+#: margin absorbing any small negative part.
 #:
-#: Certified leaps.  Under the same hypotheses, a bound m = min_i
-#: delta_(k+1,i) / delta_(k,i) in (0, 1) gives delta_(j+1) >= m delta_j for
-#: every later step, so u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1): while
-#: rho_k > rho_(k-1), the iterate leaps there with m shrunk to
-#: m (1 - UNSTABLE_MARGIN), the stop's margin (see lambda_star_estimate).
+#: Certified leaps.  With mu = m = min_i delta_(k+1,i) / delta_(k,i) in
+#: (0, 1) the same chain gives delta_(j+1) >= m delta_j for every later step,
+#: so u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1): while rho_k >
+#: rho_(k-1), the iterate leaps there with m shrunk to m (1 -
+#: UNSTABLE_MARGIN), the stop's margin (see lambda_star_estimate).
 #: UNSTABLE_MARGIN = math.inf switches the stop and the leaps off.
 UNSTABLE_MARGIN = 1e-6
 
@@ -166,8 +177,8 @@ class LambdaRecord:
     contraction: float = math.nan
     # eps of the accepted supersolution u_A + eps phi (sqrt(delta_A), or more
     # to clear the order slack, at most ACCEL_EPS_CAP); for an "unstable
-    # iterate" the Collatz-Wielandt lower bound min_i delta_(k+1,i) /
-    # delta_(k,i) on the spectral radius of T'; for a "fold ghost" stopped
+    # iterate" the growth bound min_i delta_(k+1,i) / delta_(k,i), by which
+    # every later step grows (see UNSTABLE_MARGIN); for a "fold ghost" stopped
     # by the saddle-node law the estimated relative fold distance
     # |lambda_f - lambda| / lambda (its contraction is then rho(T') at u_A;
     # see FOLD_GHOST_SWEEPS); nan for every other probe
@@ -436,10 +447,13 @@ def _spectral_radius(u, v, lam: float, f, kernel: _SweepKernel):
 
 def _growth_bound(step, last, floor: float) -> float:
     """min_i step_i / last_i over every node but r = 1, where both are 0, or
-    nan when some last_i <= floor: a step at rounding level never votes."""
-    if not float(np.min(last[:-1])) > floor:
+    nan when some last_i <= floor: a step at rounding level never votes.
+    ``np.minimum.reduce`` skips ``np.min``'s dispatch, half of the call's
+    time on 2000 nodes."""
+    lead, least = last[:-1], np.minimum.reduce
+    if not float(least(lead)) > floor:
         return math.nan
-    return float(np.min(step[:-1] / last[:-1]))
+    return float(least(step[:-1] / lead))
 
 
 def _leap(u, step, bound: float):
@@ -453,12 +467,12 @@ def _leap(u, step, bound: float):
     return u + m / (1.0 - m) * step
 
 
-def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
+def _starts(lam: float, seeds, pair, kernel: _SweepKernel, chord: bool):
     """(label, u) of a probe's starts, highest first, each where it applies:
     the chord through the last converged u and the certified supersolution
     of the converged probe before it, raised to the scaled start where that
     lies higher, which also keeps it >= 0 near r = 1, where a table would
-    raise (only with ``convex_map``: p <= 2 and f convex); the scaled start
+    raise (only with ``chord``: p <= 2 and f convex); the scaled start
     (lambda / lambda')^(1/(p-1)) u' from the nearest lower of ``seeds``;
     and u = 0.  ``pair`` holds (lambda, u, supersolution or None)
     of the last two converged probes."""
@@ -469,10 +483,10 @@ def _starts(lam: float, seeds, pair, kernel: _SweepKernel, convex_map: bool):
         scaled = (lam / lam_s) ** kernel.q * u_s
         out.insert(0, ("scaled", scaled))
         one, two = pair
-        if convex_map and one is not None and one[2] is not None and one[0] < two[0] < lam:
+        if chord and one is not None and one[2] is not None and one[0] < two[0] < lam:
             (lam_1, _, above), (lam_2, u_2, _) = one, two
-            chord = u_2 + (lam - lam_2) / (lam_2 - lam_1) * (u_2 - above)
-            out.insert(0, ("chord", np.maximum(chord, scaled)))
+            line = u_2 + (lam - lam_2) / (lam_2 - lam_1) * (u_2 - above)
+            out.insert(0, ("chord", np.maximum(line, scaled)))
     return out
 
 
@@ -503,9 +517,11 @@ def _monotone_iteration(
     sup_of, min_of, subtract = np.maximum.reduce, np.minimum.reduce, np.subtract
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
     tol_abs, tol_rel, convex = controls.tol_abs, controls.tol_rel, f.convex
-    # T is order preserving and convex for p <= 2 and f convex: the
-    # unstable-iterate stop and the chord start rest on that
-    convex_map = convex and p <= 2.0
+    # T is order preserving, and convex where f^(1/max(1, p-1)) is: the
+    # unstable-iterate stop and the leaps rest on that, the chord start on
+    # p <= 2 as well
+    convex_map = f.convex_root(p)
+    chord = convex_map and p <= 2.0
     seeds = []  # (lambda, u) of every converged probe and every undecided one
     pair = [None, None]  # (lambda, u, supersolution or None), last two converged
     rates = {}  # lambda: contraction of every converged probe
@@ -552,13 +568,13 @@ def _monotone_iteration(
 
     def iterate(lam: float):
         step_of, (diff, diff_alt) = _iteration_step, kernel.diff
-        pending = _starts(lam, seeds, pair, kernel, convex_map)
+        pending = _starts(lam, seeds, pair, kernel, chord)
         start, u = pending.pop(0)
         k = sweeps = 0  # plain sweeps since u's start; every sweep of the probe
         prev = rho = rho_old = math.nan  # delta and rho of the sweep before
         last = None  # the plain step of the sweep before
         # the growth that certifies an unstable iterate; inf where the
-        # convexity argument fails (p > 2, or f not convex)
+        # convexity argument fails (f^(1/max(1, p-1)) not convex)
         grows = 1.0 + UNSTABLE_MARGIN if convex_map else math.inf
         leaps = grows < math.inf  # the same argument bounds the leaps
         back = None  # u before a leap, until the leap's first sweep passes
@@ -728,7 +744,8 @@ def lambda_star_estimate(
     T_lambda(c u') = c T_lambda'(c u') >= c T_lambda'(u') >= c u'.  It lies
     below u*(lambda), because u*(lambda)/c is a supersolution at lambda',
     so u' <= u*(lambda') <= u*(lambda)/c.  For p <= 2 and a convex reaction
-    the minimal branch is also convex in lambda: differentiating
+    the minimal branch is also convex in lambda (the chord start needs both,
+    also where the unstable-iterate stop runs at p > 2): differentiating
     u = lambda^q T_1(u) twice gives (I - T')u'' = q(q-1) lambda^(q-2) T_1 +
     2q lambda^(q-1) T_1' u' + lambda^q T_1''[u', u'] >= 0 for q >= 1, and
     (I - T')^(-1) >= 0 on the minimal branch, where rho(T') < 1.  So for
@@ -779,25 +796,26 @@ def lambda_star_estimate(
     every ghost it stays undecided and seeds the next probe with its plain
     iterate, never with u_A, which may lie above u*(lambda).
 
-    For p <= 2 and a convex reaction, T is order preserving and convex, so
-    delta_(k+1) <= T'(u_k) delta_k for consecutive plain steps.  From the
-    second plain sweep since u's start, once rho_k > 1 + UNSTABLE_MARGIN, a
-    step with delta_(k,i) > ORDER_SLACK (1 + sup) and
-    delta_(k+1,i) / delta_(k,i) > 1 + UNSTABLE_MARGIN at every node but r = 1
-    gives rho(T'(u_k)) > 1 by the Collatz-Wielandt bound, and so at every
-    fixed point above u_k, where T' is larger.  The minimal fixed point, which
-    the iterates stay below, has rho(T') <= 1, so there is none: the probe
-    ends diverged as "unstable iterate".  A chord or scaled start is a
-    subsolution below u*(lambda), so the argument covers it.  Neither an Anderson attempt nor the
-    certificate's sweep feeds this test.
-
-    The same convexity bounds how far the iterate still has to climb, and
-    the probe leaps there (Amann, SIAM Rev. 18 (1976)).  Convexity gives
+    Where f^(1/max(1, p-1)) is convex, T is order preserving and convex (see
+    UNSTABLE_MARGIN), so consecutive plain steps obey the growth chain:
     delta_(j+1) <= T'(u_j) delta_j and delta_(j+2) >= T'(u_j) delta_(j+1),
-    so delta_(j+1) >= m delta_j implies delta_(j+2) >= m T'(u_j) delta_j >=
-    m delta_(j+1): with m = min_i delta_(k+1,i) / delta_(k,i) in (0, 1), the
-    growth bound above, every later step is at least m times the one
-    before.  So u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1), and
+    so delta_(j+1) >= mu delta_j implies delta_(j+2) >= mu T'(u_j) delta_j
+    >= mu delta_(j+1), for any mu, since T' >= 0.  From the second plain
+    sweep since u's start, once rho_k > 1 + UNSTABLE_MARGIN, a step with
+    delta_(k,i) > ORDER_SLACK (1 + sup) and delta_(k+1,i) / delta_(k,i) >
+    mu = 1 + UNSTABLE_MARGIN at every node but r = 1 makes every later step
+    at least mu times the one before, so the iterates grow without bound.  Iterates
+    from a subsolution below a fixed point stay below it, so no fixed point
+    lies above u_k, the minimal one included: the probe ends diverged as
+    "unstable iterate".  A chord or scaled start is a subsolution below
+    u*(lambda), so the argument covers it.  Neither an Anderson attempt nor
+    the certificate's sweep feeds this test.
+
+    The same chain bounds how far the iterate still has to climb, and the
+    probe leaps there (Amann, SIAM Rev. 18 (1976)): with mu = m = min_i
+    delta_(k+1,i) / delta_(k,i) in (0, 1), the growth bound above, every
+    later step is at least m times the one before.  So
+    u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1), and
     v = u_(k+1) + m / (1 - m) delta_(k+1) is a subsolution,
     T(v) - v >= (1 + m / (1 - m)) delta_(k+2) - m / (1 - m) delta_(k+1) >= 0,
     at or below u*(lambda) where that exists: the iteration from v decides

@@ -327,6 +327,33 @@ def test_check_log_regime(grid2000):
     assert est.checks["log_bound"]
 
 
+@pytest.mark.parametrize("r_min", [1e-8, 1e-6, 1e-4, 3e-4, 1e-3])
+def test_log_bound_reads_a_log_head_on_every_grid_and_rejects_a_power_head(r_min):
+    """Regime B's log_bound compares u's slope against |log r| over the
+    deepest decade with that over the next.  The exact log head
+    u = -2 log r (n = 10, p = 2) has the same slope on both, so it passes
+    whatever r_min is; a ratio u / (|log r| + 1) would still rise toward the
+    origin and failed from r_min 3e-4 on.  Power heads r^(-a) - 1 rise
+    10^a times a decade and fail, down to a = 0.05; a bounded minimal
+    solution passes.  The stability verdict only admits the profile here."""
+    from types import SimpleNamespace
+
+    admitted = SimpleNamespace(verdict="semi-stable")
+    grid = make_grid(r_min, 2000)
+    sol = exact_exponential(10.0, 2.0)
+    est = check_regularity_bounds(sol.sample(grid), ProblemSpec(10.0, 2.0, Exponential(sol.lambda_star)), admitted)
+    assert est.regime == "B" and est.checks["log_bound"]
+    for a in (0.5, 0.05):
+        u = grid.r ** -a - 1.0
+        head = RadialProfile(grid=grid, n=10.0, p=2.0, u=u, w=-(grid.r**9) * a * grid.r ** (-a - 1.0))
+        est = check_regularity_bounds(head, ProblemSpec(10.0, 2.0, Power(m=3.0)), admitted)
+        assert est.regime == "B" and not est.checks["log_bound"]
+    spec = ProblemSpec(10.0, 2.0, Exponential(1.0))
+    bounded = minimal_iterate(spec, 5.0, grid)
+    est = check_regularity_bounds(bounded, ProblemSpec(10.0, 2.0, Exponential(5.0)), admitted)
+    assert est.checks["log_bound"]
+
+
 def test_check_singular_regime_log_head_passes_inequality(grid2000):
     sol = exact_exponential(12.0, 2.0)
     prof = sol.sample(grid2000)

@@ -882,9 +882,12 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     sweeps from the Anderson answer, run past the growth of their steps,
     bring its profile within the stopping error (without them it lies 22
     and 9.5 times as far at p = 2.5 and 2.75).  Only an unstable iterate's
-    certificate, its growth bound, is set in the plain search.  At p = 3 the
-    unstable-iterate stop never runs, although divergent probes grow by more
-    than 1 + UNSTABLE_MARGIN per sweep."""
+    certificate, its growth bound, is set in the plain search.  For p > 2,
+    where e^(u/(p-1)) is convex, the unstable-iterate stop and the leaps run
+    and decide as the search without them: it probes the same lambdas with
+    the same outcomes, each of its unstable iterates passes u_max or
+    overflows there, and its divergent probes grow by more than
+    1 + UNSTABLE_MARGIN per sweep."""
     spec = ProblemSpec(n, p, f)
     growth_calls = []
     real_growth = solver._growth_bound
@@ -892,6 +895,22 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     probes = logged_probes(monkeypatch, lambda record: (state(record), record.reason, record.certificate))
     fast = lambda_star_estimate(spec, grid2000)
     fast_probes, probes[:] = probes[:], []
+    if p > 2.0:
+        assert growth_calls
+        with monkeypatch.context() as stop_off:
+            stop_off.setattr(solver, "UNSTABLE_MARGIN", math.inf)
+            twin = lambda_star_estimate(spec, grid2000)
+        assert (fast.lambda_lo, fast.lambda_hi) == (twin.lambda_lo, twin.lambda_hi)
+        assert [(lam, s) for lam, (s, _, _) in fast_probes] == [(lam, s) for lam, (s, _, _) in probes]
+        twin_reasons = {lam: reason for lam, (_, reason, _) in probes}
+        for lam, (_, reason, bound) in fast_probes:
+            if reason == "unstable iterate":
+                assert bound > 1.0 + solver.UNSTABLE_MARGIN
+                assert twin_reasons[lam] in ("exceeded u_max", "overflow")
+        diverged = [rec for rec in twin.records if not rec.converged]
+        assert all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
+        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
+        probes[:] = []
     monkeypatch.setattr(solver, "ACCEL_SWEEPS", 10**9)
     plain = lambda_star_estimate(spec, grid2000)
     assert (fast.lambda_lo, fast.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
@@ -901,10 +920,6 @@ def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypa
     lo_record = next(rec for rec in fast.records if rec.lam == fast.lambda_lo)
     assert lo_record.converged and 0.0 < lo_record.certificate <= solver.ACCEL_EPS_CAP
     assert sum(rec.iterations for rec in fast.records) < sum(rec.iterations for rec in plain.records)
-    if p > 2.0:
-        diverged = [rec for rec in fast.records + plain.records if not rec.converged]
-        assert growth_calls == [] and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
-        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
 
     monkeypatch.setattr(solver, "FOLD_GHOST_SWEEPS", 10**9)
     tight = IterationControls(tol_abs=1e-14, tol_rel=1e-14, k_max=10**5)
@@ -1104,6 +1119,11 @@ CROSS_CHECK = {
     "exp-n2-p1.3": (2.0, 1.3, Exponential(1.0), None, None),
     "exp-n2.5-p1.5-coarse": (2.5, 1.5, Exponential(1.0), None, (1e-6, 400)),
     "cubic-n3.5-p1.7-coarse": (3.5, 1.7, Power(m=3.0), None, (1e-6, 400)),
+    "exp-n5-p3": (5.0, 3.0, Exponential(1.0), 272, None),
+    "cubic-n3-p3": (3.0, 3.0, Power(m=3.0), 206, None),
+    "exp-n3-p4": (3.0, 4.0, Exponential(1.0), None, None),
+    "square-n4-p2.5": (4.0, 2.5, Power(m=2.0), None, None),
+    "exp-n10-p2.5": (10.0, 2.5, Exponential(1.0), None, None),
 }
 
 
@@ -1174,14 +1194,15 @@ def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch)
 
 
 def leap_log(monkeypatch):
-    """The (lambda, u) of every leap that the lambda* searches and probes
-    make from here on, in order; u is the leap's landing point."""
+    """The (lambda, landing point, u, step, bound) of every leap that the
+    lambda* searches and probes make from here on, in order: the leap goes
+    from u, reached by the plain step ``step``, with growth bound ``bound``."""
     leaps, current = [], [None]
     real_leap, real_iteration = solver._leap, solver._monotone_iteration
 
     def logged_leap(u, step, bound):
         out = real_leap(u, step, bound)
-        leaps.append((current[0], out.copy()))
+        leaps.append((current[0], out.copy(), u.copy(), step.copy(), bound))
         return out
 
     def tracked(*args):
@@ -1199,13 +1220,21 @@ def leap_log(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9])
-@pytest.mark.parametrize("name", ["disk", "cubic-n3", "exp-n3-p1.5"])
+@pytest.mark.parametrize(
+    "name", ["disk", "cubic-n3", "exp-n3-p1.5", "exp-n5-p3", "cubic-n3-p3", "exp-n3-p4", "square-n4-p2.5", "exp-n10-p2.5"]
+)
 def test_leaps_land_below_the_minimal_solution(name, tol, grid2000, monkeypatch):
     """Every leap u + m/(1 - m) delta lands at or below u*(lambda): wherever
     a cold minimal_iterate at tolerance 1e-14 converges, each leap of the
     search's probe at that lambda lies at or below it, up to the order slack,
-    at every node.  No record's contraction is nan: a probe that ends before
-    two sweeps follow its last leap reports the contraction before it."""
+    at every node.  The growth chain that bounds the leap holds on the real
+    iterates, for p > 2 too: over the 8 plain sweeps from u on, each step is
+    at least m times the one before, up to the order slack, at every node
+    but r = 1 (the worst seen is 1% of the slack below).  exp-n10-p2.5
+    leaps only on probes at or above lambda_hi, where no minimal solution is
+    known, so there the chain is the whole check.  No record's contraction
+    is nan: a probe that ends before two sweeps follow its last leap reports
+    the contraction before it."""
     n, p, f, _, _ = CROSS_CHECK[name]
     spec = ProblemSpec(n, p, f)
     leaps = leap_log(monkeypatch)
@@ -1213,14 +1242,27 @@ def test_leaps_land_below_the_minimal_solution(name, tol, grid2000, monkeypatch)
     monkeypatch.undo()
     assert leaps and not any(math.isnan(rec.contraction) for rec in res.records)
     tight, cold, compared = IterationControls(tol_abs=1e-14, tol_rel=1e-14), {}, 0
-    for lam, u in leaps:
+    kernel = solver._SweepKernel(grid2000, n, p)
+    for lam, landing, u, step, bound in leaps:
         if lam not in cold:
             cold[lam] = minimal_iterate(spec, lam, grid2000, tight)
         if isinstance(cold[lam], RadialProfile):
             ref = cold[lam].u
-            assert np.all(u <= ref + solver.ORDER_SLACK * (1.0 + float(np.max(ref)))), lam
+            assert np.all(landing <= ref + solver.ORDER_SLACK * (1.0 + float(np.max(ref)))), lam
             compared += 1
-    assert compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(8):
+                nxt = solver._iteration_step(u, lam, f, kernel)[0].copy()
+                sup = float(np.max(nxt))
+                if not sup <= tight.u_max:
+                    break
+                nxt_step = nxt - u
+                assert np.all(nxt_step[:-1] >= bound * step[:-1] - solver.ORDER_SLACK * (1.0 + sup)), lam
+                u, step = nxt, nxt_step
+    if name == "exp-n10-p2.5":
+        assert compared == 0 and all(lam >= res.lambda_hi for lam, *_ in leaps)
+    else:
+        assert compared
 
 
 def test_a_leap_above_the_minimal_solution_is_undone(gelfand_disk_spec, grid2000, monkeypatch):
@@ -1250,7 +1292,7 @@ def test_a_leap_above_the_minimal_solution_is_undone(gelfand_disk_spec, grid2000
         out = real_leap(u, step, bound)
         if not leaps:
             out[: grid2000.size // 2] += 1.0
-        leaps.append((1.5, out))
+        leaps.append((1.5, out, u, step, bound))
         return out
 
     monkeypatch.setattr(solver, "_leap", raised)
@@ -1349,6 +1391,19 @@ def test_leaving_the_table_ends_the_probe(grid2000):
     assert isinstance(out, LambdaRecord) and (out.reason, out.start) == ("left the table", "zero")
 
 
+def sweep_sums(kernel):
+    """The matrices C and D of the sweep's source sum (from zero) and outer
+    sum (to one): column j is the sum of the j-th unit vector."""
+    count = kernel.h.size
+    C, D, out = np.empty((count, count)), np.empty((count, count)), np.empty(count)
+    for j in range(count):
+        kernel.h[:] = kernel.slope[:] = 0.0
+        kernel.h[j] = kernel.slope[j] = 1.0
+        C[:, j] = kernel.source.from_zero(out)
+        D[:, j] = kernel.outer.to_one(out)
+    return C, D
+
+
 @pytest.mark.parametrize("r_min, count, n", [(1e-6, 400, 1.0), (1e-6, 400, 2.5), (1e-6, 400, 7.5)])
 def test_sweep_jacobian_kernel_is_nonnegative(r_min, count, n):
     """The unstable-iterate stop needs T' >= 0, though each cumulative sum has
@@ -1358,34 +1413,80 @@ def test_sweep_jacobian_kernel_is_nonnegative(r_min, count, n):
     cancel with room to spare, on a coarse grid and at non-integer n too."""
     grid = make_grid(r_min, count)
     kernel = solver._SweepKernel(grid, n, 2.0)
-    C, D, out = np.empty((count, count)), np.empty((count, count)), np.empty(count)
-    for j in range(count):
-        kernel.h[:] = kernel.slope[:] = 0.0
-        kernel.h[j] = kernel.slope[j] = 1.0
-        C[:, j] = kernel.source.from_zero(out)
-        D[:, j] = kernel.outer.to_one(out)
+    C, D = sweep_sums(kernel)
     assert C.min() < 0.0 and D[:-1].min() < 0.0
     K, A = (D * kernel.rpow) @ C, (np.abs(D) * kernel.rpow) @ np.abs(C)
     assert np.all(K[:-1] >= 0.3 * A[:-1]) and np.all(A[:-1] > 0.0)
 
 
+@pytest.mark.parametrize("coarse", [None, (1e-6, 400)], ids=["default", "coarse"])
+@pytest.mark.parametrize(
+    "n, p, f, lam",
+    [(5.0, 3.0, Exponential(1.0), 21.53125), (3.0, 3.0, Power(m=3.0), 2.69921875)],
+    ids=["exp-n5-p3", "cubic-n3-p3"],
+)
+def test_sweep_jacobian_is_nonnegative_at_a_p_above_2_stop(n, p, f, lam, coarse, grid2000, monkeypatch):
+    """T' >= 0 where the unstable-iterate stop runs for p > 2.  There
+    T'(u) = D diag(w) C diag(lambda f'(u)) with the middle weight
+    w = q (r^(1-n) F)^(q-1) r^(1-n), F = C (lambda f(u)) and q = 1/(p-1) < 1,
+    largest next to r_min.  At the iterate where a cold probe stops as an
+    unstable iterate, every entry of D diag(w) C off the r = 1 row is at
+    least 0.3 of the same product with |D| and |C| (at least 0.34 on the
+    default grid and 0.38 on 1e-6/400 for both probes)."""
+    grid = grid2000 if coarse is None else make_grid(*coarse)
+    swept = []
+    real = solver._iteration_step
+    monkeypatch.setattr(solver, "_iteration_step", lambda u, *args: swept.append(u.copy()) or real(u, *args))
+    record = minimal_iterate(ProblemSpec(n, p, f), lam, grid)
+    monkeypatch.undo()
+    assert isinstance(record, LambdaRecord) and record.reason == "unstable iterate"
+    kernel = solver._SweepKernel(grid, n, p)
+    C, D = sweep_sums(kernel)
+    q = kernel.q
+    F = C @ (lam * f.value(swept[-1]))
+    w = q * (F * kernel.rpow) ** (q - 1.0) * kernel.rpow
+    K, A = (D * w) @ C, (np.abs(D) * w) @ np.abs(C)
+    assert np.all(K[:-1] >= 0.3 * A[:-1]) and np.all(A[:-1] > 0.0)
+
+
 def test_unstable_iterate_stop_needs_a_convex_reaction(grid2000, monkeypatch):
-    """The convexity argument fails for a reaction that is not convex, so the
-    stop never runs there: once the (1+u)^3 table at n = 3 reads as
-    non-convex, its divergent probes grow by more than 1 + UNSTABLE_MARGIN
-    per sweep and still end past u_max or by overflow.  Power(0.5) reads as
-    non-convex, so the same gate keeps it out.  (p > 2 is covered by the
-    n5-p3 case of test_accelerated_search_decides_as_the_plain_one, and a
-    concave table by test_only_a_convex_reaction_is_accelerated.)"""
+    """The stop and the leaps rest on the convexity of f^(1/max(1, p-1)), so
+    they make no ``_growth_bound`` call where a reaction does not claim it.
+    Once the (1+u)^3 table at n = 3, p = 2 reads as non-convex, and for the
+    same table at p = 3, where a table claims nothing, its divergent probes
+    grow by more than 1 + UNSTABLE_MARGIN per sweep and still end past u_max
+    or by overflow.  Power(3) at p = 3, where (1+u)^(3/2) is convex, makes
+    the calls and brackets lambda* as the table does.  Power(1.5) at p = 3
+    (m < p - 1) makes none up to lambda = 1e3, though its probes make them
+    once it claims the convexity; Power(0.5) reads as non-convex.  (A concave table
+    is covered by test_only_a_convex_reaction_is_accelerated.)"""
     from plaplab import Tabulated
 
-    assert not Power(m=0.5).convex
+    assert not Power(m=0.5).convex and not Power(m=0.5).convex_root(2.0)
+    assert Power(m=3.0).convex_root(3.0) and not Power(m=1.5).convex_root(3.0)
+    assert not fold_cubic_table().convex_root(3.0)
     calls = []
     real = solver._growth_bound
     monkeypatch.setattr(solver, "_growth_bound", lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(Tabulated, "convex", False)
-    res = lambda_star_estimate(ProblemSpec(3.0, 2.0, fold_cubic_table()), grid2000)
-    diverged = [rec for rec in res.records if not rec.converged]
-    assert diverged and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
-    assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
+    brackets = []
+    for p in (2.0, 3.0):
+        with monkeypatch.context() as non_convex:
+            if p == 2.0:
+                non_convex.setattr(Tabulated, "convex", False)
+            res = lambda_star_estimate(ProblemSpec(3.0, p, fold_cubic_table()), grid2000)
+        diverged = [rec for rec in res.records if not rec.converged]
+        assert diverged and all(rec.reason in ("exceeded u_max", "overflow") for rec in diverged)
+        assert any(rec.contraction > 1.0 + solver.UNSTABLE_MARGIN for rec in diverged)
+        assert calls == []
+        brackets.append((res.lambda_lo, res.lambda_hi))
+    power = lambda_star_estimate(ProblemSpec(3.0, 3.0, Power(m=3.0)), grid2000)
+    assert calls and (power.lambda_lo, power.lambda_hi) == brackets[1]
+    sublinear = ProblemSpec(3.0, 3.0, Power(m=1.5))
+    calls.clear()
+    with pytest.raises(BracketingError, match="sublinear"):
+        lambda_star_estimate(sublinear, grid2000, lam_cap=1e3)
     assert calls == []
+    monkeypatch.setattr(Power, "convex_root", lambda self, p: True)
+    with pytest.raises(BracketingError, match="sublinear"):
+        lambda_star_estimate(sublinear, grid2000, lam_cap=1e3)
+    assert calls
