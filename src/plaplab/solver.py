@@ -32,17 +32,17 @@ Three routes to solutions:
     to climb;
   * ``lambda_star_estimate`` bisects the parameter between convergent and
     divergent iterations and reports a bracket for the extremal parameter,
-    never a point value.  Each probe starts from the highest start known to
-    lie below the minimal solution there: a lower probe's u scaled by the
-    homogeneity of the sweep in lambda or, for p <= 2 and a convex
-    reaction, where the minimal branch is convex in lambda, the chord
-    through the last two converged probes.
+    never a point value.  Each probe starts from a lower probe's u scaled by
+    the homogeneity of the sweep in lambda, which lies below the minimal
+    solution there; once such a probe contracts clearly, one sweep that
+    certifies a supersolution just above it decides it converged, and only
+    lambda_lo's iterate is swept on to the tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,6 +150,18 @@ ACCEL_DEPTH = 4
 ACCEL_MAX_SWEEPS = 40
 ACCEL_EPS_CAP = 1e-2
 
+#: Certified early decisions (README "Certified early decisions").  Inside a
+#: search, a probe from a scaled start tries, from plain sweep EARLY_SWEEPS
+#: since its start on, with 0 < rho_k < EARLY_RATE and more than EARLY_AHEAD
+#: sweeps still to go at that rate, whether u_k + EARLY_GAP rho_k / (1 -
+#: rho_k) max(step, 0) is a supersolution; that one sweep decides it
+#: converged, and after a failed try the next waits until k has doubled.
+#: EARLY_SWEEPS = 10**9 switches the decision off.
+EARLY_SWEEPS = 3
+EARLY_RATE = 0.9
+EARLY_AHEAD = 4
+EARLY_GAP = 2.0
+
 
 class BracketingError(RuntimeError):
     """No divergent (or no convergent) parameter found; carries a diagnosis."""
@@ -175,17 +187,19 @@ class LambdaRecord:
     # rho_k of the last plain sweep; nan before two sweeps, and where two
     # have not followed the probe's last leap, rho_k before that leap
     contraction: float = math.nan
-    # eps of the accepted supersolution u_A + eps phi (sqrt(delta_A), or more
-    # to clear the order slack, at most ACCEL_EPS_CAP); for an "unstable
+    # for a converged probe certified by a supersolution u_bar, the distance
+    # ||u_bar - u||_inf from the iterate u it was built on: eps of an
+    # Anderson answer u_A (see ACCEL_SWEEPS), or, for an early decision from
+    # a plain iterate u_k <= u* <= u_bar, a bound on ||u* - u_k||_inf (README
+    # "Certified early decisions"); for an "unstable
     # iterate" the growth bound min_i delta_(k+1,i) / delta_(k,i), by which
     # every later step grows (see UNSTABLE_MARGIN); for a "fold ghost" stopped
     # by the saddle-node law the estimated relative fold distance
     # |lambda_f - lambda| / lambda (its contraction is then rho(T') at u_A;
     # see FOLD_GHOST_SWEEPS); nan for every other probe
     certificate: float = math.nan
-    # where the probe's last plain sweeps started: "zero", "scaled" (a lower
-    # probe's u times (lambda/lambda')^(1/(p-1))) or "chord" (see
-    # lambda_star_estimate)
+    # where the probe's last plain sweeps started: "zero" or "scaled" (a
+    # lower probe's u times (lambda/lambda')^(1/(p-1)))
     start: str = "zero"
 
 
@@ -415,12 +429,18 @@ def _anderson(u, lam: float, f, kernel: _SweepKernel, controls: IterationControl
     return ACCEL_MAX_SWEEPS, None, math.nan
 
 
-def _supersolution(u_bar, lam: float, f, kernel: _SweepKernel) -> bool:
-    """One sweep: whether T(u_bar) <= u_bar - ORDER_SLACK (1 + sup u_bar) on
-    every node but r = 1, where both sides are 0.  The slack covers the
-    order defect that the sweeps' guard lets pass, so the iterates from 0
-    stay below u_bar, and rounding can only reject."""
-    gap = u_bar - _iteration_step(u_bar, lam, f, kernel)[0]
+def _supersolution(u, lift, scale: float, lam: float, f, kernel: _SweepKernel) -> bool:
+    """One sweep: whether u_bar = u + scale lift has T(u_bar) <= u_bar -
+    ORDER_SLACK (1 + sup u_bar) on every node but r = 1, where both sides
+    are 0.  The slack covers the order defect that the sweeps' guard lets
+    pass, so the iterates from 0 stay below u_bar, and rounding can only
+    reject; so does a sweep that leaves a table.  The sweep writes into
+    ``kernel.u``, so u must not be one of those arrays."""
+    u_bar = u + scale * lift
+    try:
+        gap = u_bar - _iteration_step(u_bar, lam, f, kernel)[0]
+    except EvaluationError:
+        return False
     return bool(np.all(gap[:-1] >= ORDER_SLACK * (1.0 + float(np.max(u_bar)))))
 
 
@@ -467,26 +487,15 @@ def _leap(u, step, bound: float):
     return u + m / (1.0 - m) * step
 
 
-def _starts(lam: float, seeds, pair, kernel: _SweepKernel, chord: bool):
-    """(label, u) of a probe's starts, highest first, each where it applies:
-    the chord through the last converged u and the certified supersolution
-    of the converged probe before it, raised to the scaled start where that
-    lies higher, which also keeps it >= 0 near r = 1, where a table would
-    raise (only with ``chord``: p <= 2 and f convex); the scaled start
-    (lambda / lambda')^(1/(p-1)) u' from the nearest lower of ``seeds``;
-    and u = 0.  ``pair`` holds (lambda, u, supersolution or None)
-    of the last two converged probes."""
+def _starts(lam: float, seeds, kernel: _SweepKernel):
+    """(label, u) of a probe's starts, highest first: the scaled start
+    (lambda / lambda')^(1/(p-1)) u' from the nearest lower of ``seeds``,
+    where there is one, and u = 0."""
     out = [("zero", np.zeros(kernel.h.size))]
     lower = [seed for seed in seeds if seed[0] < lam]
     if lower:
         lam_s, u_s = max(lower, key=lambda seed: seed[0])
-        scaled = (lam / lam_s) ** kernel.q * u_s
-        out.insert(0, ("scaled", scaled))
-        one, two = pair
-        if chord and one is not None and one[2] is not None and one[0] < two[0] < lam:
-            (lam_1, _, above), (lam_2, u_2, _) = one, two
-            line = u_2 + (lam - lam_2) / (lam_2 - lam_1) * (u_2 - above)
-            out.insert(0, ("chord", np.maximum(line, scaled)))
+        out.insert(0, ("scaled", (lam / lam_s) ** kernel.q * u_s))
     return out
 
 
@@ -498,13 +507,14 @@ def _monotone_iteration(
     converge; one ``_SweepKernel`` serves every lambda it is called with,
     after the admission checks that every caller needs.  A search's
     ``tol_lambda`` > 0 lets a fold ghost stop by the saddle-node law (see
-    FOLD_GHOST_SWEEPS); at 0 only the FOLD_GHOST_SWEEPS stop runs.
+    FOLD_GHOST_SWEEPS) and a probe from a scaled start be decided early (see
+    EARLY_SWEEPS); at 0 only the FOLD_GHOST_SWEEPS stop runs.  A probe
+    decided early returns, in place of its profile, a function that sweeps
+    its iterate on to the tolerance and returns the (profile, record) of the
+    finished probe.
 
-    A probe starts from the highest start known to lie below u*(lambda):
-    the chord, else the scaled start, else u = 0, each tried only when the
-    one before fails the first sweep's order check.  Those starts, the
-    certified Anderson attempt, the leaps and what ``iterations`` counts are
-    described in ``lambda_star_estimate``.  A returned profile owns its arrays; a
+    A probe starts from the scaled start, else from u = 0 when the first
+    sweep's order check rejects it.  A returned profile owns its arrays; a
     converged u that rises in r means the grid is too coarse for order
     preservation."""
     n, p, f = spec.n, spec.p, spec.nonlinearity
@@ -518,13 +528,14 @@ def _monotone_iteration(
     isfinite, k_max, u_max = math.isfinite, controls.k_max, controls.u_max
     tol_abs, tol_rel, convex = controls.tol_abs, controls.tol_rel, f.convex
     # T is order preserving, and convex where f^(1/max(1, p-1)) is: the
-    # unstable-iterate stop and the leaps rest on that, the chord start on
-    # p <= 2 as well
+    # unstable-iterate stop and the leaps rest on that
     convex_map = f.convex_root(p)
-    chord = convex_map and p <= 2.0
     seeds = []  # (lambda, u) of every converged probe and every undecided one
-    pair = [None, None]  # (lambda, u, supersolution or None), last two converged
     rates = {}  # lambda: contraction of every converged probe
+    # the lambda of a probe decided early, until ``iterate`` returns it; only
+    # ``iterate`` builds the finish, so no closure that ``run`` reaches
+    # refers back to ``run``, and a search's arrays go with its last reference
+    decided = set()
 
     def diverged(
         lam: float, k: int, sup: float, reason: str, rho: float, start: str, bound: float = math.nan
@@ -532,20 +543,19 @@ def _monotone_iteration(
         return None, LambdaRecord(lam, False, k, sup, math.inf, math.inf, reason, rho, bound, start)
 
     def converged(
-        lam: float, k: int, rho: float, u, start: str, eps: float = math.nan, residual: float = math.inf, above=None
+        lam: float, k: int, rho: float, u, start: str, certificate: float = math.nan, residual=None
     ):
         """The probe's end after k sweeps and the sweep that makes (u, w) an
         exactly consistent pair.  A plain iterate's step is close to the
         principal mode of T' and shrinks, so one sweep does.  An Anderson
         answer's residual is not: the steps from it may grow for a few sweeps
         before they shrink, and until then its error may far exceed a plain
-        iterate's (22 times at n = 10, p = 2.5 next to lambda*).  So sweeps
-        from it go on until a step passes the stopping test and is no larger
-        than the step, or the residual, before it.  ``above`` is the
-        certified supersolution u_A + eps phi, kept for the chord."""
+        iterate's (22 times at n = 10, p = 2.5 next to lambda*).  So with a
+        ``residual`` sweeps go on until a step passes the stopping test and
+        is no larger than the step, or the residual, before it."""
         u_final, F_final = _iteration_step(u, lam, f, kernel)
         k += 1
-        while not math.isnan(eps) and k < k_max:
+        while residual is not None and k < k_max:
             step = float(np.max(np.abs(u_final - u)))
             if step < tol_abs + tol_rel * float(np.max(u_final)) and step <= residual:
                 break
@@ -560,15 +570,40 @@ def _monotone_iteration(
                 f"lost order preservation on this {grid.size}-node grid; refine the grid"
             ) from exc
         w1p, f_l1 = _profile_norms(profile, f, kernel.rule_src)
-        record = LambdaRecord(lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, eps, start)
+        record = LambdaRecord(
+            lam, True, k, float(np.max(profile.u)), w1p, f_l1, "converged", rho, certificate, start
+        )
         seeds.append((lam, profile.u))
-        pair[:] = pair[1], (lam, profile.u, above)
         rates[lam] = rho
         return profile, record
 
     def iterate(lam: float):
+        pending = _starts(lam, seeds, kernel)
+        warm = tol_lambda > 0.0 and pending[0][0] == "scaled"
+        out, record = run(lam, pending, EARLY_SWEEPS if warm else math.inf)
+        if lam not in decided:
+            return out, record
+        decided.discard(lam)
+
+        def finish():
+            """The probe resumed from the profile decided early, with no
+            early try, to its end.  The finished record counts the sweeps of
+            both and, unless an Anderson answer brings its own, keeps the
+            certificate, which bounds ||u* - u||_inf for every plain iterate
+            u above u_k.  A finish that ends undecided keeps that profile."""
+            done, rest = run(lam, [(record.start, out.u)], math.inf)
+            total = record.iterations + rest.iterations
+            if done is None:
+                return out, replace(record, iterations=total)
+            kept = record.certificate if math.isnan(rest.certificate) else rest.certificate
+            return done, replace(rest, iterations=total, certificate=kept)
+
+        return finish, record
+
+    def run(lam: float, pending, early):
+        """The probe from the first of the ``pending`` starts, falling back to
+        the next; ``early`` is the plain sweep of the first early try."""
         step_of, (diff, diff_alt) = _iteration_step, kernel.diff
-        pending = _starts(lam, seeds, pair, kernel, chord)
         start, u = pending.pop(0)
         k = sweeps = 0  # plain sweeps since u's start; every sweep of the probe
         prev = rho = rho_old = math.nan  # delta and rho of the sweep before
@@ -612,7 +647,7 @@ def _monotone_iteration(
                             "monotone iteration decreased somewhere; quadrature bug"
                         )
                     # the start is no subsolution at this lambda: one step down
-                    (start, u), k, rho = pending.pop(0), 0, math.nan
+                    (start, u), k, rho, early = pending.pop(0), 0, math.nan, math.inf
                     continue
                 back = None
                 if sup > u_max:
@@ -631,6 +666,13 @@ def _monotone_iteration(
                 if k >= FOLD_GHOST_SWEEPS and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
                     seeds.append((lam, u.copy()))
                     return diverged(lam, sweeps, sup, "fold ghost", rho, start)
+                # a clear contraction, with more than EARLY_AHEAD sweeps to go
+                if k >= early and 0.0 < rho < EARLY_RATE and delta * rho**EARLY_AHEAD > tol_abs + tol_rel * sup:
+                    early, u, sweeps = 2 * k, u.copy(), sweeps + 1  # its sweep writes into kernel.u
+                    lift, gap = np.maximum(step, 0.0), EARLY_GAP * rho / (1.0 - rho)
+                    if _supersolution(u, lift, gap, lam, f, kernel):
+                        decided.add(lam)
+                        return converged(lam, sweeps, rho, u, start, gap * float(sup_of(lift)))
                 # rho_k < 1 has settled, and plain sweeps have more than
                 # ACCEL_SWEEPS to go at that rate
                 if (
@@ -651,9 +693,8 @@ def _monotone_iteration(
                         eps = max(math.sqrt(residual), slack / grip) if grip > 0.0 else math.inf
                         if eps <= ACCEL_EPS_CAP:
                             sweeps += 1
-                            above = u_a + eps / delta * lift
-                            if _supersolution(above, lam, f, kernel):
-                                return converged(lam, sweeps, rho, u_a, start, eps, residual, above)
+                            if _supersolution(u_a, lift, eps / delta, lam, f, kernel):
+                                return converged(lam, sweeps, rho, u_a, start, eps, residual)
                             # the fold signature: stop once the saddle-node law
                             # puts the fold within a quarter of the hole step
                             lam_c = max((x for x in rates if x < lam), default=None)
@@ -735,122 +776,32 @@ def lambda_star_estimate(
     the minimal branch can be audited from the result alone.
 
     Every decision comes from plain sweeps started at or below the minimal
-    solution u*(lambda), so a probe starts from the highest start known to
-    lie there whenever u*(lambda) exists.  With q = 1/(p-1) a sweep is
-    homogeneous, T_lambda = (lambda/lambda')^q T_lambda', and T is order
-    preserving.  So for lambda' < lambda and c = (lambda/lambda')^q > 1 the
-    scaled start c u', u' the profile or last plain iterate of the nearest
-    lower probe, converged or undecided, is a subsolution:
-    T_lambda(c u') = c T_lambda'(c u') >= c T_lambda'(u') >= c u'.  It lies
-    below u*(lambda), because u*(lambda)/c is a supersolution at lambda',
-    so u' <= u*(lambda') <= u*(lambda)/c.  For p <= 2 and a convex reaction
-    the minimal branch is also convex in lambda (the chord start needs both,
-    also where the unstable-iterate stop runs at p > 2): differentiating
-    u = lambda^q T_1(u) twice gives (I - T')u'' = q(q-1) lambda^(q-2) T_1 +
-    2q lambda^(q-1) T_1' u' + lambda^q T_1''[u', u'] >= 0 for q >= 1, and
-    (I - T')^(-1) >= 0 on the minimal branch, where rho(T') < 1.  So for
-    lambda_1 < lambda_2 < lambda the chord u_2 + (lambda - lambda_2) /
-    (lambda_2 - lambda_1) (u_2 - U_1) through the last converged profile
-    u_2 <= u*(lambda_2) and the certified supersolution U_1 = u_A + eps phi
-    >= u*(lambda_1) of the converged probe before it lies below u*(lambda);
-    it is used only when that probe carries one, raised to the scaled start
-    where that lies higher.  As for the unstable-iterate stop, T' >= 0 is
-    checked, not proved (see UNSTABLE_MARGIN).  The first sweep checks that
-    a start is a subsolution: one that it lowers anywhere falls back one
-    step, chord -> scaled -> u = 0, and u = 0 always is one.  The record's
-    ``start`` names the start of the probe's last plain sweeps.  A sweep
-    that evaluates a tabulated reaction outside its table ends the probe
-    diverged, "left the table": like passing u_max, an iterate below
-    u*(lambda) that leaves the table shows that no minimal solution has its
-    values inside it.
+    solution u*(lambda), or from a supersolution that one sweep certifies
+    above it.  README "Numerical notes" holds each argument: the scaled
+    start ("Warm starts"), the early decision of a probe from it ("Certified
+    early decisions"), certified Anderson answers ("Accelerated convergent
+    probes"), the "unstable iterate" stop and the leaps ("Certified
+    divergence", "Certified leaps") and both fold-ghost stops ("The
+    fold-ghost stop").  A probe decided early reports the norms of an
+    iterate below u*(lambda); at the end of the search lambda_lo's own
+    iterate is swept on until it passes the stopping test, and that finished
+    profile is ``profile_lo``.  ``LambdaRecord`` says what ``contraction``,
+    ``certificate`` and ``start`` hold.
 
-    On a convex reaction (the
-    ``convex`` property: for convex f a stable solution is the minimal one),
-    once rho_k has settled (k >= ACCEL_SWEEPS, rho_k < 1,
-    |rho_k - rho_(k-1)| < ACCEL_SETTLE (1 - rho_k)) and the plain sweeps
-    still have more than ACCEL_SWEEPS to go, the probe runs Anderson mixing
-    once, on a copy of its iterate, for at most ACCEL_MAX_SWEEPS sweeps under
-    the same stopping test.  Its answer u_A, at residual delta, ends the
-    probe as converged only if u_A + eps phi, with phi the last plain step
-    scaled to sup 1, is a supersolution:
-    T(u_A + eps phi) <= u_A + eps phi - ORDER_SLACK (1 + sup) on every node
-    but r = 1.  The slack is the drop the plain sweeps' order guard grants
-    the quadrature, whose cumulative weights are not all positive (the n = 1
-    rule has a -3.8e-8 entry); with it, rounding can only reject.  The
-    argument holds for every eps > 0, and a sweep leaves a gap of about
-    eps (1 - rho) phi_i at node i, so eps = max(sqrt(delta),
-    2 ORDER_SLACK (1 + sup u_A) / ((1 - rho) min_i phi_i)) over every node
-    but r = 1: near lambda* the principal mode moves toward the origin, and
-    phi at the outer nodes falls to 1e-7 and below.  The certificate sweep
-    runs only when eps <= ACCEL_EPS_CAP.  The iteration from 0 then stays
-    below the supersolution and converges, so the probe is decided as the
-    plain one would be, and plain sweeps from u_A, until a step passes the
-    stopping test without growing, build its profile.  Otherwise the plain
-    sweeps resume where they stopped, so every divergent and capped outcome
-    comes from plain sweeps.  A probe whose certificate fails while it shows
-    the fold signature 0 < k (1 - rho_k) < FOLD_GHOST_RATE may stop first,
-    as a fold ghost: power steps on sweep differences at u_A give rho(T'),
-    and where the saddle-node law through the highest converged probe below
-    puts the fold within tol_lambda lambda / 16, a quarter of the hole step,
-    the probes a hole step away lie clear of it (see FOLD_GHOST_SWEEPS).  Like
-    every ghost it stays undecided and seeds the next probe with its plain
-    iterate, never with u_A, which may lie above u*(lambda).
-
-    Where f^(1/max(1, p-1)) is convex, T is order preserving and convex (see
-    UNSTABLE_MARGIN), so consecutive plain steps obey the growth chain:
-    delta_(j+1) <= T'(u_j) delta_j and delta_(j+2) >= T'(u_j) delta_(j+1),
-    so delta_(j+1) >= mu delta_j implies delta_(j+2) >= mu T'(u_j) delta_j
-    >= mu delta_(j+1), for any mu, since T' >= 0.  From the second plain
-    sweep since u's start, once rho_k > 1 + UNSTABLE_MARGIN, a step with
-    delta_(k,i) > ORDER_SLACK (1 + sup) and delta_(k+1,i) / delta_(k,i) >
-    mu = 1 + UNSTABLE_MARGIN at every node but r = 1 makes every later step
-    at least mu times the one before, so the iterates grow without bound.  Iterates
-    from a subsolution below a fixed point stay below it, so no fixed point
-    lies above u_k, the minimal one included: the probe ends diverged as
-    "unstable iterate".  A chord or scaled start is a subsolution below
-    u*(lambda), so the argument covers it.  Neither an Anderson attempt nor
-    the certificate's sweep feeds this test.
-
-    The same chain bounds how far the iterate still has to climb, and the
-    probe leaps there (Amann, SIAM Rev. 18 (1976)): with mu = m = min_i
-    delta_(k+1,i) / delta_(k,i) in (0, 1), the growth bound above, every
-    later step is at least m times the one before.  So
-    u*(lambda) - u_(k+1) >= m / (1 - m) delta_(k+1), and
-    v = u_(k+1) + m / (1 - m) delta_(k+1) is a subsolution,
-    T(v) - v >= (1 + m / (1 - m)) delta_(k+2) - m / (1 - m) delta_(k+1) >= 0,
-    at or below u*(lambda) where that exists: the iteration from v decides
-    as the one from u_(k+1), and every argument above covers it.  The probe
-    leaps to v only while rho_k > rho_(k-1), in the slow passage next to
-    the fold; where rho_k has settled, the leaps would keep restarting the
-    ratios that Anderson mixing waits for.  One growth bound per sweep
-    serves the stop and the leap.  As the stop rests on its margin where
-    T' >= 0 is checked rather than proved, the leap takes m (1 -
-    UNSTABLE_MARGIN) for m, about 1% short at m = 1 - 1e-4.  After a leap the ratios restart: rho is
-    nan until two plain sweeps follow, and a record that ends before then
-    carries the rho before the leap.  k keeps counting plain sweeps, so
-    Anderson mixing and both fold-ghost stops keep their triggers.  A leap
-    whose first sweep lowers the iterate by more than ORDER_SLACK
-    (1 + sup), which rounding can cause next to the fold, is undone: the
-    probe goes on from the iterate before it and leaps no more.  Leaps run
-    exactly where the unstable-iterate stop does.
-
-    The record's ``certificate`` holds eps; for an unstable iterate the
-    bound min_i delta_(k+1,i) / delta_(k,i); for a fold ghost stopped by the
-    saddle-node law the estimated relative fold distance
-    |lambda_f - lambda| / lambda, an estimate and never a bracket end, with
-    rho(T') at u_A as its ``contraction``; nan for any other probe.
     ``iterations`` counts every sweep of the probe: plain ones, the first
-    sweep from each rejected start and from an undone leap, those of an
-    Anderson attempt, failed or not, the certificate's, T(u_A) and the power
-    steps, those from u_A and, for a converged probe, the consistency sweep
-    that builds (u, w).  A leap itself is no sweep.
+    sweep from a rejected start and from an undone leap, the check of each
+    early try, those of an Anderson attempt, failed or not, its
+    certificate's, T(u_A) and the power steps, those from u_A, for a
+    converged probe the consistency sweep that builds (u, w) and, for
+    lambda_lo decided early, its finishing sweeps.  A leap itself is no
+    sweep.
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")
     iterate = _monotone_iteration(spec, grid, controls or IterationControls(), tol_lambda)
     records: list[LambdaRecord] = []
     undecided: list[float] = []
-    lo = hi = profile_lo = None  # profile_lo is the last converged probe's: lo's
+    lo = hi = profile_lo = at_lo = None  # the last converged probe's profile and index: lo's
 
     def narrow(lo, hi):  # the width test
         return hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi)
@@ -860,7 +811,7 @@ def lambda_star_estimate(
         out, record = iterate(lam)
         records.append(record)
         if record.converged:
-            lo, profile_lo = lam, out
+            lo, profile_lo, at_lo = lam, out, len(records) - 1
         elif record.reason in UNDECIDED:
             undecided.append(lam)
         else:
@@ -894,6 +845,8 @@ def lambda_star_estimate(
                 "no convergent parameter found" + (why or "; check f(0) > 0 and the grid")
             )
 
+    if callable(profile_lo):  # lo was decided early: finish its own iterate
+        profile_lo, records[at_lo] = profile_lo()
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
     return ContinuationResult(
         lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profile_lo,

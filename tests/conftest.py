@@ -58,6 +58,13 @@ def without_unstable_stop(monkeypatch):
 
 
 @pytest.fixture
+def without_early_decisions(monkeypatch):
+    """Switches the certified early decisions of warm-started search probes
+    off, so that every plain converged probe runs to the stopping test."""
+    monkeypatch.setattr(solver, "EARLY_SWEEPS", 10**9)
+
+
+@pytest.fixture
 def time_limit():
     """``with time_limit(seconds):`` raises TimeoutError in a block still
     running after that many seconds, so a call that loops forever fails

@@ -158,7 +158,7 @@ def test_lambda_star_command(tmp_path, capsys):
     assert sweep[0] == "lambda,converged,iterations,sup_norm,w1p_norm,f_l1_norm,reason,contraction,certificate,start"
     # each record names where its last plain sweeps started; the first probe's is u = 0
     starts = {rec["lambda"]: rec["start"] for rec in report["records"]}
-    assert starts[1.0] == "zero" and set(starts.values()) <= {"zero", "scaled", "chord"}
+    assert starts[1.0] == "zero" and set(starts.values()) <= {"zero", "scaled"}
     assert len(sweep) == len(report["records"]) + 1
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     # certified accelerated probes carry their eps, unstable iterates their
@@ -178,25 +178,25 @@ def test_lambda_star_command(tmp_path, capsys):
 
 def test_lambda_star_flags_an_unreached_tolerance(tmp_path, capsys):
     """At tol_lambda 1e-9 the disk's bracket meets the tolerance, while a
-    hole of fold ghosts stops the (1+u)^3 search at n = 3 with a bracket
-    2.5 times as wide: both are "bracketed" (exit 0, sweep status "ok"),
+    hole of fold ghosts stops the e^u search at n = 8 with a bracket 8.8
+    times as wide: both are "bracketed" (exit 0, sweep status "ok"),
     and ``tolerance_reached`` tells them apart, in the lambda-star report
     and in a sweep point's."""
     cfg = tmp_path / "tight.ini"
-    cfg.write_text("[solver]\ntol_lambda = 1e-9\n[problem]\nnonlinearity = power\nm = 3\n[sweep]\nn_values = 3\np_values = 2\n")
+    cfg.write_text("[solver]\ntol_lambda = 1e-9\n[sweep]\nn_values = 8\np_values = 2\n")
     disk = tmp_path / "disk.ini"
     disk.write_text("[solver]\ntol_lambda = 1e-9\n")
     run_cli(capsys, "--config", str(disk), "--out", str(tmp_path / "d"), "lambda-star", "--n", "2", "--p", "2")
     report = json.loads((tmp_path / "d" / "report.json").read_text())
     assert report["tolerance_reached"] is True and report["lambda_lo"] >= 1.9999995
     assert report["lambda_hi"] - report["lambda_lo"] <= 1e-9 * report["lambda_lo"]
-    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "c"), "lambda-star", "--n", "3", "--p", "2")
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "c"), "lambda-star", "--n", "8", "--p", "2")
     report = json.loads((tmp_path / "c" / "report.json").read_text())
     assert report["outcome"] == "bracketed" and report["undecided"]
     assert report["tolerance_reached"] is False
     assert report["lambda_hi"] - report["lambda_lo"] > 1e-9 * report["lambda_lo"]
     run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "s"), "sweep")
-    point = json.loads((tmp_path / "s" / "n3_p2" / "report.json").read_text())
+    point = json.loads((tmp_path / "s" / "n8_p2" / "report.json").read_text())
     assert point["tolerance_reached"] is False
     assert (point["lambda_lo"], point["lambda_hi"]) == (report["lambda_lo"], report["lambda_hi"])
     rows = list(csv.DictReader((tmp_path / "s" / "index.csv").open()))

@@ -742,7 +742,7 @@ def test_saddle_node_law_stops_the_fold_ghost(continuation_disk):
     "n, f, bracket, early, reached",
     [
         (2.0, Exponential(1.0), (2.0000000005, 2.000000002362645), 0, True),
-        (3.0, Power(m=3.0), (1.3699255043580947, 1.3699255077829084), 3, False),
+        (3.0, Power(m=3.0), (1.369925506412983, 1.3699255073443055), 0, True),
     ],
     ids=["disk", "cubic-n3"],
 )
@@ -752,11 +752,12 @@ def test_saddle_node_stop_keeps_tight_brackets(n, f, bracket, early, reached, gr
     probes the same lambdas with the same outcomes.  Leaps carry the probes
     next to the fold to Anderson answers, so the law may stop a ghost early
     where it puts the fold within tol_lambda lambda / 16, with that relative
-    distance as its certificate: three of the (1+u)^3 search's four ghosts,
-    in 27-31 sweeps instead of 500 or more.  The disk's ghost at 2.0 runs to
-    sweep 500 with a nan certificate.  The disk's lambda_lo converges above
-    1.9999995, and its bracket meets the tolerance; the (1+u)^3 search ends
-    at its hole of ghosts, 2.5e-9 wide, short of it."""
+    distance as its certificate.  The disk's ghost at 2.0 runs to sweep 500
+    with a nan certificate.  The disk's lambda_lo converges above
+    1.9999995, and its bracket meets the tolerance.  So does the (1+u)^3
+    search's, with no ghost at all: plain sweeps from u = 0, with leaps,
+    Anderson mixing and both ghost stops off, converge at its lambda_lo and
+    pass u_max at its lambda_hi (after 281,259 sweeps)."""
     spec = ProblemSpec(n, 2.0, f)
     probes = logged_probes(monkeypatch, state)
     res = lambda_star_estimate(spec, grid2000, tol_lambda=1e-9)
@@ -817,12 +818,13 @@ def test_no_lambda_is_probed_twice(tol, gelfand_disk_spec, grid2000, monkeypatch
 
 
 def test_every_probe_undecided_raises(gelfand_disk_spec, grid2000, monkeypatch, time_limit):
-    """With k_max = 5 no probe converges: those below about 5 stop at the cap,
+    """With k_max = 2 no probe converges, and no early try, which needs a
+    third plain sweep, can decide one: those below about 5 stop at the cap,
     the hole they form grows, and the search ends in a BracketingError that
     names them rather than in a bracket."""
     probes = logged_probes(monkeypatch, state)
     with time_limit(10), pytest.raises(BracketingError, match="undecided probes at lambda = \\[1.0, 1.00025, "):
-        lambda_star_estimate(gelfand_disk_spec, grid2000, IterationControls(k_max=5))
+        lambda_star_estimate(gelfand_disk_spec, grid2000, IterationControls(k_max=2))
     outcomes = [outcome for _, outcome in probes]
     assert "converged" not in outcomes and outcomes.count("undecided") >= 10
 
@@ -858,6 +860,7 @@ def fold_cubic_table():
     return Tabulated(tuple(u), tuple((1.0 + u) ** 3), tuple(3.0 * (1.0 + u) ** 2))
 
 
+@pytest.mark.usefixtures("without_early_decisions")
 @pytest.mark.parametrize(
     "n, p, f",
     [
@@ -873,7 +876,9 @@ def fold_cubic_table():
 )
 def test_accelerated_search_decides_as_the_plain_one(n, p, f, grid2000, monkeypatch):
     """Warm starts and certified Anderson answers change no probe's decision
-    and no bracket: the search with acceleration switched off probes the same
+    and no bracket, early decisions off (see
+    test_early_decisions_decide_as_the_search_without_them): the search with
+    acceleration switched off as well probes the same
     lambdas with the same outcomes.  Its profile_lo lies within the plain
     twin's stopping error delta / (1 - rho) of the fixed point, as the plain
     one does, and the search runs fewer sweeps.  The record at lambda_lo is
@@ -970,10 +975,10 @@ def test_certificate_rejects_the_upper_branch(grid2000, monkeypatch):
     rho_up, phi_up = principal_mode(upper)
     assert abs(rho_min - 0.960) < 1e-3 and abs(rho_up - 1.042) < 1e-3
     for eps in np.geomspace(1e-7, solver.ACCEL_EPS_CAP, 11):
-        assert solver._supersolution(minimal.u + eps * phi_min, lam, f, kernel)
-        assert not solver._supersolution(upper + eps * phi_up, lam, f, kernel)
+        assert solver._supersolution(minimal.u, phi_min, eps, lam, f, kernel)
+        assert not solver._supersolution(upper, phi_up, eps, lam, f, kernel)
         # any nonnegative direction fails at an unstable solution
-        assert not solver._supersolution(upper + eps * (1.0 - grid2000.r**2), lam, f, kernel)
+        assert not solver._supersolution(upper, 1.0 - grid2000.r**2, eps, lam, f, kernel)
 
 
 def test_warm_start_that_is_no_subsolution_falls_back_to_zero(gelfand_disk_spec, grid2000, monkeypatch):
@@ -1072,11 +1077,13 @@ def test_iterations_count_every_sweep(gelfand_disk_spec, grid2000, monkeypatch):
     assert probe(iterate, 1.5, "converged").iterations == cold.iterations + 1
 
 
+@pytest.mark.usefixtures("without_early_decisions")
 def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     """A concave table (sqrt(1 + u), exact slopes) never tries Anderson
     mixing: its sublinear search runs plain up to the cap, although its
     probes would try it if the table read as convex.  Nor does it run the
-    unstable-iterate stop, whose convexity argument it fails too."""
+    unstable-iterate stop, whose convexity argument it fails too.  Early
+    decisions, which need no convexity, are off."""
     from plaplab import Tabulated
 
     calls, growth_calls = [], []
@@ -1103,14 +1110,14 @@ def test_only_a_convex_reaction_is_accelerated(grid2000, monkeypatch):
     assert calls
 
 
-# the lambda* cross-check problems of the unstable-iterate stop and the leaps:
-# (n, p, f), the sweeps their searches run with both, pinned where they save
-# most, and the grid, the default 1e-8/2000 where None; the coarse cases take a
+# the lambda* cross-check problems of the unstable-iterate stop, the leaps and
+# the early decisions: (n, p, f), the sweeps their searches run with all
+# three, pinned where they save most, and the grid, the default 1e-8/2000 where None; the coarse cases take a
 # grid and non-integer n outside those that the nonnegativity argument checks
 CROSS_CHECK = {
-    "disk": (2.0, 2.0, Exponential(1.0), 100, None),
-    "slab": (1.0, 2.0, Exponential(1.0), 142, None),
-    "cubic-n3": (3.0, 2.0, Power(m=3.0), 183, None),
+    "disk": (2.0, 2.0, Exponential(1.0), 104, None),
+    "slab": (1.0, 2.0, Exponential(1.0), 103, None),
+    "cubic-n3": (3.0, 2.0, Power(m=3.0), 130, None),
     "square-n4": (4.0, 2.0, Power(m=2.0), None, None),
     "exp-n5": (5.0, 2.0, Exponential(1.0), None, None),
     "exp-n8": (8.0, 2.0, Exponential(1.0), None, None),
@@ -1119,8 +1126,8 @@ CROSS_CHECK = {
     "exp-n2-p1.3": (2.0, 1.3, Exponential(1.0), None, None),
     "exp-n2.5-p1.5-coarse": (2.5, 1.5, Exponential(1.0), None, (1e-6, 400)),
     "cubic-n3.5-p1.7-coarse": (3.5, 1.7, Power(m=3.0), None, (1e-6, 400)),
-    "exp-n5-p3": (5.0, 3.0, Exponential(1.0), 272, None),
-    "cubic-n3-p3": (3.0, 3.0, Power(m=3.0), 206, None),
+    "exp-n5-p3": (5.0, 3.0, Exponential(1.0), 186, None),
+    "cubic-n3-p3": (3.0, 3.0, Power(m=3.0), 145, None),
     "exp-n3-p4": (3.0, 4.0, Exponential(1.0), None, None),
     "square-n4-p2.5": (4.0, 2.5, Power(m=2.0), None, None),
     "exp-n10-p2.5": (10.0, 2.5, Exponential(1.0), None, None),
@@ -1157,9 +1164,9 @@ def test_unstable_iterate_stop_decides_as_the_search_without_it(name, grid2000, 
 
 @pytest.mark.parametrize("name", sorted(CROSS_CHECK))
 def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch):
-    """The chord and scaled starts decide no probe otherwise: a cold
-    minimal_iterate at each probe's lambda ends in the same class, and every
-    chord or scaled start offered to a probe whose cold twin converged lies
+    """The scaled starts decide no probe otherwise: a cold minimal_iterate at
+    each probe's lambda ends in the same class, and every scaled start
+    offered to a probe whose cold twin converged lies
     at or below that minimal solution, up to the order slack, at every node.
     One probe is exempt from the class check: the disk's 2.0, whose cold
     twin converges by leaps, while the search's saddle-node stop leaves it a
@@ -1176,7 +1183,7 @@ def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch)
     monkeypatch.setattr(solver, "_starts", logged)
     res = lambda_star_estimate(spec, grid)
     monkeypatch.undo()
-    assert {rec.start for rec in res.records} & {"chord", "scaled"}
+    assert "scaled" in {rec.start for rec in res.records}
     exempt = []
     for rec in res.records:
         cold = minimal_iterate(spec, rec.lam, grid)
@@ -1193,29 +1200,107 @@ def test_starts_lie_below_the_cold_minimal_solution(name, grid2000, monkeypatch)
     assert exempt == ([2.0] if name == "disk" else [])
 
 
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK))
+def test_early_decisions_decide_as_the_search_without_them(name, grid2000, monkeypatch):
+    """Certified early decisions change no bracket and no probe's outcome
+    class: the search with them switched off probes the same lambdas with
+    the same outcomes.  Each is taken by a probe from a scaled start, and
+    brackets the minimal solution u_cold, from a cold minimal_iterate at
+    tolerance 1e-14: u <= u_cold <= u + certificate at every node, up to
+    the order slack, with u the plain iterate that the check certified.
+    Its record carries finite norms, those of the consistency sweep's
+    profile, and the certificate ||u_bar - u||_inf, which lambda_lo keeps
+    through its finish unless an Anderson answer there brings its own.
+    Every search but the disk's decides some probe early; the disk's only
+    warm converged probe, 1.9995, next to the fold, fails its early tries."""
+    n, p, f, _, coarse = CROSS_CHECK[name]
+    spec, grid = ProblemSpec(n, p, f), grid2000 if coarse is None else make_grid(*coarse)
+    answers, decided = [], {}
+    real_anderson, real_check = solver._anderson, solver._supersolution
+
+    def anderson(*args):
+        out = real_anderson(*args)
+        answers.append(out[1])
+        return out
+
+    def check(u, lift, scale, lam, *args):
+        passed = real_check(u, lift, scale, lam, *args)
+        if passed and not any(u is answer for answer in answers):
+            decided[lam] = (u.copy(), scale * float(np.max(lift)))
+        return passed
+
+    monkeypatch.setattr(solver, "_anderson", anderson)
+    monkeypatch.setattr(solver, "_supersolution", check)
+    probes = logged_probes(monkeypatch, state)
+    res = lambda_star_estimate(spec, grid)
+    early, probes[:] = probes[:], []
+    monkeypatch.setattr(solver, "EARLY_SWEEPS", 10**9)
+    plain = lambda_star_estimate(spec, grid)
+    assert (res.lambda_lo, res.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
+    assert early == probes
+    assert bool(decided) is (name != "disk")
+    by_lam = {rec.lam: rec for rec in res.records}
+    tight = IterationControls(tol_abs=1e-14, tol_rel=1e-14, k_max=10**5)
+    for lam, (u, certificate) in decided.items():
+        rec = by_lam[lam]
+        assert rec.converged and rec.start == "scaled"
+        assert math.isfinite(rec.w1p_norm) and math.isfinite(rec.f_l1_norm)
+        assert rec.certificate == certificate or lam == res.lambda_lo
+        cold = minimal_iterate(spec, lam, grid, tight).u
+        slack = solver.ORDER_SLACK * (1.0 + float(np.max(cold)))
+        assert np.all(u <= cold + slack) and np.all(cold <= u + certificate + slack), lam
+
+
+def test_an_early_check_that_leaves_the_table_fails(grid2000, monkeypatch):
+    """(1+u)^3 tabulated on [0, 2] with 29 knots, n = 3, p = 3: the sweep
+    that checks u_bar = u_k + 2 rho / (1 - rho) max(step, 0) evaluates the
+    table above u = 2 at some probes whose minimal solution lies inside it.
+    That fails the check and never ends the probe: each such probe still
+    converges, and the search probes the lambdas, with the outcomes, of the
+    search without early decisions."""
+    spec = ProblemSpec(3.0, 3.0, cubic_table(0.0, 2.0, 29))
+    left = []
+    real_check = solver._supersolution
+
+    def check(u, lift, scale, lam, *args):
+        passed = real_check(u, lift, scale, lam, *args)
+        if float(np.max(u + scale * lift)) > 2.0:
+            assert not passed
+            left.append(lam)
+        return passed
+
+    monkeypatch.setattr(solver, "_supersolution", check)
+    probes = logged_probes(monkeypatch, state)
+    res = lambda_star_estimate(spec, grid2000)
+    early, probes[:] = probes[:], []
+    by_lam = {rec.lam: rec for rec in res.records}
+    assert any(by_lam[lam].converged for lam in left)
+    monkeypatch.setattr(solver, "EARLY_SWEEPS", 10**9)
+    plain = lambda_star_estimate(spec, grid2000)
+    assert (res.lambda_lo, res.lambda_hi) == (plain.lambda_lo, plain.lambda_hi)
+    assert early == probes
+
+
 def leap_log(monkeypatch):
     """The (lambda, landing point, u, step, bound) of every leap that the
     lambda* searches and probes make from here on, in order: the leap goes
-    from u, reached by the plain step ``step``, with growth bound ``bound``."""
+    from u, reached by the plain step ``step``, with growth bound ``bound``.
+    lambda is that of the sweep before, so the leaps of a search's finish of
+    lambda_lo are its too."""
     leaps, current = [], [None]
-    real_leap, real_iteration = solver._leap, solver._monotone_iteration
+    real_leap, real_step = solver._leap, solver._iteration_step
 
     def logged_leap(u, step, bound):
         out = real_leap(u, step, bound)
         leaps.append((current[0], out.copy(), u.copy(), step.copy(), bound))
         return out
 
-    def tracked(*args):
-        iterate = real_iteration(*args)
-
-        def run(lam):
-            current[0] = lam
-            return iterate(lam)
-
-        return run
+    def tracked(u, lam, *args):
+        current[0] = lam
+        return real_step(u, lam, *args)
 
     monkeypatch.setattr(solver, "_leap", logged_leap)
-    monkeypatch.setattr(solver, "_monotone_iteration", tracked)
+    monkeypatch.setattr(solver, "_iteration_step", tracked)
     return leaps
 
 
@@ -1230,9 +1315,12 @@ def test_leaps_land_below_the_minimal_solution(name, tol, grid2000, monkeypatch)
     at every node.  The growth chain that bounds the leap holds on the real
     iterates, for p > 2 too: over the 8 plain sweeps from u on, each step is
     at least m times the one before, up to the order slack, at every node
-    but r = 1 (the worst seen is 1% of the slack below).  exp-n10-p2.5
-    leaps only on probes at or above lambda_hi, where no minimal solution is
-    known, so there the chain is the whole check.  No record's contraction
+    but r = 1 (the worst seen is 1% of the slack below).  At tol_lambda
+    1e-3 exp-n10-p2.5 leaps only on probes at or above lambda_hi, where no
+    minimal solution is known, so there the chain is the whole check; at
+    1e-9 its converged probe at 29.646240234375, whose scaled start comes
+    from a probe decided early, leaps twice below lambda_hi, both times
+    below the minimal solution.  No record's contraction
     is nan: a probe that ends before two sweeps follow its last leap reports
     the contraction before it."""
     n, p, f, _, _ = CROSS_CHECK[name]
@@ -1260,7 +1348,8 @@ def test_leaps_land_below_the_minimal_solution(name, tol, grid2000, monkeypatch)
                 assert np.all(nxt_step[:-1] >= bound * step[:-1] - solver.ORDER_SLACK * (1.0 + sup)), lam
                 u, step = nxt, nxt_step
     if name == "exp-n10-p2.5":
-        assert compared == 0 and all(lam >= res.lambda_hi for lam, *_ in leaps)
+        below = [lam for lam, *_ in leaps if lam < res.lambda_hi]
+        assert compared == len(below) == (2 if tol == 1e-9 else 0)
     else:
         assert compared
 
@@ -1338,12 +1427,11 @@ def test_sweep_rules_are_built_once_per_grid(tmp_path, monkeypatch):
 
 
 def test_a_rejected_start_falls_back_one_step(grid2000, monkeypatch):
-    """(1+u)^3 at n = 3: after the converged probes at 1 (certified by
-    Anderson) and 1.25, the probe at 1.3125 starts from the chord.  A chord
-    raised by 1 on the inner half is no subsolution: the first sweep lowers
-    it, and the probe goes on from the scaled start, ending as the probe
-    offered only that start does, with one more sweep and the same profile
-    bit for bit.  A raised scaled start falls back to u = 0 alike."""
+    """(1+u)^3 at n = 3: after the converged probes at 1 and 1.25, the probe
+    at 1.3125 starts from the scaled start.  A scaled start raised by 1 on
+    the inner half is no subsolution: the first sweep lowers it, and the
+    probe goes on from u = 0, ending as the probe offered only that start
+    does, with one more sweep and the same profile bit for bit."""
     spec = ProblemSpec(3.0, 2.0, Power(m=3.0))
     real = solver._starts
 
@@ -1362,15 +1450,13 @@ def test_a_rejected_start_falls_back_one_step(grid2000, monkeypatch):
         return [(label, u)] + rest
 
     profile, record = third_probe(lambda starts: starts)
-    assert record.converged and record.start == "chord"
-    for drop in (1, 2):
-        alone, alone_record = third_probe(lambda starts: starts[drop:])
-        again, again_record = third_probe(lambda starts: raised(starts[drop - 1 :]))
-        assert alone_record.start == ("scaled", "zero")[drop - 1]
-        assert again_record == dataclasses.replace(alone_record, iterations=alone_record.iterations + 1)
-        for name in ("u", "w", "u_r"):
-            assert np.array_equal(getattr(again, name), getattr(alone, name))
-    assert record.iterations < alone_record.iterations
+    assert record.converged and record.start == "scaled"
+    alone, alone_record = third_probe(lambda starts: starts[1:])
+    again, again_record = third_probe(raised)
+    assert alone_record.start == "zero"
+    assert again_record == dataclasses.replace(alone_record, iterations=alone_record.iterations + 1)
+    for name in ("u", "w", "u_r"):
+        assert np.array_equal(getattr(again, name), getattr(alone, name))
 
 
 def test_leaving_the_table_ends_the_probe(grid2000):
@@ -1449,6 +1535,7 @@ def test_sweep_jacobian_is_nonnegative_at_a_p_above_2_stop(n, p, f, lam, coarse,
     assert np.all(K[:-1] >= 0.3 * A[:-1]) and np.all(A[:-1] > 0.0)
 
 
+@pytest.mark.usefixtures("without_early_decisions")
 def test_unstable_iterate_stop_needs_a_convex_reaction(grid2000, monkeypatch):
     """The stop and the leaps rest on the convexity of f^(1/max(1, p-1)), so
     they make no ``_growth_bound`` call where a reaction does not claim it.
@@ -1458,8 +1545,9 @@ def test_unstable_iterate_stop_needs_a_convex_reaction(grid2000, monkeypatch):
     or by overflow.  Power(3) at p = 3, where (1+u)^(3/2) is convex, makes
     the calls and brackets lambda* as the table does.  Power(1.5) at p = 3
     (m < p - 1) makes none up to lambda = 1e3, though its probes make them
-    once it claims the convexity; Power(0.5) reads as non-convex.  (A concave table
-    is covered by test_only_a_convex_reaction_is_accelerated.)"""
+    once it claims the convexity; Power(0.5) reads as non-convex.  Early
+    decisions, which would decide its probes first, are off.  (A concave
+    table is covered by test_only_a_convex_reaction_is_accelerated.)"""
     from plaplab import Tabulated
 
     assert not Power(m=0.5).convex and not Power(m=0.5).convex_root(2.0)
