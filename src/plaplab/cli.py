@@ -362,7 +362,9 @@ def _lambda_star_report(cfg: dict, out: Path, grid: RadialGrid) -> dict:
     or the "no-bracket" one with the search's diagnosis.
     ``tolerance_reached`` says whether the bracket passed the search's
     width test: a hole of undecided probes, or max_bisect, can end a search
-    short of it."""
+    short of it.  The ``grid`` block names the quadrature stencils that the
+    sweeps used, points per cell of the source and the outer rule: 4, or 2
+    where ``make_rule`` fell back."""
     try:
         result = _lambda_star(_problem(cfg), grid, cfg)
     except BracketingError as exc:
@@ -374,6 +376,11 @@ def _lambda_star_report(cfg: dict, out: Path, grid: RadialGrid) -> dict:
         lambda_lo=result.lambda_lo,
         lambda_hi=result.lambda_hi,
         tolerance_reached=result.tolerance_reached,
+        grid={
+            "r_min": grid.r_min,
+            "nodes": grid.size,
+            "stencil": dict(zip(("source", "outer"), result.stencils)),
+        },
         undecided=[rec.lam for rec in result.records if rec.reason in UNDECIDED],
         records=result.records,
     )

@@ -35,14 +35,16 @@ Three routes to solutions:
     never a point value.  Each probe starts from a lower probe's u scaled by
     the homogeneity of the sweep in lambda, which lies below the minimal
     solution there; once such a probe contracts clearly, one sweep that
-    certifies a supersolution just above it decides it converged, and only
-    lambda_lo's iterate is swept on to the tolerance.
+    certifies a supersolution just above it decides it converged, and
+    lambda_lo's iterate is swept on to the tolerance only when its profile
+    is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,8 +157,9 @@ ACCEL_EPS_CAP = 1e-2
 #: since its start on, with 0 < rho_k < EARLY_RATE and more than EARLY_AHEAD
 #: sweeps still to go at that rate, whether u_k + EARLY_GAP rho_k / (1 -
 #: rho_k) max(step, 0) is a supersolution; that one sweep decides it
-#: converged, and after a failed try the next waits until k has doubled.
-#: EARLY_SWEEPS = 10**9 switches the decision off.
+#: converged, and after a failed try the next waits until k has grown by
+#: half, by at least EARLY_SWEEPS.  EARLY_SWEEPS = 10**9 switches the
+#: decision off.
 EARLY_SWEEPS = 3
 EARLY_RATE = 0.9
 EARLY_AHEAD = 4
@@ -213,14 +216,50 @@ class BifurcationPoint:
 
 
 @dataclass(frozen=True)
+class _Finish:
+    """A probe decided early, kept to be swept on to its end: what the
+    finish reads, and nothing of the search that decided it.  ``lower`` is
+    the nearest lower converged probe's (lambda, contraction), which the
+    saddle-node stop reads, or None."""
+
+    spec: ProblemSpec
+    grid: RadialGrid
+    controls: IterationControls
+    tol_lambda: float
+    profile: RadialProfile
+    record: LambdaRecord
+    lower: tuple | None
+
+    def __call__(self) -> RadialProfile:
+        """The probe resumed from the decided profile's u, with no early
+        try, to its end, on a sweep kernel of its own; a finish that ends
+        unconverged keeps the decided profile."""
+        iterate = _monotone_iteration(self.spec, self.grid, self.controls, self.tol_lambda)
+        record = self.record
+        done = iterate(record.lam, (record.start, self.profile.u, self.lower))[0]
+        return self.profile if done is None else done
+
+
+@dataclass(frozen=True)
 class ContinuationResult:
     lambda_lo: float
     lambda_hi: float
     records: tuple
-    profile_lo: RadialProfile
     # whether the bracket passed the search's width test; a hole of
     # undecided probes, or max_bisect, can end a search short of it
     tolerance_reached: bool
+    # points per cell of the quadrature stencils that the sweeps used (4, or
+    # 2 where ``make_rule`` fell back): the source rule's, weight r^(n-1),
+    # and the outer rule's
+    stencils: tuple
+    # lambda_lo's profile, or the _Finish of lambda_lo decided early
+    lo: RadialProfile | _Finish
+
+    @cached_property
+    def profile_lo(self) -> RadialProfile:
+        """lambda_lo's profile; where lambda_lo was decided early, its
+        iterate swept on to its end, on first read."""
+        return self.lo() if isinstance(self.lo, _Finish) else self.lo
 
 
 def _check_solver_dimension(n: float) -> None:
@@ -509,9 +548,10 @@ def _monotone_iteration(
     ``tol_lambda`` > 0 lets a fold ghost stop by the saddle-node law (see
     FOLD_GHOST_SWEEPS) and a probe from a scaled start be decided early (see
     EARLY_SWEEPS); at 0 only the FOLD_GHOST_SWEEPS stop runs.  A probe
-    decided early returns, in place of its profile, a function that sweeps
-    its iterate on to the tolerance and returns the (profile, record) of the
-    finished probe.
+    decided early returns, in place of its profile, the ``_Finish`` that
+    sweeps its iterate on to its end; ``iterate(lam, (start, u, lower))``
+    runs that finish, from u with no early try, ``lower`` the nearest lower
+    converged probe's (lambda, contraction) or None.
 
     A probe starts from the scaled start, else from u = 0 when the first
     sweep's order check rejects it.  A returned profile owns its arrays; a
@@ -532,10 +572,10 @@ def _monotone_iteration(
     convex_map = f.convex_root(p)
     seeds = []  # (lambda, u) of every converged probe and every undecided one
     rates = {}  # lambda: contraction of every converged probe
-    # the lambda of a probe decided early, until ``iterate`` returns it; only
-    # ``iterate`` builds the finish, so no closure that ``run`` reaches
-    # refers back to ``run``, and a search's arrays go with its last reference
-    decided = set()
+
+    def lower(lam: float):
+        """(lambda, contraction) of the nearest lower converged probe, or None."""
+        return max(((x, rate) for x, rate in rates.items() if x < lam), default=None)
 
     def diverged(
         lam: float, k: int, sup: float, reason: str, rho: float, start: str, bound: float = math.nan
@@ -577,28 +617,15 @@ def _monotone_iteration(
         rates[lam] = rho
         return profile, record
 
-    def iterate(lam: float):
+    def iterate(lam: float, resume=None):
+        if resume is not None:
+            start, u, below = resume
+            if below is not None:
+                rates[below[0]] = below[1]
+            return run(lam, [(start, u)], math.inf)
         pending = _starts(lam, seeds, kernel)
         warm = tol_lambda > 0.0 and pending[0][0] == "scaled"
-        out, record = run(lam, pending, EARLY_SWEEPS if warm else math.inf)
-        if lam not in decided:
-            return out, record
-        decided.discard(lam)
-
-        def finish():
-            """The probe resumed from the profile decided early, with no
-            early try, to its end.  The finished record counts the sweeps of
-            both and, unless an Anderson answer brings its own, keeps the
-            certificate, which bounds ||u* - u||_inf for every plain iterate
-            u above u_k.  A finish that ends undecided keeps that profile."""
-            done, rest = run(lam, [(record.start, out.u)], math.inf)
-            total = record.iterations + rest.iterations
-            if done is None:
-                return out, replace(record, iterations=total)
-            kept = record.certificate if math.isnan(rest.certificate) else rest.certificate
-            return done, replace(rest, iterations=total, certificate=kept)
-
-        return finish, record
+        return run(lam, pending, EARLY_SWEEPS if warm else math.inf)
 
     def run(lam: float, pending, early):
         """The probe from the first of the ``pending`` starts, falling back to
@@ -668,11 +695,12 @@ def _monotone_iteration(
                     return diverged(lam, sweeps, sup, "fold ghost", rho, start)
                 # a clear contraction, with more than EARLY_AHEAD sweeps to go
                 if k >= early and 0.0 < rho < EARLY_RATE and delta * rho**EARLY_AHEAD > tol_abs + tol_rel * sup:
-                    early, u, sweeps = 2 * k, u.copy(), sweeps + 1  # its sweep writes into kernel.u
+                    early = k + max(EARLY_SWEEPS, k // 2)
+                    u, sweeps = u.copy(), sweeps + 1  # its sweep writes into kernel.u
                     lift, gap = np.maximum(step, 0.0), EARLY_GAP * rho / (1.0 - rho)
                     if _supersolution(u, lift, gap, lam, f, kernel):
-                        decided.add(lam)
-                        return converged(lam, sweeps, rho, u, start, gap * float(sup_of(lift)))
+                        out, record = converged(lam, sweeps, rho, u, start, gap * float(sup_of(lift)))
+                        return _Finish(spec, grid, controls, tol_lambda, out, record, lower(lam)), record
                 # rho_k < 1 has settled, and plain sweeps have more than
                 # ACCEL_SWEEPS to go at that rate
                 if (
@@ -697,14 +725,15 @@ def _monotone_iteration(
                                 return converged(lam, sweeps, rho, u_a, start, eps, residual)
                             # the fold signature: stop once the saddle-node law
                             # puts the fold within a quarter of the hole step
-                            lam_c = max((x for x in rates if x < lam), default=None)
-                            if tol_lambda > 0.0 and lam_c is not None and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
+                            below = lower(lam)
+                            if tol_lambda > 0.0 and below is not None and 0.0 < k * (1.0 - rho) < FOLD_GHOST_RATE:
                                 used, rate = _spectral_radius(u_a, lift, lam, f, kernel)
                                 sweeps += used
                                 # C (lambda_f - lambda) = (1 - rate)^2, and through
                                 # lambda_c, C (lambda - lambda_c) = gap
+                                lam_c, rate_c = below
                                 near = (1.0 - rate) ** 2 * (lam - lam_c)
-                                gap = (1.0 - rates[lam_c]) ** 2 - (1.0 - rate) ** 2
+                                gap = (1.0 - rate_c) ** 2 - (1.0 - rate) ** 2
                                 if 0.0 < near < gap * tol_lambda * lam / 16.0:
                                     seeds.append((lam, u))
                                     return diverged(lam, sweeps, sup, "fold ghost", rate, start, near / gap / lam)
@@ -782,26 +811,27 @@ def lambda_star_estimate(
     early decisions"), certified Anderson answers ("Accelerated convergent
     probes"), the "unstable iterate" stop and the leaps ("Certified
     divergence", "Certified leaps") and both fold-ghost stops ("The
-    fold-ghost stop").  A probe decided early reports the norms of an
-    iterate below u*(lambda); at the end of the search lambda_lo's own
-    iterate is swept on until it passes the stopping test, and that finished
-    profile is ``profile_lo``.  ``LambdaRecord`` says what ``contraction``,
-    ``certificate`` and ``start`` hold.
+    fold-ghost stop").  A probe decided early, lambda_lo too, is recorded
+    as decided, with the norms of an iterate below u*(lambda).  Where
+    lambda_lo was decided early, ``profile_lo`` is its own iterate swept on
+    to its end when it is first read; a search whose ``profile_lo`` is never
+    read runs no finishing sweep.  ``LambdaRecord`` says what
+    ``contraction``, ``certificate`` and ``start`` hold.
 
     ``iterations`` counts every sweep of the probe: plain ones, the first
     sweep from a rejected start and from an undone leap, the check of each
     early try, those of an Anderson attempt, failed or not, its
-    certificate's, T(u_A) and the power steps, those from u_A, for a
-    converged probe the consistency sweep that builds (u, w) and, for
-    lambda_lo decided early, its finishing sweeps.  A leap itself is no
-    sweep.
+    certificate's, T(u_A) and the power steps, those from u_A, and for a
+    converged probe the consistency sweep that builds (u, w).  A leap itself
+    is no sweep, and no record counts the finishing sweeps of
+    ``profile_lo``.
     """
     if not (math.isfinite(lam_init) and lam_init > 0.0):
         raise ParameterError(f"lam_init must be a positive finite number, got {lam_init}")
     iterate = _monotone_iteration(spec, grid, controls or IterationControls(), tol_lambda)
     records: list[LambdaRecord] = []
     undecided: list[float] = []
-    lo = hi = profile_lo = at_lo = None  # the last converged probe's profile and index: lo's
+    lo = hi = profile_lo = None  # the last converged probe's profile (or _Finish): lo's
 
     def narrow(lo, hi):  # the width test
         return hi - lo <= tol_lambda * lo or hi - lo <= 8 * math.ulp(hi)
@@ -811,7 +841,7 @@ def lambda_star_estimate(
         out, record = iterate(lam)
         records.append(record)
         if record.converged:
-            lo, profile_lo, at_lo = lam, out, len(records) - 1
+            lo, profile_lo = lam, out
         elif record.reason in UNDECIDED:
             undecided.append(lam)
         else:
@@ -845,12 +875,11 @@ def lambda_star_estimate(
                 "no convergent parameter found" + (why or "; check f(0) > 0 and the grid")
             )
 
-    if callable(profile_lo):  # lo was decided early: finish its own iterate
-        profile_lo, records[at_lo] = profile_lo()
     ordered = tuple(sorted(records, key=lambda rec: rec.lam))
+    stencils = tuple(_grid_rule(grid, n)._stencil for n in (spec.n, 1.0))
     return ContinuationResult(
-        lambda_lo=lo, lambda_hi=hi, records=ordered, profile_lo=profile_lo,
-        tolerance_reached=narrow(lo, hi),
+        lambda_lo=lo, lambda_hi=hi, records=ordered, tolerance_reached=narrow(lo, hi),
+        stencils=stencils, lo=profile_lo,
     )
 
 

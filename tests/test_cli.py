@@ -160,6 +160,7 @@ def test_lambda_star_command(tmp_path, capsys):
     starts = {rec["lambda"]: rec["start"] for rec in report["records"]}
     assert starts[1.0] == "zero" and set(starts.values()) <= {"zero", "scaled"}
     assert len(sweep) == len(report["records"]) + 1
+    assert report["grid"] == {"r_min": 1e-7, "nodes": 600, "stencil": {"source": 4, "outer": 4}}
     assert any(rec["w1p_norm"] == "inf" for rec in report["records"])
     # certified accelerated probes carry their eps, unstable iterates their
     # growth bound, fold ghosts stopped by the saddle-node law their relative
@@ -174,6 +175,18 @@ def test_lambda_star_command(tmp_path, capsys):
         else:
             assert rec["reason"] == "unstable iterate"
     _assert_csv_rows_equal_json(out_dir / "lambda_sweep.csv", report["records"])
+
+
+def test_lambda_star_report_names_the_fallback_stencil(tmp_path, capsys):
+    """On 16 nodes from 1e-6 the 4-point stencil's weights at n = 12 are not
+    all positive, so ``make_rule`` falls back to 2 points for the source
+    rule, while the outer rule (n = 1) keeps 4; the report says so."""
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[grid]\nr_min = 1e-6\nnodes = 16\n")
+    run_cli(capsys, "--config", str(cfg), "--out", str(tmp_path / "c"), "lambda-star", "--n", "12", "--p", "2")
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["outcome"] == "bracketed"
+    assert report["grid"] == {"r_min": 1e-6, "nodes": 16, "stencil": {"source": 2, "outer": 4}}
 
 
 def test_lambda_star_flags_an_unreached_tolerance(tmp_path, capsys):
